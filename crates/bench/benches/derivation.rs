@@ -38,8 +38,7 @@ fn bench_whatif(c: &mut Criterion) {
     let mut group = c.benchmark_group("whatif");
     group.sample_size(30);
 
-    let mut session = Session::build(BenchmarkKind::TpcDs);
-    session.opt.set_compiled(true);
+    let session = Session::build(BenchmarkKind::TpcDs);
     let n = session.cands.len();
     let m = session.opt.num_queries();
     let mut rng = seeded(13);

@@ -227,10 +227,10 @@ pub fn run_grid(
     let workers = jobs.min(specs.len());
     let mut slots: Vec<Option<Cell>> = Vec::new();
     slots.resize_with(specs.len(), || None);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let mut done: Vec<(usize, Cell)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -248,8 +248,7 @@ pub fn run_grid(
                 slots[i] = Some(cell);
             }
         }
-    })
-    .expect("sweep scope panicked");
+    });
     slots
         .into_iter()
         .map(|c| c.expect("every grid cell is claimed by exactly one worker"))

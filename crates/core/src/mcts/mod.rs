@@ -774,12 +774,12 @@ impl MctsTuner {
         } else {
             let next = AtomicUsize::new(0);
             let mut slots: Vec<Option<WorkerOut>> = (0..workers).map(|_| None).collect();
-            let collected = crossbeam::thread::scope(|s| {
+            let collected = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..os_threads)
                     .map(|_| {
                         let next = &next;
                         let run_worker = &run_worker;
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let mut mine = Vec::new();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -795,8 +795,7 @@ impl MctsTuner {
                     .into_iter()
                     .flat_map(|h| h.join().expect("mcts root worker panicked"))
                     .collect::<Vec<_>>()
-            })
-            .expect("mcts root-parallel scope panicked");
+            });
             for (i, out) in collected {
                 slots[i] = Some(out);
             }

@@ -56,17 +56,11 @@ struct ObsShared {
     warm_seeded: Arc<Counter>,
     shard_hits: Vec<Arc<Counter>>,
     shard_lookups: Vec<Arc<Counter>>,
-    /// `ixtune_whatif_latency_seconds{kernel=…}`, indexed in
-    /// [`KERNEL_LABELS`] order (compiled, interpreted).
-    whatif_latency: [Arc<Histogram>; 2],
-    whatif_sim_latency: [Arc<Histogram>; 2],
+    whatif_latency: Arc<Histogram>,
+    whatif_sim_latency: Arc<Histogram>,
 }
 
 const PHASE_LABELS: [&str; 4] = ["priors", "selection", "rollout", "other"];
-
-/// Which what-if evaluation path served the call: the compiled plan-table
-/// kernel or the interpreted reference model.
-const KERNEL_LABELS: [&str; 2] = ["compiled", "interpreted"];
 
 /// Observability handle: disabled by default, enabled per session by the
 /// service (or by tests). Clones share the same instruments.
@@ -148,22 +142,18 @@ impl Obs {
                 "ixtune_cache_shard_lookups_total",
                 "Cache lookups by cache shard (serial lookup path)",
             ),
-            whatif_latency: KERNEL_LABELS.map(|k| {
-                registry.histogram(
-                    "ixtune_whatif_latency_seconds",
-                    "Observed wall-clock latency of what-if calls",
-                    &[("kernel", k)],
-                    &REAL_LATENCY_BOUNDS,
-                )
-            }),
-            whatif_sim_latency: KERNEL_LABELS.map(|k| {
-                registry.histogram(
-                    "ixtune_whatif_sim_latency_seconds",
-                    "Modeled what-if latency (ixtune_optimizer::latency)",
-                    &[("kernel", k)],
-                    &SIM_LATENCY_BOUNDS,
-                )
-            }),
+            whatif_latency: registry.histogram(
+                "ixtune_whatif_latency_seconds",
+                "Observed wall-clock latency of what-if calls",
+                &[],
+                &REAL_LATENCY_BOUNDS,
+            ),
+            whatif_sim_latency: registry.histogram(
+                "ixtune_whatif_sim_latency_seconds",
+                "Modeled what-if latency (ixtune_optimizer::latency)",
+                &[],
+                &SIM_LATENCY_BOUNDS,
+            ),
         };
         Self {
             shared: Some(Arc::new(shared)),
@@ -182,14 +172,12 @@ impl Obs {
     }
 
     /// Record one observed what-if call latency (real seconds) plus its
-    /// modeled latency, labeled with the evaluation path that served it
-    /// (`kernel="compiled"` / `kernel="interpreted"`).
+    /// modeled latency.
     #[inline]
-    pub fn observe_whatif_latency(&self, real_s: f64, sim_s: f64, compiled: bool) {
+    pub fn observe_whatif_latency(&self, real_s: f64, sim_s: f64) {
         if let Some(s) = &self.shared {
-            let k = usize::from(!compiled);
-            s.whatif_latency[k].observe(real_s);
-            s.whatif_sim_latency[k].observe(sim_s);
+            s.whatif_latency.observe(real_s);
+            s.whatif_sim_latency.observe(sim_s);
         }
     }
 
@@ -318,7 +306,7 @@ mod tests {
         assert_eq!(obs.scope(), 0);
         assert_eq!(obs.span_start(), None);
         obs.on_cache_ref(3, true);
-        obs.observe_whatif_latency(0.1, 1.0, true);
+        obs.observe_whatif_latency(0.1, 1.0);
         obs.publish_deltas(&SessionTelemetry::default(), &SessionTelemetry::default());
     }
 

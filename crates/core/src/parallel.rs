@@ -296,13 +296,13 @@ pub fn frozen_argmin(
     } else {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<ChunkOutcome>> = vec![None; chunks.len()];
-        let collected = crossbeam::thread::scope(|s| {
+        let collected = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
                     let chunks = &chunks;
                     let scan = &scan;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut mine = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -318,8 +318,7 @@ pub fn frozen_argmin(
                 .into_iter()
                 .flat_map(|h| h.join().expect("scan worker panicked"))
                 .collect::<Vec<_>>()
-        })
-        .expect("scan scope panicked");
+        });
         for (i, outcome) in collected {
             slots[i] = Some(outcome);
         }

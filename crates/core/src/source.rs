@@ -241,11 +241,8 @@ impl CostSource for ObservedSource<'_> {
         } else {
             elapsed_s
         };
-        self.obs.observe_whatif_latency(
-            elapsed_s,
-            self.opt.call_latency_s(q),
-            self.opt.compiled_enabled(),
-        );
+        self.obs
+            .observe_whatif_latency(elapsed_s, self.opt.call_latency_s(q));
     }
 
     fn obs(&self) -> Obs {
@@ -309,20 +306,11 @@ mod tests {
         let cost = src.cost(q, &cfg);
         src.observe(q, &cfg, cost, 0.001);
         let text = registry.render();
-        let kernel = if opt.compiled_enabled() {
-            "compiled"
-        } else {
-            "interpreted"
-        };
         assert!(
-            text.contains(&format!(
-                "ixtune_whatif_latency_seconds_count{{kernel=\"{kernel}\"}} 1"
-            )),
+            text.contains("ixtune_whatif_latency_seconds_count 1"),
             "{text}"
         );
-        assert!(text.contains(&format!(
-            "ixtune_whatif_sim_latency_seconds_count{{kernel=\"{kernel}\"}} 1"
-        )));
+        assert!(text.contains("ixtune_whatif_sim_latency_seconds_count 1"));
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! bit-for-bit the value the interpreted reference model computes,
 //! including the deterministic `quirk_eps` jitter (which hashes the scan
 //! slots and the accumulated total, so any float-op reordering would show
-//! up immediately). These tests force the kernel on and off explicitly
-//! (so they hold regardless of the `IXTUNE_COMPILED` environment), across
-//! synthetic instances, all five paper benchmark instances, quirk on/off,
-//! all five enumerators, and serial/parallel session threads.
+//! up immediately). The kernel serves every call; the interpreted model
+//! survives as `interpreted_what_if_cost`, the oracle these tests check
+//! it against — on every cell real tuning sessions visit (synthetic
+//! instances, all five enumerators, serial and parallel session threads)
+//! and on swept cells of all five paper benchmark instances, quirk on and
+//! off.
 
 use ixtune_candidates::{generate_default, CandidateSet};
 use ixtune_common::{IndexId, IndexSet, QueryId};
@@ -32,6 +34,25 @@ fn context(seed: u64, quirk: bool) -> (SimulatedOptimizer, CandidateSet) {
     (opt, cands)
 }
 
+/// Every `(query, config)` cell a session paid for prices the same bits
+/// through the kernel and through the interpreted oracle.
+fn prop_cells_match_oracle(
+    name: &str,
+    opt: &SimulatedOptimizer,
+    result: &TuningResult,
+) -> Result<(), TestCaseError> {
+    prop_assert!(!result.layout.cells().is_empty(), "{name} spent no calls");
+    for (q, cfg) in result.layout.cells() {
+        let got = opt.what_if_cost(*q, cfg);
+        let want = opt.interpreted_what_if_cost(*q, cfg);
+        prop_assert!(
+            got.to_bits() == want.to_bits(),
+            "{name} q={q:?}: kernel {got} vs oracle {want}"
+        );
+    }
+    Ok(())
+}
+
 fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
     vec![
         ("vanilla", Box::new(VanillaGreedy)),
@@ -43,35 +64,6 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
             Box::new(MctsTuner::default().with_root_workers(4)),
         ),
     ]
-}
-
-/// Zero the counters that record *how* the session executed rather than
-/// what it computed. The kernel choice is pure evaluation speed, so
-/// everything else — including `derivations` — must match exactly.
-fn strip_execution(mut t: SessionTelemetry) -> SessionTelemetry {
-    t.session_threads = 0;
-    t.parallel_scans = 0;
-    t.wall_clock_ms = 0.0;
-    t.warm_hits = 0;
-    t.warm_seeded = 0;
-    t
-}
-
-fn prop_identical(
-    name: &str,
-    compiled: &TuningResult,
-    interp: &TuningResult,
-) -> Result<(), TestCaseError> {
-    let _ = name;
-    prop_assert_eq!(&compiled.config, &interp.config);
-    prop_assert_eq!(compiled.calls_used, interp.calls_used);
-    prop_assert_eq!(compiled.improvement.to_bits(), interp.improvement.to_bits());
-    prop_assert_eq!(compiled.layout.cells(), interp.layout.cells());
-    prop_assert_eq!(
-        strip_execution(compiled.telemetry),
-        strip_execution(interp.telemetry)
-    );
-    Ok(())
 }
 
 /// A small deterministic family of configurations over an `n`-candidate
@@ -89,14 +81,14 @@ fn config_sweep(n: usize, count: usize) -> Vec<IndexSet> {
 }
 
 proptest! {
-    // Each case runs 5 enumerators x compiled+interpreted sessions.
+    // Each case runs 5 enumerator sessions and re-prices their cells.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Whole tuning sessions are bit-identical between the compiled
-    /// kernel and the interpreted reference model, for every enumerator
-    /// and for serial and parallel session threads.
+    /// The kernel matches the interpreted oracle bit for bit on every
+    /// cell that whole tuning sessions visit, for every enumerator and
+    /// for serial and parallel session threads.
     #[test]
-    fn compiled_kernel_never_changes_the_result(
+    fn compiled_kernel_matches_the_oracle_on_visited_cells(
         inst_seed in 0u64..200,
         seed in 0u64..16,
         k in 2usize..5,
@@ -105,29 +97,18 @@ proptest! {
         quirk in any::<bool>(),
     ) {
         let threads = [1usize, 4][thread_choice];
-        let (mut compiled_opt, cands) = context(inst_seed, quirk);
-        compiled_opt.set_compiled(true);
-        let (mut interp_opt, _) = context(inst_seed, quirk);
-        interp_opt.set_compiled(false);
-        prop_assert!(compiled_opt.compiled_enabled());
-        prop_assert!(!interp_opt.compiled_enabled());
+        let (opt, cands) = context(inst_seed, quirk);
         prop_assert_eq!(
-            compiled_opt.compiled_query_count(),
-            WhatIfOptimizer::num_queries(&compiled_opt)
+            opt.compiled_query_count(),
+            WhatIfOptimizer::num_queries(&opt)
         );
-        prop_assert_eq!(interp_opt.compiled_query_count(), 0);
         let req = TuningRequest::cardinality(k, budget)
             .with_seed(seed)
             .with_session_threads(threads);
         for (name, tuner) in &tuners() {
-            let c = tuner.tune(&TuningContext::new(&compiled_opt, &cands), &req);
-            let i = tuner.tune(&TuningContext::new(&interp_opt, &cands), &req);
-            prop_identical(name, &c, &i)?;
+            let result = tuner.tune(&TuningContext::new(&opt, &cands), &req);
+            prop_cells_match_oracle(name, &opt, &result)?;
         }
-        prop_assert!(
-            compiled_opt.compiled_calls_served() > 0,
-            "sessions actually exercised the kernel"
-        );
     }
 
     /// Individual what-if costs match the interpreted oracle bit for bit
@@ -138,8 +119,7 @@ proptest! {
         quirk in any::<bool>(),
         picks in proptest::collection::vec((0usize..4096, 0usize..1024), 1..40),
     ) {
-        let (mut opt, _) = context(inst_seed, quirk);
-        opt.set_compiled(true);
+        let (opt, _) = context(inst_seed, quirk);
         let n = WhatIfOptimizer::num_candidates(&opt);
         let m = WhatIfOptimizer::num_queries(&opt);
         for (ci, qi) in picks {
@@ -156,17 +136,15 @@ proptest! {
 }
 
 /// Every paper benchmark instance, quirk on and off: a deterministic
-/// sweep of configuration cells plus one greedy session per instance,
-/// compiled versus interpreted.
+/// sweep of configuration cells plus the cells of one greedy session per
+/// instance, kernel versus interpreted oracle.
 #[test]
 fn benchmark_instances_compile_bit_identically() {
     for kind in BenchmarkKind::ALL {
         for quirk in [false, true] {
             let inst = kind.generate();
             let cands = generate_default(&inst);
-            let mut opt =
-                SimulatedOptimizer::new(inst.clone(), cands.indexes.clone(), model(quirk));
-            opt.set_compiled(true);
+            let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), model(quirk));
             let n = cands.len();
             let m = WhatIfOptimizer::num_queries(&opt);
             for cfg in config_sweep(n, 64) {
@@ -182,18 +160,20 @@ fn benchmark_instances_compile_bit_identically() {
                 }
             }
 
-            // One full greedy session per instance: the kernel choice must
-            // not change the recommendation or any result-level counter.
-            let mut interp = SimulatedOptimizer::new(inst, cands.indexes.clone(), model(quirk));
-            interp.set_compiled(false);
+            // One full greedy session per instance: every cell it paid
+            // for prices the same through the kernel and the oracle.
             let req = TuningRequest::cardinality(4, 30).with_seed(7);
-            let c = VanillaGreedy.tune(&TuningContext::new(&opt, &cands), &req);
-            let i = VanillaGreedy.tune(&TuningContext::new(&interp, &cands), &req);
-            assert_eq!(c.config, i.config, "{kind:?} quirk={quirk}");
-            assert_eq!(c.calls_used, i.calls_used);
-            assert_eq!(c.improvement.to_bits(), i.improvement.to_bits());
-            assert_eq!(c.layout.cells(), i.layout.cells());
-            assert_eq!(strip_execution(c.telemetry), strip_execution(i.telemetry));
+            let result = VanillaGreedy.tune(&TuningContext::new(&opt, &cands), &req);
+            assert!(!result.layout.cells().is_empty(), "{kind:?} spent no calls");
+            for (q, cfg) in result.layout.cells() {
+                let got = opt.what_if_cost(*q, cfg);
+                let want = opt.interpreted_what_if_cost(*q, cfg);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{kind:?} quirk={quirk} session cell q={q:?}"
+                );
+            }
         }
     }
 }

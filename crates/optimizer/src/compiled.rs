@@ -38,8 +38,8 @@
 //!   `wrapping_add(total.to_bits())` tail at call time.
 //!
 //! The interpreted path stays in the build as the proptest oracle
-//! (`crates/core/tests/compiled_kernel_props.rs` pins full tuning
-//! sessions, telemetry included, and raw per-call bits).
+//! (`crates/core/tests/compiled_kernel_props.rs` pins every cell full
+//! tuning sessions visit, and raw per-call bits).
 
 use crate::cost::CostModel;
 use crate::index::IndexDef;

@@ -23,19 +23,6 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
-/// `IXTUNE_COMPILED=0|false|off` disables the compiled kernel (the
-/// interpreted path then serves every call). Anything else — including
-/// the variable being unset — enables it.
-fn env_compiled_enabled() -> bool {
-    match std::env::var("IXTUNE_COMPILED") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    }
-}
-
 /// The what-if API surface a tuner sees.
 pub trait WhatIfOptimizer: Sync {
     /// Number of queries in the tuned workload.
@@ -68,9 +55,9 @@ pub struct SimulatedOptimizer {
     model: CostModel,
     latency: LatencyModel,
     calls: AtomicU64,
-    /// Compiled what-if kernel (bit-identical to the interpreted path).
-    /// `None` when disabled via `IXTUNE_COMPILED=0` or `set_compiled`.
-    compiled: Option<CompiledWorkload>,
+    /// Compiled what-if kernel: serves every call, bit-identical to the
+    /// interpreted model kept as the test oracle.
+    compiled: CompiledWorkload,
 }
 
 impl SimulatedOptimizer {
@@ -78,7 +65,7 @@ impl SimulatedOptimizer {
     /// by `ixtune-candidates`).
     pub fn new(instance: BenchmarkInstance, candidates: Vec<IndexDef>, model: CostModel) -> Self {
         let BenchmarkInstance { schema, workload } = instance;
-        let per_query_slot = workload
+        let per_query_slot: Vec<Vec<Vec<IndexId>>> = workload
             .queries
             .iter()
             .map(|q| {
@@ -96,7 +83,9 @@ impl SimulatedOptimizer {
             })
             .collect();
         let cand_sizes = candidates.iter().map(|c| c.size_bytes(&schema)).collect();
-        let mut opt = Self {
+        let compiled =
+            CompiledWorkload::build(&schema, &workload, &candidates, &per_query_slot, &model);
+        Self {
             schema,
             workload,
             candidates,
@@ -105,58 +94,19 @@ impl SimulatedOptimizer {
             model,
             latency: LatencyModel::default(),
             calls: AtomicU64::new(0),
-            compiled: None,
-        };
-        opt.set_compiled(env_compiled_enabled());
-        opt
-    }
-
-    /// Enable or disable the compiled kernel (tests/benches; production
-    /// follows `IXTUNE_COMPILED` at construction). Enabling recompiles
-    /// from the retained schema/workload/candidates.
-    pub fn set_compiled(&mut self, on: bool) {
-        self.compiled = on.then(|| {
-            CompiledWorkload::build(
-                &self.schema,
-                &self.workload,
-                &self.candidates,
-                &self.per_query_slot,
-                &self.model,
-            )
-        });
-    }
-
-    /// Whether what-if calls are served by the compiled kernel.
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled.is_some()
-    }
-
-    /// Number of queries compiled into plan tables (0 when the kernel is
-    /// disabled) — feeds the `ixtune_compiled_queries_total` counter.
-    pub fn compiled_query_count(&self) -> usize {
-        self.compiled
-            .as_ref()
-            .map_or(0, CompiledWorkload::num_queries)
-    }
-
-    /// Calls served by the compiled kernel (all of them or none: the
-    /// kernel is selected at construction, not per call).
-    pub fn compiled_calls_served(&self) -> u64 {
-        if self.compiled.is_some() {
-            self.calls.load(Ordering::Relaxed)
-        } else {
-            0
+            compiled,
         }
     }
 
-    /// Interpreted-path cost — the test oracle the compiled kernel is
-    /// pinned against. Does **not** count as a served call and ignores
-    /// the compiled kernel even when enabled.
-    pub fn interpreted_what_if_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
-        self.interpreted_cost(q, config)
+    /// Number of queries compiled into plan tables — feeds the
+    /// `ixtune_compiled_queries_total` counter.
+    pub fn compiled_query_count(&self) -> usize {
+        self.compiled.num_queries()
     }
 
-    fn interpreted_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
+    /// Interpreted-path cost — the test oracle the compiled kernel is
+    /// pinned against. Does **not** count as a served call.
+    pub fn interpreted_what_if_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
         let query = self.workload.query(q);
         let slots = &self.per_query_slot[q.index()];
         // Visitor form: walk the precomputed slot postings directly instead
@@ -330,10 +280,7 @@ impl WhatIfOptimizer for SimulatedOptimizer {
 
     fn what_if_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(cw) = &self.compiled {
-            return SCRATCH.with(|s| cw.cost(q.index(), config, &mut s.borrow_mut()));
-        }
-        self.interpreted_cost(q, config)
+        SCRATCH.with(|s| self.compiled.cost(q.index(), config, &mut s.borrow_mut()))
     }
 
     fn calls_served(&self) -> u64 {

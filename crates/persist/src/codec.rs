@@ -54,6 +54,11 @@ impl Writer {
         self.buf.is_empty()
     }
 
+    /// Drop everything written, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -4,9 +4,10 @@
 //! resource; every cost the daemon has already paid for is capital. This
 //! crate makes that capital survive process death: an append-only,
 //! CRC-checked write-ahead log of warm-store publications and session
-//! lifecycle events, compacted into generation-numbered snapshots, with
-//! a recovery path that replays the newest valid snapshot plus the WAL
-//! tail and truncates torn bytes instead of failing.
+//! lifecycle events, compacted into generation-numbered snapshots written
+//! as record streams in the same frame format, with a recovery path that
+//! replays the newest valid snapshot plus the WAL tail through one loop
+//! and truncates torn bytes instead of failing.
 //!
 //! The crate is std-only and knows nothing about the service layer's
 //! types: specs and results travel as opaque JSON strings, warm rows as
@@ -29,7 +30,7 @@ pub mod wal;
 
 pub use record::{
     PersistState, Record, SessionRow, SessionStatus, WarmBatch, WarmEntry, WarmTable,
-    SNAPSHOT_VERSION,
+    WARM_CHUNK_BYTES,
 };
 pub use store::{
     fault_site, AppendOutcome, CompactOutcome, Durability, FaultHook, Persist, PersistStats,

@@ -2,17 +2,22 @@
 //!
 //! Records are the daemon's durable events: warm-store publications
 //! (the ledger of simulated what-if calls a settled session paid for),
-//! session lifecycle transitions with their checkpoint pointers, and
-//! store-wide flushes. The persist crate stays dependency-free, so the
+//! session lifecycle transitions (a suspension carries the session's
+//! whole checkpoint), and store-wide flushes. The persist crate stays dependency-free, so the
 //! domain types are mirrored structurally: configurations travel as raw
 //! bitset blocks, costs as `f64::to_bits`, and service-level specs and
 //! results as opaque JSON strings the service layer (de)serializes.
 //!
 //! [`PersistState`] is the fold of a snapshot plus a WAL tail — exactly
 //! what [`crate::Persist::open`] hands back for the service to import.
+//! [`PersistState::records`] is its inverse: the record stream a
+//! compaction writes as the next snapshot, so snapshots and the WAL share
+//! one format and one replay loop.
 
 use crate::codec::{CodecError, Reader, Writer};
+use crate::wal::FRAME_HEADER;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One simulated `(query, config) → cost` cell of a warm publication.
 /// `blocks` is the configuration bitset's raw block array; `cost_bits`
@@ -50,12 +55,13 @@ pub enum Record {
     SessionSubmitted { id: u64, spec_json: String },
     /// A worker claimed the session.
     SessionRunning { id: u64 },
-    /// The session checkpointed and parked. `checkpoint` is the file name
-    /// (relative to the data dir's checkpoint directory) and
-    /// `wall_clock_ms` the time accumulated across its run segments.
+    /// The session checkpointed and parked. `checkpoint_json` is the
+    /// serialized `MctsCheckpoint` (shared, not copied, with the service's
+    /// session table and the fold) and `wall_clock_ms` the time
+    /// accumulated across its run segments.
     SessionSuspended {
         id: u64,
-        checkpoint: String,
+        checkpoint_json: Arc<str>,
         wall_clock_ms: f64,
     },
     /// A client re-queued the suspended session.
@@ -87,22 +93,14 @@ impl Record {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
-            Record::WarmBatch(batch) => {
-                w.u8(TAG_WARM_BATCH);
-                w.str(&batch.key);
-                w.u64_fixed(batch.fingerprint);
-                w.varu64(u64::from(batch.num_queries));
-                w.varu64(u64::from(batch.universe));
-                w.varu64(batch.entries.len() as u64);
-                for e in &batch.entries {
-                    w.varu64(u64::from(e.query));
-                    w.varu64(e.blocks.len() as u64);
-                    for &b in &e.blocks {
-                        w.u64_fixed(b);
-                    }
-                    w.u64_fixed(e.cost_bits);
-                }
-            }
+            Record::WarmBatch(batch) => write_warm_batch(
+                &mut w,
+                &batch.key,
+                batch.fingerprint,
+                batch.num_queries,
+                batch.universe,
+                &batch.entries,
+            ),
             Record::WarmFlush => w.u8(TAG_WARM_FLUSH),
             Record::SessionSubmitted { id, spec_json } => {
                 w.u8(TAG_SUBMITTED);
@@ -115,12 +113,12 @@ impl Record {
             }
             Record::SessionSuspended {
                 id,
-                checkpoint,
+                checkpoint_json,
                 wall_clock_ms,
             } => {
                 w.u8(TAG_SUSPENDED);
                 w.varu64(*id);
-                w.str(checkpoint);
+                w.str(checkpoint_json);
                 w.f64_bits(*wall_clock_ms);
             }
             Record::SessionResumed { id } => {
@@ -202,7 +200,7 @@ impl Record {
             TAG_RUNNING => Record::SessionRunning { id: r.varu64()? },
             TAG_SUSPENDED => Record::SessionSuspended {
                 id: r.varu64()?,
-                checkpoint: r.str()?,
+                checkpoint_json: r.str()?.into(),
                 wall_clock_ms: r.f64_bits()?,
             },
             TAG_RESUMED => Record::SessionResumed { id: r.varu64()? },
@@ -226,6 +224,37 @@ impl Record {
             tag => return Err(CodecError(format!("unknown record tag {tag}"))),
         })
     }
+}
+
+/// Encode a `WarmBatch` payload from borrowed parts. The one place its
+/// layout lives: [`Record::encode`] and the compaction chunker, which
+/// encodes straight from a warm table's entries, both go through it.
+fn write_warm_batch(
+    w: &mut Writer,
+    key: &str,
+    fingerprint: u64,
+    num_queries: u32,
+    universe: u32,
+    entries: &[WarmEntry],
+) {
+    w.u8(TAG_WARM_BATCH);
+    w.str(key);
+    w.u64_fixed(fingerprint);
+    w.varu64(u64::from(num_queries));
+    w.varu64(u64::from(universe));
+    w.varu64(entries.len() as u64);
+    for e in entries {
+        write_warm_entry(w, e);
+    }
+}
+
+fn write_warm_entry(w: &mut Writer, e: &WarmEntry) {
+    w.varu64(u64::from(e.query));
+    w.varu64(e.blocks.len() as u64);
+    for &b in &e.blocks {
+        w.u64_fixed(b);
+    }
+    w.u64_fixed(e.cost_bits);
 }
 
 /// Where a recovered session sits in its lifecycle. `Running` survives in
@@ -252,20 +281,82 @@ impl SessionStatus {
 }
 
 /// One recovered session.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct SessionRow {
     pub id: u64,
     pub spec_json: String,
     pub status: SessionStatus,
-    /// Checkpoint file name, kept while a suspension is outstanding
+    /// The serialized checkpoint, kept while a suspension is outstanding
     /// (cleared when the session goes terminal).
-    pub checkpoint: Option<String>,
+    pub checkpoint_json: Option<Arc<str>>,
     /// Wall-clock accumulated across completed run segments.
     pub wall_clock_ms: f64,
     /// True once the session has resumed at least once: the spec's
     /// deterministic one-shot triggers are spent.
     pub resumed: bool,
 }
+
+/// Rows compare their wall clock by bits, like every other recovered
+/// `f64`: a NaN logged is a NaN recovered.
+impl PartialEq for SessionRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.spec_json == other.spec_json
+            && self.status == other.status
+            && self.checkpoint_json == other.checkpoint_json
+            && self.wall_clock_ms.to_bits() == other.wall_clock_ms.to_bits()
+            && self.resumed == other.resumed
+    }
+}
+
+impl Eq for SessionRow {}
+
+impl SessionRow {
+    /// The records that rebuild this row from nothing. A suspension is
+    /// replayed whenever the row carries a checkpoint or a wall clock; a
+    /// later terminal record clears the checkpoint again.
+    fn records(&self) -> Vec<Record> {
+        let id = self.id;
+        let suspended = self.checkpoint_json.is_some() || self.wall_clock_ms.to_bits() != 0;
+        let mut out = vec![Record::SessionSubmitted {
+            id,
+            spec_json: self.spec_json.clone(),
+        }];
+        if self.resumed {
+            out.push(Record::SessionResumed { id });
+        }
+        if suspended {
+            out.push(Record::SessionSuspended {
+                id,
+                checkpoint_json: self.checkpoint_json.clone().unwrap_or_else(|| "".into()),
+                wall_clock_ms: self.wall_clock_ms,
+            });
+        }
+        match &self.status {
+            SessionStatus::Queued if suspended => out.push(Record::SessionResumed { id }),
+            SessionStatus::Queued | SessionStatus::Suspended => {}
+            SessionStatus::Running => out.push(Record::SessionRunning { id }),
+            SessionStatus::Done { result_json } => out.push(Record::SessionDone {
+                id,
+                result_json: result_json.clone(),
+            }),
+            SessionStatus::Cancelled { result_json } => out.push(Record::SessionCancelled {
+                id,
+                result_json: result_json.clone(),
+            }),
+            SessionStatus::Failed { error } => out.push(Record::SessionFailed {
+                id,
+                error: error.clone(),
+            }),
+        }
+        out
+    }
+}
+
+/// Bound on one frame of a snapshot's warm-table chunk: compaction splits
+/// each warm table into `WarmBatch` records whose frames (header
+/// included) fit in this many bytes, however large the table grows.
+pub const WARM_CHUNK_BYTES: usize = 256 << 10;
 
 /// One recovered warm-store table, deduplicated per `(query, config)`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -284,37 +375,101 @@ impl WarmTable {
             self.entries.push(e);
         }
     }
+
+    /// The encoded `WarmBatch` records that rebuild this table, each
+    /// framed within [`WARM_CHUNK_BYTES`] (a lone entry larger than that
+    /// gets a frame of its own). Encoded straight from the entries; an
+    /// empty table still yields one empty batch so replay recreates it.
+    fn chunks<'a>(&'a self, key: &'a str, fingerprint: u64) -> impl Iterator<Item = Vec<u8>> + 'a {
+        let encode = move |entries: &[WarmEntry]| {
+            let mut w = Writer::new();
+            write_warm_batch(
+                &mut w,
+                key,
+                fingerprint,
+                self.num_queries,
+                self.universe,
+                entries,
+            );
+            w.into_bytes()
+        };
+        let empty_frame = FRAME_HEADER + encode(&[]).len();
+        let mut entry = Writer::new();
+        let mut rest = &self.entries[..];
+        let mut first = true;
+        std::iter::from_fn(move || {
+            if rest.is_empty() && !first {
+                return None;
+            }
+            first = false;
+            // Size the chunk with the encoder itself: take entries while
+            // the frame fits, then re-check the real payload, whose entry
+            // count may need a wider varint than the empty batch's.
+            let mut n = 0;
+            let mut size = empty_frame;
+            for e in rest {
+                entry.clear();
+                write_warm_entry(&mut entry, e);
+                if n > 0 && size + entry.len() > WARM_CHUNK_BYTES {
+                    break;
+                }
+                size += entry.len();
+                n += 1;
+            }
+            loop {
+                let payload = encode(&rest[..n]);
+                if n <= 1 || FRAME_HEADER + payload.len() <= WARM_CHUNK_BYTES {
+                    rest = &rest[n..];
+                    return Some(payload);
+                }
+                n -= 1;
+            }
+        })
+    }
 }
 
 /// The fold of every durable event: what the service imports at startup
-/// and what compaction serializes into the next snapshot generation.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// and what compaction writes back out, as records, into the next
+/// snapshot generation.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PersistState {
     /// The next session id the daemon may assign (max submitted id + 1).
     pub next_id: u64,
-    /// Sessions in id order.
-    pub sessions: Vec<SessionRow>,
-    /// Warm tables keyed by `(workload key, fingerprint)`, in first-seen
-    /// order.
-    pub warm: Vec<((String, u64), WarmTable)>,
+    /// Kept in id order: lookups binary-search it.
+    sessions: Vec<SessionRow>,
+    warm: Vec<((String, u64), WarmTable)>,
+    /// Position of each warm table in `warm`.
+    warm_index: HashMap<(String, u64), usize>,
 }
 
 impl PersistState {
+    /// Sessions in id order.
+    pub fn sessions(&self) -> &[SessionRow] {
+        &self.sessions
+    }
+
+    /// Warm tables keyed by `(workload key, fingerprint)`, in first-seen
+    /// order.
+    pub fn warm(&self) -> &[((String, u64), WarmTable)] {
+        &self.warm
+    }
+
     fn session_mut(&mut self, id: u64) -> Option<&mut SessionRow> {
-        self.sessions.iter_mut().find(|s| s.id == id)
+        let i = self.sessions.binary_search_by_key(&id, |s| s.id).ok()?;
+        Some(&mut self.sessions[i])
     }
 
     fn warm_table_mut(&mut self, key: &str, fingerprint: u64) -> &mut WarmTable {
-        if let Some(i) = self
-            .warm
-            .iter()
-            .position(|((k, f), _)| k == key && *f == fingerprint)
-        {
-            return &mut self.warm[i].1;
+        let next = self.warm.len();
+        let i = *self
+            .warm_index
+            .entry((key.to_string(), fingerprint))
+            .or_insert(next);
+        if i == next {
+            self.warm
+                .push(((key.to_string(), fingerprint), WarmTable::default()));
         }
-        self.warm
-            .push(((key.to_string(), fingerprint), WarmTable::default()));
-        &mut self.warm.last_mut().expect("just pushed").1
+        &mut self.warm[i].1
     }
 
     /// Total warm entries across tables.
@@ -337,18 +492,24 @@ impl PersistState {
                     table.push(e);
                 }
             }
-            Record::WarmFlush => self.warm.clear(),
+            Record::WarmFlush => {
+                self.warm.clear();
+                self.warm_index.clear();
+            }
             Record::SessionSubmitted { id, spec_json } => {
                 self.next_id = self.next_id.max(id + 1);
-                if self.session_mut(id).is_none() {
-                    self.sessions.push(SessionRow {
-                        id,
-                        spec_json,
-                        status: SessionStatus::Queued,
-                        checkpoint: None,
-                        wall_clock_ms: 0.0,
-                        resumed: false,
-                    });
+                if let Err(i) = self.sessions.binary_search_by_key(&id, |s| s.id) {
+                    self.sessions.insert(
+                        i,
+                        SessionRow {
+                            id,
+                            spec_json,
+                            status: SessionStatus::Queued,
+                            checkpoint_json: None,
+                            wall_clock_ms: 0.0,
+                            resumed: false,
+                        },
+                    );
                 }
             }
             Record::SessionRunning { id } => {
@@ -360,12 +521,12 @@ impl PersistState {
             }
             Record::SessionSuspended {
                 id,
-                checkpoint,
+                checkpoint_json,
                 wall_clock_ms,
             } => {
                 if let Some(row) = self.session_mut(id) {
                     row.status = SessionStatus::Suspended;
-                    row.checkpoint = Some(checkpoint);
+                    row.checkpoint_json = Some(checkpoint_json);
                     row.wall_clock_ms = wall_clock_ms;
                 }
             }
@@ -380,176 +541,43 @@ impl PersistState {
             Record::SessionDone { id, result_json } => {
                 if let Some(row) = self.session_mut(id) {
                     row.status = SessionStatus::Done { result_json };
-                    row.checkpoint = None;
+                    row.checkpoint_json = None;
                 }
             }
             Record::SessionCancelled { id, result_json } => {
                 if let Some(row) = self.session_mut(id) {
                     row.status = SessionStatus::Cancelled { result_json };
-                    row.checkpoint = None;
+                    row.checkpoint_json = None;
                 }
             }
             Record::SessionFailed { id, error } => {
                 if let Some(row) = self.session_mut(id) {
                     row.status = SessionStatus::Failed { error };
-                    row.checkpoint = None;
+                    row.checkpoint_json = None;
                 }
             }
         }
     }
 
-    /// Encode the whole state as a snapshot payload (versioned; framing
-    /// and CRC are the snapshot writer's concern).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u8(SNAPSHOT_VERSION);
-        w.varu64(self.next_id);
-        w.varu64(self.sessions.len() as u64);
-        for s in &self.sessions {
-            w.varu64(s.id);
-            w.str(&s.spec_json);
-            match &s.status {
-                SessionStatus::Queued => w.u8(0),
-                SessionStatus::Running => w.u8(1),
-                SessionStatus::Suspended => w.u8(2),
-                SessionStatus::Done { result_json } => {
-                    w.u8(3);
-                    w.str(result_json);
-                }
-                SessionStatus::Cancelled { result_json } => {
-                    w.u8(4);
-                    match result_json {
-                        Some(json) => {
-                            w.u8(1);
-                            w.str(json);
-                        }
-                        None => w.u8(0),
-                    }
-                }
-                SessionStatus::Failed { error } => {
-                    w.u8(5);
-                    w.str(error);
-                }
-            }
-            match &s.checkpoint {
-                Some(name) => {
-                    w.u8(1);
-                    w.str(name);
-                }
-                None => w.u8(0),
-            }
-            w.f64_bits(s.wall_clock_ms);
-            w.u8(u8::from(s.resumed));
-        }
-        w.varu64(self.warm.len() as u64);
-        for ((key, fingerprint), table) in &self.warm {
-            w.str(key);
-            w.u64_fixed(*fingerprint);
-            w.varu64(u64::from(table.num_queries));
-            w.varu64(u64::from(table.universe));
-            w.varu64(table.entries.len() as u64);
-            for e in &table.entries {
-                w.varu64(u64::from(e.query));
-                w.varu64(e.blocks.len() as u64);
-                for &b in &e.blocks {
-                    w.u64_fixed(b);
-                }
-                w.u64_fixed(e.cost_bits);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a snapshot payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(payload);
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CodecError(format!(
-                "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-            )));
-        }
-        let next_id = r.varu64()?;
-        let n = r.count("sessions")?;
-        let mut sessions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = r.varu64()?;
-            let spec_json = r.str()?;
-            let status = match r.u8()? {
-                0 => SessionStatus::Queued,
-                1 => SessionStatus::Running,
-                2 => SessionStatus::Suspended,
-                3 => SessionStatus::Done {
-                    result_json: r.str()?,
-                },
-                4 => {
-                    let result_json = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.str()?),
-                        t => return Err(CodecError(format!("bad option tag {t}"))),
-                    };
-                    SessionStatus::Cancelled { result_json }
-                }
-                5 => SessionStatus::Failed { error: r.str()? },
-                t => return Err(CodecError(format!("unknown status tag {t}"))),
-            };
-            let checkpoint = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                t => return Err(CodecError(format!("bad option tag {t}"))),
-            };
-            let wall_clock_ms = r.f64_bits()?;
-            let resumed = r.u8()? != 0;
-            sessions.push(SessionRow {
-                id,
-                spec_json,
-                status,
-                checkpoint,
-                wall_clock_ms,
-                resumed,
-            });
-        }
-        let nw = r.count("warm tables")?;
-        let mut state = PersistState {
-            next_id,
-            sessions,
-            warm: Vec::with_capacity(nw),
-        };
-        for _ in 0..nw {
-            let key = r.str()?;
-            let fingerprint = r.u64_fixed()?;
-            let num_queries = u32::try_from(r.varu64()?)
-                .map_err(|_| CodecError("num_queries exceeds u32".into()))?;
-            let universe = u32::try_from(r.varu64()?)
-                .map_err(|_| CodecError("universe exceeds u32".into()))?;
-            let ne = r.count("warm entries")?;
-            let table = state.warm_table_mut(&key, fingerprint);
-            table.num_queries = num_queries;
-            table.universe = universe;
-            for _ in 0..ne {
-                let query = u32::try_from(r.varu64()?)
-                    .map_err(|_| CodecError("query id exceeds u32".into()))?;
-                let nb = r.count("blocks")?;
-                let mut blocks = Vec::with_capacity(nb);
-                for _ in 0..nb {
-                    blocks.push(r.u64_fixed()?);
-                }
-                let cost_bits = r.u64_fixed()?;
-                table.push(WarmEntry {
-                    query,
-                    blocks,
-                    cost_bits,
-                });
-            }
-        }
-        r.finish()?;
-        Ok(state)
+    /// The encoded record stream that rebuilds this state: folding the
+    /// decoded payloads into an empty state yields one equal to `self`.
+    /// Compaction frames it as the next generation's snapshot. Per
+    /// session, its `SessionSubmitted` plus the transitions that rebuild
+    /// its row; per warm table, `WarmBatch` chunks whose frames fit
+    /// [`WARM_CHUNK_BYTES`].
+    pub fn records(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let sessions = self
+            .sessions
+            .iter()
+            .flat_map(SessionRow::records)
+            .map(|rec| rec.encode());
+        let warm = self
+            .warm
+            .iter()
+            .flat_map(|((key, fingerprint), table)| table.chunks(key, *fingerprint));
+        sessions.chain(warm)
     }
 }
-
-/// Snapshot payload version; recovery refuses formats it cannot read
-/// (and falls back to an older generation).
-pub const SNAPSHOT_VERSION: u8 = 1;
 
 #[cfg(test)]
 mod tests {
@@ -582,7 +610,7 @@ mod tests {
             }),
             Record::SessionSuspended {
                 id: 0,
-                checkpoint: "s-0.ckpt.json".into(),
+                checkpoint_json: "{\"version\":1}".into(),
                 wall_clock_ms: 12.75,
             },
             Record::SessionResumed { id: 0 },
@@ -625,22 +653,28 @@ mod tests {
         st.apply(Record::SessionRunning { id: 7 });
         st.apply(Record::SessionSuspended {
             id: 7,
-            checkpoint: "s-7.ckpt.json".into(),
+            checkpoint_json: "{}".into(),
             wall_clock_ms: 3.5,
         });
         let row = &st.sessions[0];
         assert_eq!(row.status, SessionStatus::Suspended);
-        assert_eq!(row.checkpoint.as_deref(), Some("s-7.ckpt.json"));
+        assert_eq!(row.checkpoint_json.as_deref(), Some("{}"));
         st.apply(Record::SessionResumed { id: 7 });
         assert_eq!(st.sessions[0].status, SessionStatus::Queued);
         assert!(st.sessions[0].resumed);
-        assert!(st.sessions[0].checkpoint.is_some(), "resume keeps the ckpt");
+        assert!(
+            st.sessions[0].checkpoint_json.is_some(),
+            "resume keeps the checkpoint"
+        );
         st.apply(Record::SessionDone {
             id: 7,
             result_json: "{}".into(),
         });
         assert!(st.sessions[0].status.terminal());
-        assert_eq!(st.sessions[0].checkpoint, None, "terminal clears the ckpt");
+        assert_eq!(
+            st.sessions[0].checkpoint_json, None,
+            "terminal clears the checkpoint"
+        );
 
         let batch = WarmBatch {
             key: "w".into(),
@@ -661,13 +695,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_bit_identically() {
+    fn records_rebuild_the_state_bit_identically() {
         let mut st = PersistState::default();
         for rec in sample_records() {
             st.apply(rec);
         }
-        // Put a warm table back after the trailing flush so the snapshot
-        // carries one, including a NaN-cost entry.
+        // Put a warm table back after the trailing flush so the stream
+        // carries one, including a negative-zero cost entry.
         st.apply(Record::WarmBatch(WarmBatch {
             key: "synth:3".into(),
             fingerprint: 42,
@@ -679,15 +713,10 @@ mod tests {
                 cost_bits: (-0.0f64).to_bits(),
             }],
         }));
-        let bytes = st.encode();
-        let back = PersistState::decode(&bytes).unwrap();
+        let mut back = PersistState::default();
+        for payload in st.records() {
+            back.apply(Record::decode(&payload).unwrap());
+        }
         assert_eq!(back, st);
-    }
-
-    #[test]
-    fn snapshot_rejects_unknown_version() {
-        let mut bytes = PersistState::default().encode();
-        bytes[0] = SNAPSHOT_VERSION + 1;
-        assert!(PersistState::decode(&bytes).is_err());
     }
 }

@@ -3,22 +3,25 @@
 //! On-disk layout inside the data dir:
 //!
 //! ```text
-//! snap-<gen>.bin   state at the moment generation <gen> began (one CRC
-//!                  frame; absent for generation 0)
+//! snap-<gen>.bin   state at the moment generation <gen> began, as the
+//!                  record stream that rebuilds it (absent for gen 0)
 //! wal-<gen>.log    records appended during generation <gen>
 //! ```
 //!
-//! Recovery walks generations newest-first: the first generation whose
-//! snapshot decodes wins; its WAL tail is scanned, torn bytes are
-//! truncated at the first bad frame, and the surviving records are folded
-//! on top. Compaction serializes the live state into `snap-<g+1>`
-//! (write-temp + atomic rename), opens a fresh `wal-<g+1>`, and prunes
-//! every older generation.
+//! Both files are sequences of the same CRC frames carrying the same
+//! records, and recovery folds both through one replay loop. Recovery
+//! walks generations newest-first: the first generation whose snapshot
+//! replays whole wins; its WAL tail is scanned, torn bytes are truncated
+//! at the first bad frame, and the surviving records are folded on top.
+//! Compaction writes the live state's records into `snap-<g+1>`
+//! (write-temp + atomic rename, with an empty `wal-<g+1>` created before
+//! the rename), switches appends to that WAL, and prunes every older
+//! generation.
 
 use crate::record::{PersistState, Record};
-use crate::wal::{self, FRAME_HEADER};
+use crate::wal;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek};
+use std::io::{self, BufWriter, Seek};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -97,7 +100,8 @@ pub struct RecoveryInfo {
     pub generation: u64,
     /// Whether a snapshot file was read (false for a cold start or gen 0).
     pub snapshot_loaded: bool,
-    /// Snapshot generations that failed to decode and were skipped.
+    /// Snapshot generations that were torn or failed to decode, and were
+    /// skipped.
     pub snapshots_skipped: u64,
     /// Records replayed from the WAL tail.
     pub wal_records: u64,
@@ -169,6 +173,36 @@ impl Inner {
     fn faulted(&self, site: &'static str) -> bool {
         self.fault.as_ref().is_some_and(|h| h(site))
     }
+
+    /// Write the fold's record stream to `path` as frames, fsynced unless
+    /// durability is `Never`. Returns the bytes written.
+    fn write_snapshot(&mut self, path: &Path) -> io::Result<u64> {
+        let mut out = BufWriter::new(File::create(path)?);
+        let mut bytes = 0;
+        for payload in self.fold.records() {
+            bytes += wal::append_frame(&mut out, &payload)?;
+        }
+        let file = out.into_inner().map_err(|e| e.into_error())?;
+        if self.durability != Durability::Never {
+            if self.faulted(fault_site::FSYNC) {
+                return Err(injected(fault_site::FSYNC));
+            }
+            file.sync_all()?;
+            self.fsyncs_total += 1;
+        }
+        Ok(bytes)
+    }
+
+    /// Create `path` as an empty WAL, fsynced unless durability is
+    /// `Never`.
+    fn create_wal(&mut self, path: &Path) -> io::Result<File> {
+        let wal = File::create(path)?;
+        if self.durability != Durability::Never {
+            wal.sync_all()?;
+            self.fsyncs_total += 1;
+        }
+        Ok(wal)
+    }
 }
 
 /// Handle to the durable store. Appends and compactions serialize on an
@@ -195,6 +229,28 @@ fn parse_generation(name: &str, stem: &str, ext: &str) -> Option<u64> {
         .strip_suffix('.')?
         .parse()
         .ok()
+}
+
+/// Fold `payloads` into `state` in order, stopping at the first one that
+/// does not decode. Returns how many were applied. Snapshots and WAL
+/// tails replay through this one loop.
+fn replay(state: &mut PersistState, payloads: &[Vec<u8>]) -> usize {
+    for (applied, payload) in payloads.iter().enumerate() {
+        match Record::decode(payload) {
+            Ok(rec) => state.apply(rec),
+            Err(_) => return applied,
+        }
+    }
+    payloads.len()
+}
+
+/// Replay a snapshot file. A snapshot is all or nothing: `None` if any
+/// frame is torn or fails to decode.
+fn load_snapshot(path: &Path) -> Option<PersistState> {
+    let scanned = wal::scan(&mut File::open(path).ok()?).ok()?;
+    let mut state = PersistState::default();
+    let whole = !scanned.torn && replay(&mut state, &scanned.payloads) == scanned.payloads.len();
+    whole.then_some(state)
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -238,14 +294,14 @@ impl Persist {
         for &g in &generations {
             let snap = snap_path(&dir, g);
             if snap.exists() {
-                match read_snapshot(&snap) {
-                    Ok(st) => {
+                match load_snapshot(&snap) {
+                    Some(st) => {
                         state = st;
                         generation = g;
                         info.snapshot_loaded = true;
                         break;
                     }
-                    Err(_) => {
+                    None => {
                         // Corrupt snapshot: fall back to an older one.
                         info.snapshots_skipped += 1;
                         continue;
@@ -274,19 +330,12 @@ impl Persist {
                 f.sync_all()?;
             }
             wal_bytes = scanned.valid_len;
-            for payload in &scanned.payloads {
-                match Record::decode(payload) {
-                    Ok(rec) => {
-                        state.apply(rec);
-                        info.wal_records += 1;
-                    }
-                    Err(_) => {
-                        // A CRC-valid frame that doesn't decode means the
-                        // writer and reader disagree; treat the rest as torn.
-                        info.torn_tail = true;
-                        break;
-                    }
-                }
+            let applied = replay(&mut state, &scanned.payloads);
+            info.wal_records = applied as u64;
+            if applied < scanned.payloads.len() {
+                // A CRC-valid frame that doesn't decode means the writer
+                // and reader disagree; treat the rest as torn.
+                info.torn_tail = true;
             }
         }
 
@@ -393,29 +442,31 @@ impl Persist {
         Ok(())
     }
 
-    /// Serialize the live fold as the next generation's snapshot, switch
-    /// the live WAL over, and prune older generations. Atomic with respect
-    /// to appends: the snapshot captures exactly the records written so
-    /// far, and the fresh WAL receives everything after.
+    /// Write the live fold's records as the next generation's snapshot,
+    /// switch the live WAL over, and prune older generations. Atomic with
+    /// respect to appends: the snapshot captures exactly the records
+    /// written so far, and the fresh WAL receives everything after.
     pub fn compact(&self) -> io::Result<CompactOutcome> {
         let mut inner = self.inner.lock().expect("persist lock");
         let next = inner.generation + 1;
 
-        let payload = inner.fold.encode();
-        let snapshot_bytes = (payload.len() + FRAME_HEADER) as u64;
         let tmp = self.dir.join(format!("snap-{next}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            wal::append_frame(&mut f, &payload)?;
-            if inner.durability != Durability::Never {
-                if inner.faulted(fault_site::FSYNC) {
-                    let _ = fs::remove_file(&tmp);
-                    return Err(injected(fault_site::FSYNC));
-                }
-                f.sync_all()?;
-                inner.fsyncs_total += 1;
+        // The new generation's WAL is emptied before its snapshot goes
+        // live: a `wal-<next>.log` already on disk belongs to a snapshot
+        // recovery skipped (corrupt, or from an older build), and its
+        // records must never replay on top of this one, not even after a
+        // crash right after the rename.
+        let staged = inner.write_snapshot(&tmp).and_then(|bytes| {
+            let wal = inner.create_wal(&wal_path(&self.dir, next))?;
+            Ok((bytes, wal))
+        });
+        let (snapshot_bytes, new_wal) = match staged {
+            Ok(staged) => staged,
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                return Err(e);
             }
-        }
+        };
         if inner.faulted(fault_site::RENAME) {
             let _ = fs::remove_file(&tmp);
             return Err(injected(fault_site::RENAME));
@@ -427,10 +478,6 @@ impl Persist {
 
         // Switch the live WAL to the new generation before pruning, so a
         // crash here leaves both generations readable.
-        let new_wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(wal_path(&self.dir, next))?;
         let old_gen = inner.generation;
         inner.wal = new_wal;
         inner.generation = next;
@@ -474,19 +521,6 @@ impl Persist {
             recovery: self.recovery.clone(),
         }
     }
-}
-
-fn read_snapshot(path: &Path) -> io::Result<PersistState> {
-    let mut f = File::open(path)?;
-    let scanned = wal::scan(&mut f)?;
-    if scanned.torn || scanned.payloads.len() != 1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "snapshot is torn or malformed",
-        ));
-    }
-    PersistState::decode(&scanned.payloads[0])
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -533,7 +567,7 @@ mod tests {
             let (p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
             assert_eq!(info.generation, 0);
             assert!(!info.snapshot_loaded);
-            assert!(state.sessions.is_empty());
+            assert!(state.sessions().is_empty());
             p.append(&submit(0)).unwrap();
             p.append(&Record::SessionRunning { id: 0 }).unwrap();
             p.append(&warm_batch(5)).unwrap();
@@ -548,9 +582,9 @@ mod tests {
         assert_eq!(info.wal_records, 4);
         assert!(!info.torn_tail);
         assert_eq!(state.next_id, 1);
-        assert_eq!(state.sessions.len(), 1);
+        assert_eq!(state.sessions().len(), 1);
         assert!(matches!(
-            state.sessions[0].status,
+            state.sessions()[0].status,
             SessionStatus::Done { .. }
         ));
         assert_eq!(state.warm_entries(), 5);
@@ -576,13 +610,13 @@ mod tests {
         assert!(info.torn_tail);
         assert!(info.torn_bytes > 0);
         assert_eq!(info.wal_records, 1);
-        assert_eq!(state.sessions.len(), 1, "valid prefix survives");
+        assert_eq!(state.sessions().len(), 1, "valid prefix survives");
         // The file itself was truncated: appends continue cleanly.
         p.append(&submit(1)).unwrap();
         drop(p);
         let (_p, state, info) = Persist::open(&dir, Durability::Always).unwrap();
         assert!(!info.torn_tail);
-        assert_eq!(state.sessions.len(), 2);
+        assert_eq!(state.sessions().len(), 2);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -606,7 +640,7 @@ mod tests {
         assert_eq!(info.generation, 1);
         assert!(info.snapshot_loaded);
         assert_eq!(info.wal_records, 1);
-        assert_eq!(recovered.sessions.len(), 4);
+        assert_eq!(recovered.sessions().len(), 4);
         assert_eq!(recovered.next_id, 4);
         fs::remove_dir_all(dir).unwrap();
     }
@@ -622,17 +656,15 @@ mod tests {
         drop(p);
         // Wreck the gen-2 snapshot; recovery must fall back… but gen 1 was
         // pruned, so it lands on an empty state plus whatever WAL remains.
-        // Rebuild gen 1 artificially to prove the fallback path.
-        let older = PersistState::default();
-        let mut f = File::create(snap_path(&dir, 1)).unwrap();
-        wal::append_frame(&mut f, &older.encode()).unwrap();
-        drop(f);
+        // Rebuild gen 1 artificially (an empty record stream is the empty
+        // state) to prove the fallback path.
+        fs::write(snap_path(&dir, 1), b"").unwrap();
         fs::write(snap_path(&dir, 2), b"garbage not a frame").unwrap();
 
         let (_p, recovered, info) = Persist::open(&dir, Durability::Batch).unwrap();
         assert_eq!(info.generation, 1);
         assert_eq!(info.snapshots_skipped, 1);
-        assert!(recovered.sessions.is_empty());
+        assert!(recovered.sessions().is_empty());
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -661,13 +693,13 @@ mod tests {
         arm_append.store(true, Ordering::Relaxed);
         assert!(p.append(&submit(1)).is_err());
         arm_append.store(false, Ordering::Relaxed);
-        assert_eq!(p.state().sessions.len(), 1, "failed append left no trace");
+        assert_eq!(p.state().sessions().len(), 1, "failed append left no trace");
 
         arm_fsync.store(true, Ordering::Relaxed);
         assert!(p.append(&submit(1)).is_err());
         arm_fsync.store(false, Ordering::Relaxed);
         assert_eq!(
-            p.state().sessions.len(),
+            p.state().sessions().len(),
             2,
             "fsync failure happens after the record is in the WAL"
         );
@@ -687,7 +719,7 @@ mod tests {
         // Everything recovered on reopen despite the injected turbulence.
         drop(p);
         let (_p, state, _) = Persist::open(&dir, Durability::Always).unwrap();
-        assert_eq!(state.sessions.len(), 2);
+        assert_eq!(state.sessions().len(), 2);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -1,4 +1,5 @@
-//! WAL framing: `[u32 len LE][u32 crc LE][payload]` per record.
+//! WAL framing: `[u32 len LE][u32 crc LE][payload]` per record. Snapshot
+//! files use the same frames.
 //!
 //! The reader walks frames until the file ends cleanly or a frame fails —
 //! short header, short payload, length beyond the file, or CRC mismatch.
@@ -19,13 +20,25 @@ pub const FRAME_HEADER: usize = 8;
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
 /// Append one framed payload. Returns the bytes written (header + payload).
-pub fn append_frame(file: &mut File, payload: &[u8]) -> io::Result<u64> {
-    debug_assert!(payload.len() as u64 <= u64::from(MAX_PAYLOAD));
+/// A payload over [`MAX_PAYLOAD`] is refused with
+/// [`io::ErrorKind::InvalidInput`] before any byte is written: recovery
+/// would read such a frame as a torn tail and drop it with everything
+/// after it.
+pub fn append_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
+    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{}-byte record exceeds the {MAX_PAYLOAD}-byte frame limit",
+                payload.len()
+            ),
+        ));
+    }
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
-    file.write_all(&frame)?;
+    out.write_all(&frame)?;
     Ok(frame.len() as u64)
 }
 

@@ -1,12 +1,17 @@
 //! Property tests for the persist crate's durability contract:
 //!
-//! * the record and snapshot codecs roundtrip **bit-identically** —
-//!   including NaN-payload and `-0.0` costs, which travel as raw
-//!   `f64::to_bits` patterns;
+//! * the record codec roundtrips **bit-identically** — including
+//!   NaN-payload and `-0.0` costs, which travel as raw `f64::to_bits`
+//!   patterns — and any fold replays from its own record stream (the
+//!   snapshot format);
 //! * recovery after arbitrary truncation or a byte flip always yields the
 //!   longest valid prefix of what was appended, and reports the torn tail.
 
-use ixtune_persist::{Durability, Persist, PersistState, Record, WarmBatch, WarmEntry};
+use ixtune_persist::wal::{self, FRAME_HEADER, MAX_PAYLOAD};
+use ixtune_persist::{
+    Durability, Persist, PersistState, Record, SessionStatus, WarmBatch, WarmEntry,
+    WARM_CHUNK_BYTES,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +47,20 @@ fn arb_entry() -> impl Strategy<Value = WarmEntry> {
         })
 }
 
+/// Session ids below `space`, or anywhere in `u64` for `None`. A small
+/// space makes transitions land on submitted sessions, so folds build
+/// rows with long lifecycles.
+fn arb_id(space: Option<u64>) -> impl Strategy<Value = u64> {
+    any::<u64>().prop_map(move |id| space.map_or(id, |n| id % n))
+}
+
+/// Records over the full session-id space: distinct ids almost always.
 fn arb_record() -> impl Strategy<Value = Record> {
+    arb_record_in(None)
+}
+
+/// Records whose session ids come from [`arb_id`]`(space)`.
+fn arb_record_in(space: Option<u64>) -> impl Strategy<Value = Record> {
     prop_oneof![
         (
             arb_str(),
@@ -61,28 +79,28 @@ fn arb_record() -> impl Strategy<Value = Record> {
                 })
             }),
         (0u32..1).prop_map(|_| Record::WarmFlush),
-        (any::<u64>(), arb_str())
+        (arb_id(space), arb_str())
             .prop_map(|(id, spec_json)| Record::SessionSubmitted { id, spec_json }),
-        any::<u64>().prop_map(|id| Record::SessionRunning { id }),
-        (any::<u64>(), arb_str(), any::<u64>()).prop_map(|(id, checkpoint, bits)| {
+        arb_id(space).prop_map(|id| Record::SessionRunning { id }),
+        (arb_id(space), arb_str(), any::<u64>()).prop_map(|(id, checkpoint_json, bits)| {
             // Any bit pattern, NaN payloads included: the codec must not
             // canonicalize floats.
             Record::SessionSuspended {
                 id,
-                checkpoint,
+                checkpoint_json: checkpoint_json.into(),
                 wall_clock_ms: f64::from_bits(bits),
             }
         }),
-        any::<u64>().prop_map(|id| Record::SessionResumed { id }),
-        (any::<u64>(), arb_str())
+        arb_id(space).prop_map(|id| Record::SessionResumed { id }),
+        (arb_id(space), arb_str())
             .prop_map(|(id, result_json)| Record::SessionDone { id, result_json }),
-        (any::<u64>(), any::<bool>(), arb_str()).prop_map(|(id, some, json)| {
+        (arb_id(space), any::<bool>(), arb_str()).prop_map(|(id, some, json)| {
             Record::SessionCancelled {
                 id,
                 result_json: some.then_some(json),
             }
         }),
-        (any::<u64>(), arb_str()).prop_map(|(id, error)| Record::SessionFailed { id, error }),
+        (arb_id(space), arb_str()).prop_map(|(id, error)| Record::SessionFailed { id, error }),
     ]
 }
 
@@ -106,14 +124,19 @@ proptest! {
         prop_assert_eq!(back.encode(), bytes);
     }
 
-    /// The snapshot codec roundtrips the fold of any record sequence.
+    /// Any fold replays from its own record stream — the snapshot format
+    /// — through the codec: `replay(st.records()) == st`, wall clocks and
+    /// costs compared by bits.
     #[test]
-    fn snapshot_codec_roundtrips_any_fold(records in prop::collection::vec(arb_record(), 0..24)) {
+    fn records_replay_to_the_same_fold(
+        records in prop::collection::vec(arb_record_in(Some(4)), 0..32),
+    ) {
         let st = fold(&records, records.len());
-        let bytes = st.encode();
-        let back = PersistState::decode(&bytes).expect("decode own snapshot");
-        prop_assert_eq!(back.encode(), bytes);
-        prop_assert_eq!(back.warm_entries(), st.warm_entries());
+        let mut back = PersistState::default();
+        for payload in st.records() {
+            back.apply(Record::decode(&payload).expect("decode own record"));
+        }
+        prop_assert_eq!(back, st);
     }
 
     /// Warm costs recovered from disk carry the exact bit patterns that
@@ -141,7 +164,7 @@ proptest! {
             })).unwrap();
         }
         let (_p, state, _) = Persist::open(&dir, Durability::Batch).unwrap();
-        let table = &state.warm.iter().find(|((k, f), _)| k == "w" && *f == fingerprint)
+        let table = &state.warm().iter().find(|((k, f), _)| k == "w" && *f == fingerprint)
             .expect("warm table recovered").1;
         let recovered: Vec<u64> = table.entries.iter().map(|e| e.cost_bits).collect();
         prop_assert_eq!(recovered, bits);
@@ -183,7 +206,7 @@ proptest! {
         prop_assert_eq!(info.wal_records, expect_k as u64);
         prop_assert_eq!(info.torn_tail, cut != ends[expect_k]);
         prop_assert_eq!(info.torn_bytes, cut - ends[expect_k]);
-        prop_assert_eq!(state.encode(), fold(&records, expect_k).encode());
+        prop_assert_eq!(state, fold(&records, expect_k));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -214,7 +237,7 @@ proptest! {
         let (p, state, info) = Persist::open(&dir, Durability::Always).unwrap();
         prop_assert_eq!(info.wal_records, expect_k as u64);
         prop_assert!(info.torn_tail, "a flipped byte is always a tear");
-        prop_assert_eq!(state.encode(), fold(&records, expect_k).encode());
+        prop_assert_eq!(state, fold(&records, expect_k));
         // The tail was truncated: the store keeps working.
         p.append(&Record::WarmFlush).unwrap();
         drop(p);
@@ -228,7 +251,7 @@ proptest! {
     /// state: snapshot + WAL tail ≡ pure WAL replay.
     #[test]
     fn compaction_point_is_invisible_to_recovery(
-        records in prop::collection::vec(arb_record(), 1..10),
+        records in prop::collection::vec(arb_record_in(Some(4)), 1..16),
         at_raw in any::<u64>(),
     ) {
         let dir = scratch_dir();
@@ -245,8 +268,9 @@ proptest! {
                 p.compact().unwrap();
             }
         }
-        let (_p, state, _) = Persist::open(&dir, Durability::Batch).unwrap();
-        prop_assert_eq!(state.encode(), fold(&records, records.len()).encode());
+        let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
+        prop_assert_eq!(info.snapshots_skipped, 0);
+        prop_assert_eq!(state, fold(&records, records.len()));
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
@@ -262,6 +286,193 @@ fn empty_wal_file_recovers_cleanly() {
     let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
     assert_eq!(info.wal_records, 0);
     assert!(!info.torn_tail);
-    assert_eq!(state.encode(), PersistState::default().encode());
+    assert_eq!(state, PersistState::default());
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Out-of-order submissions land in id order, and every later
+/// transition finds its row.
+#[test]
+fn sessions_stay_in_id_order() {
+    let mut st = PersistState::default();
+    for id in [5, 1, 9, 3] {
+        st.apply(submit(id));
+    }
+    let ids: Vec<u64> = st.sessions().iter().map(|s| s.id).collect();
+    assert_eq!(ids, vec![1, 3, 5, 9]);
+    assert_eq!(st.next_id, 10);
+    st.apply(Record::SessionRunning { id: 3 });
+    assert_eq!(st.sessions()[1].status, SessionStatus::Running);
+}
+
+fn submit(id: u64) -> Record {
+    Record::SessionSubmitted {
+        id,
+        spec_json: format!("{{\"id\":{id}}}"),
+    }
+}
+
+/// A snapshot replays whole or not at all: one CRC-valid frame that fails
+/// to decode rejects every frame beside it. A single-frame snapshot from
+/// the earlier whole-state codec (version byte 1, then the state) is such
+/// a frame, so it takes this path too.
+#[test]
+fn snapshot_with_an_undecodable_frame_is_skipped_whole() {
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut f = std::fs::File::create(dir.join("snap-1.bin")).unwrap();
+    wal::append_frame(&mut f, &submit(0).encode()).unwrap();
+    // The earlier codec's empty state: version 1, next_id 0, no sessions,
+    // no warm tables.
+    wal::append_frame(&mut f, &[1, 0, 0, 0]).unwrap();
+    drop(f);
+
+    let (_p, recovered, info) = Persist::open(&dir, Durability::Batch).unwrap();
+    assert_eq!(info.snapshots_skipped, 1);
+    assert!(!info.snapshot_loaded);
+    assert_eq!(info.generation, 0);
+    assert!(recovered.sessions().is_empty(), "no frame of it was kept");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A skipped snapshot's WAL must not leak into the generation that later
+/// takes its number. Here an older build's dir at generation 1: recovery
+/// skips its snapshot and starts over at generation 0, so the stale
+/// `SessionDone{0}` in `wal-1.log` would settle the new session 0 on the
+/// restart after the next compaction.
+#[test]
+fn compaction_over_a_skipped_generation_starts_an_empty_wal() {
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("snap-1.bin"), b"an older build's snapshot").unwrap();
+    let mut stale = std::fs::File::create(dir.join("wal-1.log")).unwrap();
+    let done = Record::SessionDone {
+        id: 0,
+        result_json: "{}".into(),
+    };
+    wal::append_frame(&mut stale, &done.encode()).unwrap();
+    drop(stale);
+
+    let (p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
+    assert_eq!((info.generation, info.snapshots_skipped), (0, 1));
+    assert_eq!(state.next_id, 0, "ids restart at 0");
+    p.append(&submit(0)).unwrap();
+    assert_eq!(p.compact().unwrap().generation, 1);
+    drop(p);
+
+    let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
+    assert!(info.snapshot_loaded);
+    assert_eq!(info.wal_records, 0, "the stale WAL was truncated");
+    assert_eq!(state.sessions().len(), 1);
+    assert_eq!(state.sessions()[0].status, SessionStatus::Queued);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A warm table several times the chunk bound compacts into frames that
+/// each fit the bound, and reopens equal to the live fold.
+#[test]
+fn large_warm_table_compacts_into_bounded_frames() {
+    let dir = scratch_dir();
+    let (p, _, _) = Persist::open(&dir, Durability::Never).unwrap();
+    // 18 encoded bytes per entry (two 1-byte varints, one block, the
+    // cost): 4× the bound in entries, appended in four batches.
+    let n = (4 * WARM_CHUNK_BYTES / 18 + 4) as u64;
+    for part in 0..4 {
+        p.append(&Record::WarmBatch(WarmBatch {
+            key: "w".into(),
+            fingerprint: 9,
+            num_queries: 4,
+            universe: 64,
+            entries: (part * n / 4..(part + 1) * n / 4)
+                .map(|i| WarmEntry {
+                    query: (i % 4) as u32,
+                    blocks: vec![i],
+                    cost_bits: (i as f64 * 1.5).to_bits(),
+                })
+                .collect(),
+        }))
+        .unwrap();
+    }
+    p.append(&submit(0)).unwrap();
+    let live = p.state();
+    assert_eq!(live.warm_entries() as u64, n);
+    p.compact().unwrap();
+    drop(p);
+
+    let snap = std::fs::read(dir.join("snap-1.bin")).unwrap();
+    let mut pos = 0;
+    let mut frames = 0;
+    while pos < snap.len() {
+        let len = u32::from_le_bytes(snap[pos..pos + 4].try_into().unwrap()) as usize;
+        assert!(
+            FRAME_HEADER + len <= WARM_CHUNK_BYTES,
+            "frame {frames} is {len} bytes"
+        );
+        pos += FRAME_HEADER + len;
+        frames += 1;
+    }
+    assert!(frames >= 5, "the table spans several chunks: {frames}");
+
+    let (_p, recovered, info) = Persist::open(&dir, Durability::Never).unwrap();
+    assert!(info.snapshot_loaded);
+    assert_eq!(info.snapshots_skipped, 0);
+    assert_eq!(recovered, live);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A chunk whose entries fill the bound to the byte, counted with the
+/// empty batch's one-byte entry count, needs a two-byte count once the
+/// entries are in: the chunker must notice and move one entry to the next
+/// chunk rather than write a frame one byte over the bound.
+#[test]
+fn warm_chunk_that_fills_the_bound_exactly_is_cut_one_entry_early() {
+    // Frame header 8 + an empty batch for key "w" 14 + one 42-byte entry
+    // (4 blocks) + 14,560 18-byte entries (1 block) = 262,144 bytes.
+    let mut entries = vec![WarmEntry {
+        query: 0,
+        blocks: vec![u64::MAX; 4],
+        cost_bits: 0,
+    }];
+    entries.extend((0..14_560).map(|i| WarmEntry {
+        query: 0,
+        blocks: vec![i],
+        cost_bits: 1,
+    }));
+    let mut st = PersistState::default();
+    st.apply(Record::WarmBatch(WarmBatch {
+        key: "w".into(),
+        fingerprint: 9,
+        num_queries: 4,
+        universe: 64,
+        entries,
+    }));
+    let payloads: Vec<Vec<u8>> = st.records().collect();
+    let sizes: Vec<usize> = payloads.iter().map(|p| FRAME_HEADER + p.len()).collect();
+    assert_eq!(sizes.len(), 2, "{sizes:?}");
+    assert!(sizes[0] <= WARM_CHUNK_BYTES, "{sizes:?}");
+    let mut back = PersistState::default();
+    for payload in payloads {
+        back.apply(Record::decode(&payload).unwrap());
+    }
+    assert_eq!(back, st);
+}
+
+/// A record too large for a frame is refused before any byte reaches the
+/// WAL, and the fold never sees it.
+#[test]
+fn oversized_append_is_refused_and_leaves_the_wal_untouched() {
+    let dir = scratch_dir();
+    let (p, _, _) = Persist::open(&dir, Durability::Always).unwrap();
+    p.append(&submit(0)).unwrap();
+    let before = std::fs::read(dir.join("wal-0.log")).unwrap();
+    let huge = Record::SessionFailed {
+        id: 0,
+        error: "x".repeat(MAX_PAYLOAD as usize),
+    };
+    let err = p.append(&huge).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(std::fs::read(dir.join("wal-0.log")).unwrap(), before);
+    assert_eq!(p.state().sessions()[0].status, SessionStatus::Queued);
+    assert_eq!(p.stats().records_total, 1);
     std::fs::remove_dir_all(dir).unwrap();
 }

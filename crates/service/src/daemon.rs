@@ -77,6 +77,13 @@ fn accept_loop(listener: &TcpListener, manager: &Arc<SessionManager>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Join the handlers whose connections have closed, so an exited
+        // thread's stack is released now rather than at shutdown.
+        let (done, live): (Vec<_>, _) = handlers.into_iter().partition(|h| h.is_finished());
+        handlers = live;
+        for h in done {
+            let _ = h.join();
+        }
         let manager = Arc::clone(manager);
         let self_addr = listener.local_addr().ok();
         handlers.push(std::thread::spawn(move || {

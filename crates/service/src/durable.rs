@@ -141,7 +141,7 @@ impl DurableLog {
                 ("snapshot_loaded".into(), info.snapshot_loaded.to_string()),
                 ("wal_records".into(), info.wal_records.to_string()),
                 ("torn_bytes".into(), info.torn_bytes.to_string()),
-                ("sessions".into(), state.sessions.len().to_string()),
+                ("sessions".into(), state.sessions().len().to_string()),
                 ("warm_entries".into(), state.warm_entries().to_string()),
             ],
         );
@@ -194,7 +194,8 @@ impl DurableLog {
     /// Append one record, mirroring the outcome into metrics and a
     /// `wal-append` span. Errors are counted, retried with deterministic
     /// backoff, and finally absorbed by the degradation ladder — never
-    /// propagated. A retry after a failed *fsync* may re-append the record;
+    /// propagated. A record refused as too large for a frame is only
+    /// counted. A retry after a failed *fsync* may re-append the record;
     /// replay folds are idempotent so duplicates are harmless.
     pub fn append(&self, rec: &Record) {
         let t0 = self.tracer.now_us();
@@ -218,6 +219,14 @@ impl DurableLog {
                             ("synced".into(), out.synced.to_string()),
                         ],
                     );
+                    return;
+                }
+                Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                    // A record too large for a frame: the store refused it
+                    // before writing a byte. Not a disk fault, so neither
+                    // retried nor demoted.
+                    self.io_errors_total.inc();
+                    eprintln!("ixtuned: WAL append refused: {e}");
                     return;
                 }
                 Err(e) => {
@@ -330,7 +339,7 @@ pub fn warm_batch_record(
 pub fn import_warm(state: &PersistState, store: &WarmStore) -> (usize, usize) {
     let mut imported = 0;
     let mut dropped = 0;
-    for ((key, fingerprint), table) in &state.warm {
+    for ((key, fingerprint), table) in state.warm() {
         let num_queries = table.num_queries as usize;
         let universe = table.universe as usize;
         let ledger: Vec<(QueryId, IndexSet, f64)> = table
@@ -403,7 +412,7 @@ mod tests {
 
         let (log, state, registry) = open(&dir);
         assert_eq!(log.torn_tails(), 1);
-        assert_eq!(state.sessions.len(), 1, "valid prefix survives the tear");
+        assert_eq!(state.sessions().len(), 1, "valid prefix survives the tear");
         let text = registry.render();
         assert!(
             text.contains("ixtune_persist_torn_tails_total 1"),
@@ -452,6 +461,24 @@ mod tests {
         let snap = store.checkout("synth:1|mcts", 42, 4, 8);
         let cost = snap.get(QueryId::new(0), &set).expect("imported row");
         assert_eq!(cost.to_bits(), 1.5f64.to_bits());
+    }
+
+    /// A record too large for a frame is refused and counted, without
+    /// retries and without demoting a healthy disk.
+    #[test]
+    fn oversized_record_is_counted_not_demoted() {
+        let dir = scratch("oversized");
+        let (log, _, registry) = open(&dir);
+        log.append(&Record::SessionFailed {
+            id: 0,
+            error: "x".repeat(ixtune_persist::wal::MAX_PAYLOAD as usize),
+        });
+        assert!(!log.degraded());
+        assert_eq!(log.stats().durability, Durability::Always);
+        let text = registry.render();
+        assert!(text.contains("ixtune_persist_io_errors_total 1"), "{text}");
+        assert!(text.contains("ixtune_persist_records_total 0"), "{text}");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// Under a fault plan that fails every append, the retry ladder runs

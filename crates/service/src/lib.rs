@@ -4,15 +4,16 @@
 //! admitted session runs one [`TuningRequest`] against a shared prepared
 //! workload under a cooperative [`StopSignal`]: clients can cancel
 //! (best-so-far result), set deadlines, suspend a resumable session to a
-//! versioned on-disk checkpoint, and resume it later **bit-identically**
-//! — the resumed session spends the rest of its budget on exactly the
-//! calls the uninterrupted run would have made (DESIGN.md §6).
+//! versioned checkpoint kept in the write-ahead log, and resume it later
+//! **bit-identically** — the resumed session spends the rest of its
+//! budget on exactly the calls the uninterrupted run would have made
+//! (DESIGN.md §6).
 //!
 //! * [`spec`] — submission specs ([`SubmitSpec`]) and daemon
 //!   configuration ([`ServiceConfig`]);
 //! * [`manager`] — the session manager: queue, states
 //!   (Queued → Running → Done/Cancelled/Failed/Suspended), worker
-//!   threads, snapshot persistence;
+//!   threads, checkpoint persistence;
 //! * [`proto`] — the line-delimited JSON wire protocol
 //!   (`submit`/`status`/`result`/`cancel`/`suspend`/`resume`/`list`/
 //!   `metrics`/`trace`), with errors as a closed [`ErrorCode`] set;

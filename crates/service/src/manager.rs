@@ -9,11 +9,12 @@
 //! admitted-but-not-terminal sessions at `queue_capacity`.
 //!
 //! Every state transition that must survive a crash — submission, claim,
-//! suspension, resume, settle, warm-store publication — is appended to
-//! the write-ahead log under `ServiceConfig::data_dir` (see DESIGN.md
-//! §10); [`SessionManager::start`] replays it so suspended sessions
-//! reappear resumable, completed results stay queryable, and the warm
-//! store opens with every cost prior sessions paid for.
+//! suspension (its checkpoint included), resume, settle, warm-store
+//! publication — is appended to the write-ahead log under
+//! `ServiceConfig::data_dir` (see DESIGN.md §10);
+//! [`SessionManager::start`] replays it so suspended sessions reappear
+//! resumable, completed results stay queryable, and the warm store opens
+//! with every cost prior sessions paid for.
 
 use crate::durable::{import_warm, warm_batch_record, DurableLog};
 use crate::proto::{
@@ -31,9 +32,8 @@ use ixtune_core::warm::{WarmState, WarmStore, WarmStoreStats};
 use ixtune_core::SessionFaults;
 use ixtune_obs::{MetricsRegistry, TraceRecorder};
 use ixtune_persist::{PersistState, PersistStats, Record, SessionStatus};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,8 +52,10 @@ struct SessionRec {
     /// Last progress published before the signal was cleared, so the
     /// status of a suspended session still reports its counters.
     progress: Option<Progress>,
-    /// Snapshot file of a suspended session.
-    snapshot: Option<PathBuf>,
+    /// Serialized checkpoint of a suspended session, cleared on every
+    /// terminal state. One buffer, shared with the WAL record and the
+    /// persist fold rather than copied into them.
+    checkpoint_json: Option<Arc<str>>,
     /// Set when the client asked to resume: the deterministic triggers
     /// from the original spec are spent and must not re-fire.
     resumed: bool,
@@ -148,8 +150,6 @@ impl SessionManager {
         if faults.enabled() {
             eprintln!("ixtuned: fault injection armed: {}", faults.spec());
         }
-        std::fs::create_dir_all(cfg.checkpoint_dir())
-            .unwrap_or_else(|e| panic!("create {:?}: {e}", cfg.checkpoint_dir()));
         let (durable, recovered) =
             DurableLog::open(&cfg.data_dir, cfg.durability, &registry, &tracer, &faults)
                 .unwrap_or_else(|e| panic!("open persist store in {:?}: {e}", cfg.data_dir));
@@ -164,15 +164,7 @@ impl SessionManager {
             &[],
         );
         poisoned_rows.add(poisoned as u64);
-        let init = import_sessions(&recovered, &cfg);
-        let swept = cleanup_orphan_checkpoints(&cfg.checkpoint_dir(), &init);
-        let orphans_swept = registry.counter(
-            "ixtune_persist_orphans_swept_total",
-            "Orphaned checkpoint files removed at daemon start",
-            &[],
-        );
-        orphans_swept.add(swept as u64);
-        let state = Arc::new(Monitor::new(init));
+        let state = Arc::new(Monitor::new(import_sessions(&recovered)));
         let workers = (0..cfg.max_concurrent.max(1))
             .map(|_| {
                 let state = Arc::clone(&state);
@@ -275,7 +267,7 @@ impl SessionManager {
                     error: None,
                     wall_clock_ms: 0.0,
                     progress: None,
-                    snapshot: None,
+                    checkpoint_json: None,
                     resumed: false,
                 },
             );
@@ -288,24 +280,27 @@ impl SessionManager {
 
     /// Cancel a session in any non-terminal state. Queued sessions go
     /// terminal immediately; running ones stop at their next poll (their
-    /// best-so-far result is kept); suspended ones go terminal and their
-    /// snapshot is deleted.
+    /// best-so-far result is kept); suspended ones go terminal and drop
+    /// their checkpoint.
     pub fn cancel(&self, id: u64) -> Result<(), ErrorPayload> {
         let durable = &self.durable;
-        let snapshot = self.state.update(|st| {
+        self.state.update(|st| {
             let rec = st
                 .sessions
                 .get_mut(&id)
                 .ok_or_else(|| unknown_session(id))?;
             match rec.state {
-                SessionState::Queued => {
+                SessionState::Queued | SessionState::Suspended => {
+                    if rec.state == SessionState::Queued {
+                        st.queue.retain(|&q| q != id);
+                    }
                     rec.state = SessionState::Cancelled;
-                    st.queue.retain(|&q| q != id);
+                    rec.checkpoint_json = None;
                     durable.append(&Record::SessionCancelled {
                         id,
                         result_json: None,
                     });
-                    Ok(None)
+                    Ok(())
                 }
                 SessionState::Running => {
                     // The worker observes the signal, settles the session,
@@ -313,26 +308,14 @@ impl SessionManager {
                     if let Some(stop) = &rec.stop {
                         stop.cancel();
                     }
-                    Ok(None)
-                }
-                SessionState::Suspended => {
-                    rec.state = SessionState::Cancelled;
-                    durable.append(&Record::SessionCancelled {
-                        id,
-                        result_json: None,
-                    });
-                    Ok(rec.snapshot.take())
+                    Ok(())
                 }
                 s => Err(ErrorPayload::new(
                     ErrorCode::AlreadyTerminal,
                     format!("session {id} is already {s:?}"),
                 )),
             }
-        })?;
-        if let Some(path) = snapshot {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(())
+        })
     }
 
     /// Request suspension of a running, resumable session. The worker
@@ -365,8 +348,8 @@ impl SessionManager {
         })
     }
 
-    /// Re-queue a suspended session; it resumes from its snapshot with the
-    /// original spec's deterministic triggers cleared.
+    /// Re-queue a suspended session; it resumes from its checkpoint with
+    /// the original spec's deterministic triggers cleared.
     pub fn resume(&self, id: u64) -> Result<(), ErrorPayload> {
         let durable = &self.durable;
         self.state.update(|st| {
@@ -558,6 +541,7 @@ impl SessionManager {
                 match rec.state {
                     SessionState::Queued => {
                         rec.state = SessionState::Cancelled;
+                        rec.checkpoint_json = None;
                         durable.append(&Record::SessionCancelled {
                             id,
                             result_json: None,
@@ -594,12 +578,12 @@ fn unknown_session(id: u64) -> ErrorPayload {
 /// the daemon died mid-session, so it re-runs (from its checkpoint when
 /// one exists). Rows whose spec no longer parses are dropped with a
 /// stderr note; ids are never reused, so the gap is harmless.
-fn import_sessions(recovered: &PersistState, cfg: &ServiceConfig) -> ManagerState {
+fn import_sessions(recovered: &PersistState) -> ManagerState {
     let mut st = ManagerState {
         next_id: recovered.next_id,
         ..ManagerState::default()
     };
-    for row in &recovered.sessions {
+    for row in recovered.sessions() {
         let spec: SubmitSpec = match serde_json::from_str(&row.spec_json) {
             Ok(s) => s,
             Err(e) => {
@@ -611,10 +595,6 @@ fn import_sessions(recovered: &PersistState, cfg: &ServiceConfig) -> ManagerStat
             }
         };
         st.next_id = st.next_id.max(row.id + 1);
-        let snapshot = row
-            .checkpoint
-            .as_ref()
-            .map(|name| cfg.checkpoint_dir().join(name));
         let (state, result, error, requeue) = match &row.status {
             SessionStatus::Queued | SessionStatus::Running => {
                 (SessionState::Queued, None, None, true)
@@ -651,42 +631,14 @@ fn import_sessions(recovered: &PersistState, cfg: &ServiceConfig) -> ManagerStat
                 error,
                 wall_clock_ms: row.wall_clock_ms,
                 progress: None,
-                snapshot,
+                checkpoint_json: row.checkpoint_json.clone(),
                 // A checkpoint means at least one segment already ran: the
                 // spec's one-shot triggers are spent and must not re-fire.
-                resumed: row.resumed || row.checkpoint.is_some(),
+                resumed: row.resumed || row.checkpoint_json.is_some(),
             },
         );
     }
     st
-}
-
-/// Remove checkpoint files no live suspension references — sessions that
-/// went terminal while their snapshot file lingered, or leftovers in a
-/// data dir whose WAL was lost.
-fn cleanup_orphan_checkpoints(dir: &Path, st: &ManagerState) -> usize {
-    let live: HashSet<PathBuf> = st
-        .sessions
-        .values()
-        .filter_map(|rec| rec.snapshot.clone())
-        .collect();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut swept = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("s-")
-            && name.ends_with(".ckpt.json")
-            && !live.contains(&path)
-            && std::fs::remove_file(&path).is_ok()
-        {
-            swept += 1;
-        }
-    }
-    swept
 }
 
 /// Session states and their `ixtune_sessions{state=…}` gauge labels, in
@@ -752,12 +704,12 @@ fn worker_loop(
                     rec.state = SessionState::Running;
                     rec.stop = Some(stop.clone());
                     durable.append(&Record::SessionRunning { id });
-                    return Some((id, rec.spec.clone(), rec.snapshot.clone(), stop));
+                    return Some((id, rec.spec.clone(), rec.checkpoint_json.clone(), stop));
                 }
                 None
             },
         );
-        let Some((id, spec, snapshot, stop)) = claimed else {
+        let Some((id, spec, checkpoint_json, stop)) = claimed else {
             if state.with(|st| st.shutdown) {
                 return;
             }
@@ -772,8 +724,7 @@ fn worker_loop(
             None => spec.workload.prepare().map(|p| {
                 let p = Arc::new(p);
                 // Count the per-query plan tables compiled for this
-                // workload (0 when `IXTUNE_COMPILED=0` forces the
-                // interpreted path).
+                // workload.
                 registry
                     .counter(
                         "ixtune_compiled_queries_total",
@@ -815,10 +766,9 @@ fn worker_loop(
                     run_session(
                         &p,
                         &spec,
-                        snapshot.as_deref(),
+                        checkpoint_json.as_deref(),
                         &stop,
                         cfg,
-                        id,
                         obs,
                         warm_run,
                         faults,
@@ -858,7 +808,7 @@ fn worker_loop(
             }
         };
 
-        let outcome = state.update(|st| {
+        let settled = state.update(|st| {
             let rec = st.sessions.get_mut(&id)?;
             if let Some(p) = rec.stop.as_ref().and_then(|s| s.progress()) {
                 rec.progress = Some(p);
@@ -879,6 +829,7 @@ fn worker_loop(
                         SessionState::Done
                     };
                     rec.result = Some(payload);
+                    rec.checkpoint_json = None;
                     // Logged under the lock: the terminal state must be in
                     // the WAL before any client can observe it, and WAL
                     // order must match commit order (see `submit`).
@@ -893,36 +844,28 @@ fn worker_loop(
                             result_json: json.unwrap_or_default(),
                         }
                     });
-                    Some(rec.snapshot.take())
                 }
-                Settled::Suspended(path) => {
+                Settled::Suspended(json) => {
+                    // The checkpoint rides in the fsync'd transition record,
+                    // so suspension is atomic with it.
                     rec.state = SessionState::Suspended;
-                    let checkpoint = path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    rec.snapshot = Some(path);
                     durable.append(&Record::SessionSuspended {
                         id,
-                        checkpoint,
+                        checkpoint_json: Arc::clone(&json),
                         wall_clock_ms: rec.wall_clock_ms,
                     });
-                    Some(None)
+                    rec.checkpoint_json = Some(json);
                 }
                 Settled::Failed(msg) => {
                     rec.state = SessionState::Failed;
                     rec.error = Some(msg.clone());
+                    rec.checkpoint_json = None;
                     durable.append(&Record::SessionFailed { id, error: msg });
-                    Some(None)
                 }
             }
+            Some(())
         });
-        if let Some(consumed) = outcome {
-            // A resumed session that ran to completion has consumed its
-            // snapshot; remove the file outside the lock.
-            if let Some(path) = consumed {
-                let _ = std::fs::remove_file(path);
-            }
+        if settled.is_some() {
             // Settle is the one quiet moment in a session's life — compact
             // here, never on the tuning hot path.
             durable.maybe_compact(cfg.wal_compact_bytes);
@@ -932,7 +875,8 @@ fn worker_loop(
 
 enum Settled {
     Finished(TuningResult),
-    Suspended(PathBuf),
+    /// Parked, with its serialized checkpoint.
+    Suspended(Arc<str>),
     Failed(String),
 }
 
@@ -941,10 +885,9 @@ enum Settled {
 fn run_session(
     prepared: &Prepared,
     spec: &SubmitSpec,
-    snapshot: Option<&std::path::Path>,
+    checkpoint_json: Option<&str>,
     stop: &StopSignal,
     cfg: &ServiceConfig,
-    id: u64,
     obs: Obs,
     warm: Arc<WarmState>,
     faults: &FaultPlan,
@@ -952,7 +895,7 @@ fn run_session(
     // Each session gets its own degraded flag over the shared plan, so a
     // what-if fault in one session never marks another Degraded.
     let ctx = TuningContext::new(&prepared.opt, &prepared.cands)
-        .with_obs(obs.clone())
+        .with_obs(obs)
         .with_warm(warm)
         .with_faults(SessionFaults::new(faults.clone()));
     let req = spec.request(cfg.max_session_threads);
@@ -960,13 +903,9 @@ fn run_session(
     match spec.algorithm {
         AlgorithmSpec::Mcts => {
             let tuner = MctsTuner::default();
-            let outcome = match snapshot {
-                Some(path) => {
-                    let json = match std::fs::read_to_string(path) {
-                        Ok(j) => j,
-                        Err(e) => return Settled::Failed(format!("read snapshot: {e}")),
-                    };
-                    let ckpt = match MctsCheckpoint::from_json(&json) {
+            let outcome = match checkpoint_json {
+                Some(json) => {
+                    let ckpt = match MctsCheckpoint::from_json(json) {
                         Ok(c) => c,
                         Err(e) => return Settled::Failed(e),
                     };
@@ -979,26 +918,7 @@ fn run_session(
             };
             match outcome {
                 MctsOutcome::Finished(result, _) => Settled::Finished(result),
-                MctsOutcome::Suspended(ckpt) => {
-                    // The checkpoint directory exists from daemon start;
-                    // its name format is load-bearing for orphan cleanup.
-                    let path = cfg.checkpoint_dir().join(format!("s-{id}.ckpt.json"));
-                    let json = ckpt.to_json();
-                    let t0 = obs.span_start();
-                    let written = std::fs::write(&path, &json);
-                    if let Some(t0) = t0 {
-                        obs.span_end(
-                            t0,
-                            "snapshot-write",
-                            "checkpoint",
-                            vec![("bytes".into(), json.len().to_string())],
-                        );
-                    }
-                    match written {
-                        Ok(()) => Settled::Suspended(path),
-                        Err(e) => Settled::Failed(format!("write snapshot: {e}")),
-                    }
-                }
+                MctsOutcome::Suspended(ckpt) => Settled::Suspended(ckpt.to_json().into()),
             }
         }
         AlgorithmSpec::VanillaGreedy => {
@@ -1227,8 +1147,18 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// Names in the data dir: only WAL and snapshot generations.
+    fn data_dir_names(cfg: &ServiceConfig) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&cfg.data_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn restart_keeps_suspended_session_resumable_and_cleans_orphans() {
+    fn restart_keeps_suspended_session_resumable() {
         let cfg = config("ixtuned-test-restart-suspended");
         {
             let mgr = SessionManager::start(cfg.clone());
@@ -1241,16 +1171,9 @@ mod tests {
             );
             mgr.shutdown();
         }
-        // An orphan from a session the log knows nothing about must be
-        // swept at recovery; the live checkpoint must survive it.
-        let orphan = cfg.checkpoint_dir().join("s-99.ckpt.json");
-        std::fs::write(&orphan, "{}").unwrap();
+        // The checkpoint lives in the WAL: no file beside it.
+        assert_eq!(data_dir_names(&cfg), vec!["wal-0.log"]);
         let mgr = SessionManager::start(cfg.clone());
-        assert!(!orphan.exists(), "orphan checkpoint swept");
-        assert!(
-            cfg.checkpoint_dir().join("s-0.ckpt.json").exists(),
-            "live checkpoint kept"
-        );
         assert_eq!(mgr.status(0).unwrap().state, SessionState::Suspended);
         mgr.resume(0).unwrap();
         assert_eq!(
@@ -1259,12 +1182,55 @@ mod tests {
         );
         let r = mgr.result(0).unwrap();
         assert!(r.calls_used <= 400);
-        // Workers are joined here, so the post-settle file removal is done.
+        assert!(mgr
+            .state
+            .with(|st| st.sessions[&0].checkpoint_json.is_none()));
         mgr.shutdown();
-        assert!(
-            !cfg.checkpoint_dir().join("s-0.ckpt.json").exists(),
-            "completion consumes the checkpoint"
+    }
+
+    /// A data dir from the build that kept checkpoints as files records a
+    /// file name where the checkpoint JSON now goes. Resuming such a row
+    /// fails that one session with the checkpoint parser's message; the
+    /// daemon keeps serving.
+    #[test]
+    fn resuming_a_file_name_checkpoint_fails_only_that_session() {
+        let cfg = config("ixtuned-test-file-name-checkpoint");
+        let mut s = spec(AlgorithmSpec::Mcts, 400);
+        s.pause_after_calls = Some(50);
+        // That build's name for session 0's checkpoint file.
+        let file_name = ["s-0", "ckpt", "json"].join(".");
+        {
+            let (p, _, _) = ixtune_persist::Persist::open(&cfg.data_dir, cfg.durability).unwrap();
+            for rec in [
+                Record::SessionSubmitted {
+                    id: 0,
+                    spec_json: serde_json::to_string(&s).unwrap(),
+                },
+                Record::SessionRunning { id: 0 },
+                Record::SessionSuspended {
+                    id: 0,
+                    checkpoint_json: file_name.as_str().into(),
+                    wall_clock_ms: 4.0,
+                },
+            ] {
+                p.append(&rec).unwrap();
+            }
+        }
+        let mgr = SessionManager::start(cfg);
+        assert_eq!(mgr.status(0).unwrap().state, SessionState::Suspended);
+        mgr.resume(0).unwrap();
+        assert_eq!(
+            mgr.wait_settled(0, Duration::from_secs(60)),
+            Some(SessionState::Failed)
         );
+        let want = MctsCheckpoint::from_json(&file_name).unwrap_err();
+        assert_eq!(mgr.status(0).unwrap().error, Some(want));
+        let id = mgr.submit(spec(AlgorithmSpec::VanillaGreedy, 40)).unwrap();
+        assert_eq!(
+            mgr.wait_settled(id, Duration::from_secs(30)),
+            Some(SessionState::Done)
+        );
+        mgr.shutdown();
     }
 
     #[test]

@@ -195,9 +195,9 @@ pub struct ServiceConfig {
     /// Cap composed with each spec's `session_threads`.
     pub max_session_threads: usize,
     /// The daemon's durable root (`--data-dir`): the write-ahead log and
-    /// generation snapshots live directly inside it, suspended-session
-    /// checkpoints under [`ServiceConfig::checkpoint_dir`]. Restarting on
-    /// the same directory recovers the warm store and session registry.
+    /// generation snapshots live directly inside it, and suspended
+    /// sessions' checkpoints ride in the log's records. Restarting on the
+    /// same directory recovers the warm store and session registry.
     pub data_dir: PathBuf,
     /// When appended WAL records reach stable storage
     /// (`--durability always|batch|never`).
@@ -215,14 +215,6 @@ pub struct ServiceConfig {
     /// `IXTUNE_FAULT_SPEC`), e.g. `seed=42;whatif.error=p0.05`. Empty
     /// disables injection entirely — the hot paths see one inert branch.
     pub fault_spec: String,
-}
-
-impl ServiceConfig {
-    /// Where suspended-session checkpoints live: a subdirectory of the
-    /// data dir, so one `--data-dir` flag governs every durable artifact.
-    pub fn checkpoint_dir(&self) -> PathBuf {
-        self.data_dir.join("checkpoints")
-    }
 }
 
 impl Default for ServiceConfig {

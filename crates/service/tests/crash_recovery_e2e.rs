@@ -6,8 +6,10 @@
 //! * completed results stay queryable bit-identically across the crash;
 //! * the warm cost store reopens with every cost paid before the crash —
 //!   the first identical session after restart is served entirely warm;
-//! * a session suspended before the crash reappears resumable, and the
-//!   resumed run is bit-identical to an uninterrupted control;
+//! * a session suspended before the crash reappears resumable — its
+//!   checkpoint restored from a compaction snapshot — and the resumed run
+//!   is bit-identical to an uninterrupted control, with nothing but WAL
+//!   and snapshot generations in the data dir;
 //! * `--durability never` issues zero fsyncs yet still recovers after a
 //!   process kill (the page cache survives SIGKILL; only a machine crash
 //!   defeats it).
@@ -41,7 +43,8 @@ impl Drop for DaemonProc {
 }
 
 impl DaemonProc {
-    fn spawn(data_dir: &Path, durability: &str) -> Self {
+    /// Boot on `data_dir`; `extra` flags follow the common ones.
+    fn spawn(data_dir: &Path, durability: &str, extra: &[&str]) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ixtuned"))
             .args([
                 "--bind",
@@ -55,6 +58,7 @@ impl DaemonProc {
                 "--max-session-threads",
                 "2",
             ])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -109,6 +113,26 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Assert the data dir holds nothing but WAL and snapshot generations:
+/// no checkpoint files or directory, no leftover temp files.
+fn assert_only_generations(dir: &Path) {
+    for entry in std::fs::read_dir(dir).expect("list data dir") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy();
+        let generation = name
+            .strip_prefix("wal-")
+            .and_then(|g| g.strip_suffix(".log"))
+            .or_else(|| {
+                name.strip_prefix("snap-")
+                    .and_then(|g| g.strip_suffix(".bin"))
+            });
+        assert!(
+            generation.is_some_and(|g| g.parse::<u64>().is_ok()),
+            "unexpected data dir entry {name:?}"
+        );
+    }
+}
+
 fn mcts_spec(budget: usize) -> SubmitSpec {
     let mut spec = SubmitSpec::new(WorkloadSpec::Synth(11), AlgorithmSpec::Mcts, 3, budget);
     spec.seed = 42;
@@ -129,7 +153,7 @@ fn sigkill_then_restart_replays_results_and_warm_capital() {
     let dir = scratch("warm");
 
     // Generation 1: run one session to completion, then die mid-air.
-    let daemon = DaemonProc::spawn(&dir, "always");
+    let daemon = DaemonProc::spawn(&dir, "always", &[]);
     let client = daemon.client();
     let a = client.submit(mcts_spec(200)).expect("submit");
     let status = client.wait_terminal(a, WAIT).expect("session settles");
@@ -138,30 +162,12 @@ fn sigkill_then_restart_replays_results_and_warm_capital() {
     assert_eq!(before.telemetry.warm_hits, 0, "cold store before crash");
     daemon.kill();
 
-    // A checkpoint file no live suspension references — as if a session
-    // went terminal right as the process died. Restart must sweep it and
-    // account for the sweep on the orphan counter.
-    let orphan = dir.join("checkpoints").join("s-999.ckpt.json");
-    std::fs::write(&orphan, "{}").expect("plant orphan checkpoint");
-
     // Generation 2: same data dir. The finished session and its result
     // must have survived, and the warm store reopens fully charged.
-    let daemon = DaemonProc::spawn(&dir, "always");
+    let daemon = DaemonProc::spawn(&dir, "always", &[]);
     let client = daemon.client();
     let after = client.result(a).expect("result survives the crash");
     assert_eq!(after, before, "recovered result is bit-identical");
-
-    assert!(!orphan.exists(), "orphaned checkpoint swept at start");
-    let metrics = client.metrics().expect("metrics verb");
-    assert!(
-        metrics.contains("ixtune_persist_orphans_swept_total 1"),
-        "sweep is accounted on the counter:\n{}",
-        metrics
-            .lines()
-            .filter(|l| l.contains("orphans"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 
     let persist = client.persist_stats().expect("persist verb");
     assert!(
@@ -194,8 +200,10 @@ fn suspended_session_survives_sigkill_and_resumes_bit_identical() {
     let dir = scratch("suspend");
 
     // Generation 1: a control run to completion, and a twin that suspends
-    // itself mid-search. Crash while it sits suspended.
-    let daemon = DaemonProc::spawn(&dir, "always");
+    // itself mid-search. Every settle compacts, so the suspension and its
+    // checkpoint land in a snapshot. Crash while it sits suspended.
+    let compact_every_settle = ["--wal-compact-bytes", "1"];
+    let daemon = DaemonProc::spawn(&dir, "always", &compact_every_settle);
     let client = daemon.client();
     let control_id = client.submit(mcts_spec(160)).expect("submit control");
     let mut paused = mcts_spec(160);
@@ -212,13 +220,34 @@ fn suspended_session_survives_sigkill_and_resumes_bit_identical() {
     client
         .wait_until(paused_id, WAIT, |s| s.state == SessionState::Suspended)
         .expect("twin reaches Suspended");
+    // Compaction follows the settle: wait until the live WAL is empty, so
+    // every record, the suspension included, is in the snapshot.
+    let deadline = std::time::Instant::now() + WAIT;
+    loop {
+        let persist = client.persist_stats().expect("persist verb");
+        if persist.wal_bytes == 0 && persist.generation > 0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no compaction: {persist:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_only_generations(&dir);
     daemon.kill();
 
     // Generation 2: the suspended session reappears resumable and spends
     // the rest of its budget on exactly the calls the uninterrupted run
     // made — the DESIGN.md §6 guarantee now crossing a process crash.
-    let daemon = DaemonProc::spawn(&dir, "always");
+    let daemon = DaemonProc::spawn(&dir, "always", &compact_every_settle);
     let client = daemon.client();
+    let persist = client.persist_stats().expect("persist verb");
+    assert!(persist.recovered_snapshot, "{persist:?}");
+    assert_eq!(
+        persist.recovered_wal_records, 0,
+        "all of it from the snapshot"
+    );
     let status = client.status(paused_id).expect("status after restart");
     assert_eq!(
         status.state,
@@ -237,6 +266,7 @@ fn suspended_session_survives_sigkill_and_resumes_bit_identical() {
     );
 
     daemon.shutdown(&client);
+    assert_only_generations(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -244,7 +274,7 @@ fn suspended_session_survives_sigkill_and_resumes_bit_identical() {
 fn durability_never_skips_fsync_but_survives_process_kill() {
     let dir = scratch("never");
 
-    let daemon = DaemonProc::spawn(&dir, "never");
+    let daemon = DaemonProc::spawn(&dir, "never", &[]);
     let client = daemon.client();
     let a = client.submit(mcts_spec(200)).expect("submit");
     client.wait_terminal(a, WAIT).expect("session settles");
@@ -258,7 +288,7 @@ fn durability_never_skips_fsync_but_survives_process_kill() {
 
     // SIGKILL only loses what the *process* buffered — the persist layer
     // write()s every record, so the page cache still has the full WAL.
-    let daemon = DaemonProc::spawn(&dir, "never");
+    let daemon = DaemonProc::spawn(&dir, "never", &[]);
     let client = daemon.client();
     let after = client.result(a).expect("result survives without fsync");
     assert_eq!(after, before);

@@ -126,13 +126,18 @@ fn suspend_resume_matches_uninterrupted_run() {
     assert!(b_result.telemetry.wall_clock_ms > 0.0);
     client.shutdown().expect("shutdown");
     daemon.join();
-    // The snapshot file is consumed (deleted) on successful completion
-    // (checked after join so the worker's post-settle removal has run).
-    let leftover = std::env::temp_dir()
-        .join("ixtuned-e2e-resume")
-        .join("checkpoints")
-        .join(format!("s-{b}.ckpt.json"));
-    assert!(!leftover.exists(), "snapshot consumed on completion");
+    // The checkpoint rode in the WAL: the data dir holds nothing else.
+    let data_dir = std::env::temp_dir().join("ixtuned-e2e-resume");
+    let names: Vec<String> = std::fs::read_dir(&data_dir)
+        .expect("list data dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert_eq!(names, vec!["wal-0.log"], "no checkpoint files");
 }
 
 #[test]
