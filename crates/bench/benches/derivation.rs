@@ -29,11 +29,9 @@ fn primed_client(session: &Session, entries: usize) -> MeteredWhatIf<'_> {
     mw
 }
 
-/// Raw what-if evaluations: the compiled per-query plan-table kernel
-/// versus the interpreted reference model it replaced. Each iteration
-/// prices the same 64-cell batch of (query, configuration) pairs, so the
-/// two series differ only in the evaluation path and their ratio is the
-/// kernel speedup.
+/// Raw what-if evaluations through the compiled per-query plan-table
+/// kernel: each iteration prices the same 64-cell batch of
+/// (query, configuration) pairs.
 fn bench_whatif(c: &mut Criterion) {
     let mut group = c.benchmark_group("whatif");
     group.sample_size(30);
@@ -57,15 +55,6 @@ fn bench_whatif(c: &mut Criterion) {
             let mut acc = 0.0;
             for (q, cfg) in &cells {
                 acc += session.opt.what_if_cost(*q, cfg);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("interpreted-call", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (q, cfg) in &cells {
-                acc += session.opt.interpreted_what_if_cost(*q, cfg);
             }
             black_box(acc)
         })
@@ -96,19 +85,6 @@ fn bench_derivation(c: &mut Criterion) {
                 black_box(cache.derived_with_extra(QueryId::new(0), &probe, IndexId::new(21), base))
             })
         });
-        // The pre-postings shape: same derivation, linear scan of every
-        // multi entry instead of the inverted postings for `extra`.
-        group.bench_function(format!("derived-with-extra-scan-{entries}-entries"), |b| {
-            let base = cache.derived(QueryId::new(0), &probe);
-            b.iter(|| {
-                black_box(cache.derived_with_extra_scan(
-                    QueryId::new(0),
-                    &probe,
-                    IndexId::new(21),
-                    base,
-                ))
-            })
-        });
     }
     group.finish();
 }
@@ -137,38 +113,32 @@ fn synthetic_cache(universe: usize, queries: usize, entries: usize) -> WhatIfCac
 }
 
 /// One greedy step — score every candidate extension of a committed
-/// configuration — in the shape the enumerators had before this change
-/// (materialize `C ∪ {x}`, full `derived_workload` rescan) and after
-/// (allocation-free `DerivationState::probe_extend` over the postings).
+/// configuration — serially through `DerivationState::probe_with` with
+/// the pure-derivation cell price (allocation-free postings walks), and
+/// through the frozen-cache batched kernel.
 fn bench_greedy_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("greedy-step");
     group.sample_size(10);
 
     for universe in [64usize, 256, 1024] {
         let cache = synthetic_cache(universe, 20, 200);
+        let mut derive = |q: QueryId, cfg: &IndexSet, x: IndexId, cur: f64| {
+            cache.derived_with_extra(q, cfg, x, cur)
+        };
         let mut state = DerivationState::workload(&cache);
         for i in 0..4 {
-            state.commit_recompute(&cache, IndexId::from(i * universe / 5));
+            let x = IndexId::from(i * universe / 5);
+            let total = state.probe_with(x, &mut derive);
+            state.stage_probe();
+            state.commit_staged(x, total);
         }
         let config = state.config().clone();
 
-        group.bench_function(format!("full-rescan-u{universe}"), |b| {
-            b.iter(|| {
-                let mut best = f64::INFINITY;
-                for x in config.complement_iter() {
-                    let total = cache.derived_workload(&config.with(x));
-                    if total < best {
-                        best = total;
-                    }
-                }
-                black_box(best)
-            })
-        });
         group.bench_function(format!("incremental-u{universe}"), |b| {
             b.iter(|| {
                 let mut best = f64::INFINITY;
                 for x in config.complement_iter() {
-                    let total = state.probe_extend(&cache, x);
+                    let total = state.probe_with(x, &mut derive);
                     if total < best {
                         best = total;
                     }

@@ -14,12 +14,32 @@
 //! When `jobs × session_threads` exceeds the host's parallelism, sessions
 //! are capped with a warning so the sweep never oversubscribes.
 //! Experiment ids: `table1 fig2 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-//! fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23`.
+//! fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23`. An unknown
+//! flag, a flag without its value or an unparsable number prints usage
+//! and exits 2 before any experiment runs.
 
 use ixtune_bench::figures::{self, ExpConfig};
 use ixtune_core::RolloutPolicy;
 use ixtune_workload::gen::BenchmarkKind;
+use std::process::exit;
+use std::str::FromStr;
 use std::time::Instant;
+
+const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--seeds N] [--jobs N] \
+                     [--session-threads N] <id>...\n       experiments all | list";
+
+/// Report a command-line error with the usage text and exit 2.
+fn usage_error(error: &str) -> ! {
+    eprintln!("{error}\n{USAGE}");
+    exit(2)
+}
+
+/// `value` of flag `name` parsed as a number.
+fn number<T: FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{name}: expected a number, got `{value}`")))
+}
 
 const ALL: &[&str] = &[
     "table1", "fig2", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
@@ -121,43 +141,34 @@ fn run_one(id: &str, cfg: &ExpConfig) -> Option<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut cfg = ExpConfig::new("results");
     let mut quick = false;
     let mut ids: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        let mut value = |name: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{name} requires a value")))
+        };
+        match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                cfg.out_dir = args.get(i).expect("--out DIR").into();
-            }
+            "--out" => cfg.out_dir = value("--out").into(),
             "--seeds" => {
-                i += 1;
-                let n: usize = args.get(i).expect("--seeds N").parse().expect("numeric");
-                cfg.seeds = (1..=n as u64).collect();
+                let n: u64 = number("--seeds", &value("--seeds"));
+                cfg.seeds = (1..=n).collect();
             }
-            "--jobs" => {
-                i += 1;
-                cfg.jobs = args.get(i).expect("--jobs N").parse().expect("numeric")
-            }
+            "--jobs" => cfg.jobs = number("--jobs", &value("--jobs")),
             "--session-threads" => {
-                i += 1;
-                cfg.session_threads = args
-                    .get(i)
-                    .expect("--session-threads N")
-                    .parse()
-                    .expect("numeric")
+                cfg.session_threads = number("--session-threads", &value("--session-threads"))
             }
             "list" => {
                 println!("available experiments: {}", ALL.join(" "));
                 println!("extras (not in `all`): {}", EXTRAS.join(" "));
                 return;
             }
-            other => ids.push(other.to_string()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            id => ids.push(id.to_string()),
         }
-        i += 1;
     }
     if quick {
         cfg = cfg.quick();

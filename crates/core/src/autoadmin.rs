@@ -3,16 +3,12 @@
 //! configurations** — singletons plus single-join pairs — and every other
 //! configuration is priced by cost derivation.
 
-use crate::budget::MeteredWhatIf;
-use crate::derivation_state::DerivationState;
-use crate::greedy::{greedy_enumerate_metered, MeteredEval};
-use crate::matrix::Layout;
+use crate::parallel::FrozenEval;
 use crate::stop::StopSignal;
 use crate::tuner::{Tuner, TuningContext, TuningRequest, TuningResult};
-use crate::twophase::TwoPhaseGreedy;
+use crate::twophase::two_phase;
 use ixtune_candidates::atomic::single_join_pairs;
-use ixtune_common::sync::effective_threads;
-use ixtune_common::{IndexSet, QueryId};
+use ixtune_common::IndexSet;
 use std::collections::HashSet;
 
 /// AutoAdmin-style greedy with atomic-configuration budget allocation.
@@ -45,76 +41,14 @@ impl Tuner for AutoAdminGreedy {
         req: &TuningRequest,
         stop: &StopSignal,
     ) -> TuningResult {
-        let constraints = &req.constraints;
-        let threads = effective_threads(req.session_threads);
-        let src = ctx.source();
-        let mut mw = MeteredWhatIf::new(&src, req.budget);
-        let obs = ctx.obs().clone();
         let atomic_pairs: HashSet<IndexSet> =
             single_join_pairs(ctx.opt.workload(), ctx.cands, self.max_join_pairs)
                 .into_iter()
                 .collect();
-
-        // Atomic cost mode: what-if for singletons and single-join pairs,
-        // derived for everything else (the scratch set handed to the
-        // evaluator is the extension `C ∪ {x}`; the non-atomic branch
-        // derives incrementally off the committed per-query cost).
-        let mode = MeteredEval::Atomic(&atomic_pairs);
-
-        // Phase 1 (per query) restricted to atomic what-if calls.
-        let p1_t0 = obs.span_start();
-        let (union, mut interrupt) =
-            TwoPhaseGreedy::phase1(ctx, constraints, &mut mw, mode, threads, stop);
-        if let Some(t0) = p1_t0 {
-            obs.span_end(
-                t0,
-                "phase1",
-                "autoadmin",
-                vec![("union".into(), union.len().to_string())],
-            );
-        }
-
-        let config = if interrupt.is_some() {
-            // Interrupted mid-phase-1: derive-only salvage over the
-            // partial union, no further budget spend.
-            let t0 = obs.span_start();
-            let config = TwoPhaseGreedy::salvage(ctx, constraints, &union, &mw);
-            if let Some(t0) = t0 {
-                obs.span_end(t0, "salvage", "autoadmin", vec![]);
-            }
-            config
-        } else {
-            // Phase 2 over the union, still atomic-restricted.
-            let t0 = obs.span_start();
-            let universe = ctx.universe();
-            let empty = IndexSet::empty(universe);
-            let queries: Vec<QueryId> = (0..ctx.num_queries()).map(QueryId::from).collect();
-            let init: Vec<f64> = queries.iter().map(|&q| mw.cost_fcfs(q, &empty)).collect();
-            let mut state = DerivationState::for_queries(universe, queries, init);
-            let (config, i2) = greedy_enumerate_metered(
-                ctx,
-                constraints,
-                &union,
-                &mut state,
-                &mut mw,
-                mode,
-                threads,
-                stop,
-            );
-            if let Some(t0) = t0 {
-                obs.span_end(t0, "phase2", "autoadmin", vec![]);
-            }
-            interrupt = i2;
-            config
-        };
-        mw.publish_obs();
-        let used = mw.meter().used();
-        let reason = mw.stop_reason(interrupt);
-        let mut telemetry = mw.telemetry();
-        telemetry.session_threads = threads;
-        TuningResult::evaluate(self.name(), ctx, config, used, Layout::new(mw.into_trace()))
-            .with_telemetry(telemetry)
-            .with_stop_reason(reason)
+        // Both phases run atomic-restricted: what-if for singletons and
+        // single-join pairs, derived costs for everything else.
+        let mode = FrozenEval::Atomic(&atomic_pairs);
+        two_phase(self.name(), "autoadmin", ctx, req, mode, stop)
     }
 }
 

@@ -50,7 +50,10 @@ pub struct SessionTelemetry {
     /// What-if requests answered from the cache (free).
     pub cache_hits: usize,
     /// Cost evaluations answered by Eq. 1 derivation instead of a stored
-    /// what-if result (includes FCFS fallbacks after budget exhaustion).
+    /// what-if result: FCFS fallbacks after budget exhaustion, AutoAdmin's
+    /// non-atomic cells, and every cell Best-Greedy extraction or the
+    /// two-phase salvage scans. A greedy step counts one per cell it
+    /// derives and none when it commits its winner.
     pub derivations: usize,
     /// Budgeted calls spent in the priors phase ([`Phase::Priors`]).
     pub priors_calls: usize,
@@ -64,8 +67,12 @@ pub struct SessionTelemetry {
     /// (1 = serial). Results are invariant to it; recorded so telemetry
     /// JSON shows how a session was executed.
     pub session_threads: usize,
-    /// Candidate scans executed through the frozen-cache parallel kernel
-    /// (enumeration steps only; 0 under serial execution).
+    /// Greedy-step candidate scans handed to the frozen-cache kernel, at
+    /// any thread count (the kernel scans inline at one thread): steps
+    /// after budget exhaustion, and every Best-Greedy extraction and
+    /// two-phase salvage step large enough for the kernel
+    /// (`MIN_PARALLEL_WORK`). An execution descriptor like
+    /// `session_threads`, not part of result identity.
     pub parallel_scans: usize,
     /// Root-parallel MCTS worker trees merged into the master tree.
     pub tree_merges: usize,

@@ -11,22 +11,18 @@
 //!
 //! The protocol is *probe / stage / commit*:
 //!
-//! * [`probe_extend`](DerivationState::probe_extend) — pure derived
-//!   workload cost of `C ∪ {x}`; no mutation, no allocation.
-//! * [`probe_with`](DerivationState::probe_with) — like `probe_extend`
-//!   but each per-query value comes from a caller closure (so FCFS
-//!   enumerators can spend budget on what-if calls exactly as before);
-//!   the per-query values land in a reusable scratch buffer.
+//! * [`probe_with`](DerivationState::probe_with) — each per-query value of
+//!   `C ∪ {x}` comes from a caller closure (so FCFS enumerators can spend
+//!   budget on what-if calls exactly as before); the values land in a
+//!   reusable scratch buffer.
 //! * [`stage_probe`](DerivationState::stage_probe) — remember the last
 //!   probe's buffer as the best candidate so far (a buffer swap).
-//! * [`commit_staged`](DerivationState::commit_staged) /
-//!   [`commit_recompute`](DerivationState::commit_recompute) — adopt the
-//!   winner. `commit_staged` is free (another swap) and is valid because
-//!   within one greedy step every cache insert is for some `C ∪ {y}`,
-//!   which is never a subset of `C ∪ {x}` for `y ≠ x` — so staged values
-//!   cannot go stale. `commit_recompute` re-derives instead, preserving
-//!   the derivation-counter behavior of callers that historically did so
-//!   (Best-Greedy extraction).
+//! * [`commit_staged`](DerivationState::commit_staged) — adopt the staged
+//!   winner (another swap). Valid because within one greedy step every
+//!   cache insert is for some `C ∪ {y}`, which is never a subset of
+//!   `C ∪ {x}` for `y ≠ x` — so staged values cannot go stale.
+//!   [`commit_values`](DerivationState::commit_values) adopts values the
+//!   frozen scan kernel re-priced instead.
 //!
 //! All of this is bit-for-bit equivalent to the full rescan: the same
 //! `f64` min over the same values, summed in the same query order. The
@@ -101,17 +97,6 @@ impl DerivationState {
         &self.per_query
     }
 
-    /// Pure incremental probe: `d(W, C ∪ {extra})` from the cache, using
-    /// each query's committed cost as the derivation starting point. No
-    /// mutation, no allocation.
-    pub fn probe_extend(&self, cache: &WhatIfCache, extra: IndexId) -> f64 {
-        let mut total = 0.0;
-        for (i, &q) in self.queries.iter().enumerate() {
-            total += cache.derived_with_extra(q, &self.config, extra, self.per_query[i]);
-        }
-        total
-    }
-
     /// Probe `C ∪ {extra}` with a caller-supplied per-query evaluator
     /// `eval(q, C ∪ {extra}, extra, cost(q, C))`, recording each value in
     /// the reusable probe buffer. The scratch set handed to `eval`
@@ -165,21 +150,6 @@ impl DerivationState {
         self.per_query.copy_from_slice(values);
         self.total = total;
     }
-
-    /// Commit by re-deriving each per-query value with
-    /// [`WhatIfCache::derived_with_extra`] — same values as the probe, but
-    /// it issues the derivations again, matching enumerators that
-    /// recompute at commit time (Best-Greedy extraction).
-    pub fn commit_recompute(&mut self, cache: &WhatIfCache, extra: IndexId) {
-        let mut total = 0.0;
-        for (i, &q) in self.queries.iter().enumerate() {
-            let v = cache.derived_with_extra(q, &self.config, extra, self.per_query[i]);
-            self.per_query[i] = v;
-            total += v;
-        }
-        self.config.insert(extra);
-        self.total = total;
-    }
 }
 
 #[cfg(test)]
@@ -202,14 +172,21 @@ mod tests {
         c
     }
 
+    /// Price `C ∪ {extra}` by pure derivation, the Best-Greedy cell price.
+    fn derive_probe(state: &mut DerivationState, cache: &WhatIfCache, extra: IndexId) -> f64 {
+        state.probe_with(extra, &mut |q, cfg, x, cur| {
+            cache.derived_with_extra(q, cfg, x, cur)
+        })
+    }
+
     #[test]
     fn probe_matches_fresh_workload_derivation() {
         let cache = primed_cache();
-        let state = DerivationState::workload(&cache);
+        let mut state = DerivationState::workload(&cache);
         assert_eq!(state.total(), cache.empty_workload_cost());
         for x in 0..6 {
             let extra = IndexId::new(x);
-            let probed = state.probe_extend(&cache, extra);
+            let probed = derive_probe(&mut state, &cache, extra);
             let fresh = cache.derived_workload(&state.config().with(extra));
             assert_eq!(probed, fresh, "extra={x}");
         }
@@ -221,7 +198,9 @@ mod tests {
         let mut state = DerivationState::workload(&cache);
         for x in [0u32, 3, 1] {
             let extra = IndexId::new(x);
-            state.commit_recompute(&cache, extra);
+            let total = derive_probe(&mut state, &cache, extra);
+            state.stage_probe();
+            state.commit_staged(extra, total);
             let fresh = cache.derived_workload(state.config());
             assert_eq!(state.total(), fresh, "after committing {x}");
             for (i, &v) in state.per_query().iter().enumerate() {
@@ -262,10 +241,11 @@ mod tests {
         let cache = primed_cache();
         let q = QueryId::new(1);
         let mut state = DerivationState::for_queries(6, vec![q], vec![cache.empty_cost(q)]);
-        let probed = state.probe_extend(&cache, IndexId::new(1));
+        let probed = derive_probe(&mut state, &cache, IndexId::new(1));
         assert_eq!(probed, 120.0);
-        state.commit_recompute(&cache, IndexId::new(1));
+        state.stage_probe();
+        state.commit_staged(IndexId::new(1), probed);
         assert_eq!(state.total(), 120.0);
-        assert_eq!(state.probe_extend(&cache, IndexId::new(4)), 90.0);
+        assert_eq!(derive_probe(&mut state, &cache, IndexId::new(4)), 90.0);
     }
 }

@@ -471,8 +471,7 @@ impl WhatIfCache {
     }
 
     /// Multi-index entries for `q`, sorted by ascending cost — the raw
-    /// material for incremental derivation (see
-    /// [`Extraction`](https://docs.rs/ixtune-core)'s fast Best-Greedy path).
+    /// material for incremental derivation and the frozen scan kernel.
     pub fn multi_entries(&self, q: QueryId) -> &[(IndexSet, f64)] {
         let (shard, lq) = self.slot(q.index());
         &shard.multi[lq]
@@ -486,10 +485,10 @@ impl WhatIfCache {
     /// ascending-cost order, so the early exit still applies; the subset
     /// test runs block-wise without materializing `set \ {extra}`.
     ///
-    /// Returns bit-for-bit the same value as the full scan
-    /// ([`derived_with_extra_scan`](Self::derived_with_extra_scan)): both
-    /// visit the qualifying entries in the same order and take the same
-    /// `min` over the same set of `f64`s.
+    /// Returns bit-for-bit the same value as a linear scan of every multi
+    /// entry (the oracle in `tests/derivation_state_props.rs`): both visit
+    /// the qualifying entries in the same order and take the same `min`
+    /// over the same set of `f64`s.
     pub fn derived_with_extra(
         &self,
         q: QueryId,
@@ -629,35 +628,6 @@ impl WhatIfCache {
         cache.shards[0].derivations = AtomicUsize::new(s.derivations);
         Ok(cache)
     }
-
-    /// Reference implementation of [`derived_with_extra`](Self::derived_with_extra)
-    /// that scans every multi entry instead of the postings. Kept as the
-    /// equivalence oracle for the proptest and the before/after benchmark.
-    pub fn derived_with_extra_scan(
-        &self,
-        q: QueryId,
-        config: &IndexSet,
-        extra: IndexId,
-        current: f64,
-    ) -> f64 {
-        let qi = q.index();
-        self.count_derivation(qi);
-        let (shard, lq) = self.slot(qi);
-        let mut best = current;
-        let s = shard.singleton[lq][extra.index()];
-        if !s.is_nan() && s < best {
-            best = s;
-        }
-        for (set, cost) in &shard.multi[lq] {
-            if *cost >= best {
-                break;
-            }
-            if set.contains(extra) && set.without(extra).is_subset(config) {
-                best = *cost;
-            }
-        }
-        best
-    }
 }
 
 /// On-disk image of a [`WhatIfCache`] (see [`WhatIfCache::snapshot`]).
@@ -772,31 +742,6 @@ mod tests {
         c.put(QueryId::new(1), &set(4, &[0]), 150.0);
         assert_eq!(c.derived_workload(&set(4, &[0])), 160.0);
         assert_eq!(c.derived_workload(&set(4, &[3])), 300.0);
-    }
-
-    #[test]
-    fn with_extra_matches_scan_and_full_derivation() {
-        let mut c = cache();
-        let q = QueryId::new(0);
-        // Out-of-cost-order inserts force postings shifts.
-        c.put(q, &set(4, &[0, 1]), 30.0);
-        c.put(q, &set(4, &[1, 2]), 25.0);
-        c.put(q, &set(4, &[0, 2, 3]), 20.0);
-        c.put(q, &set(4, &[2]), 60.0);
-        for cfg in [set(4, &[]), set(4, &[0]), set(4, &[0, 3]), set(4, &[1, 2])] {
-            let cur = c.derived(q, &cfg);
-            for x in 0..4 {
-                let extra = IndexId::new(x);
-                if cfg.contains(extra) {
-                    continue;
-                }
-                let fast = c.derived_with_extra(q, &cfg, extra, cur);
-                let slow = c.derived_with_extra_scan(q, &cfg, extra, cur);
-                let full = c.derived(q, &cfg.with(extra));
-                assert_eq!(fast, slow, "cfg={cfg:?} extra={x}");
-                assert_eq!(fast, full, "cfg={cfg:?} extra={x}");
-            }
-        }
     }
 
     #[test]

@@ -9,18 +9,20 @@ use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
 use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use std::collections::HashSet;
 
 /// Algorithm 1: greedily grow the configuration from `pool`, committing the
 /// extension with the lowest `cost_of` per step, stopping when no extension
 /// improves or the constraints are saturated.
 ///
-/// `cost_of` is the workload-level cost function — the caller decides
-/// whether it spends budget (FCFS), restricts calls to atomic
-/// configurations, or uses derived costs only (as in MCTS's Best-Greedy
-/// extraction). Candidates are probed through a scratch set (insert,
-/// evaluate, remove) rather than a fresh `config.with(id)` clone per
-/// candidate per step.
+/// `cost_of` is the workload-level cost function; the caller decides how
+/// it prices a configuration. Candidates are probed through a scratch set
+/// (insert, evaluate, remove) rather than a fresh `config.with(id)` clone
+/// per candidate per step.
+///
+/// The shipped tuners run `greedy_enumerate_metered` instead. This loop
+/// serves the DTA baseline, whose full `cost_fcfs` pricing derives
+/// exact-hit-first and can differ from the incremental derivation on
+/// non-monotone costs, and it is the Algorithm 1 oracle in tests.
 pub fn greedy_enumerate(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
@@ -60,105 +62,24 @@ pub fn greedy_enumerate(
     config
 }
 
-/// Algorithm 1 over a [`DerivationState`]: the same candidate order,
-/// tie-breaking, and stopping rule as [`greedy_enumerate`], but each
-/// candidate is priced per query by `eval(q, C ∪ {id}, id, cost(q, C))`
-/// through [`DerivationState::probe_with`] — no full-workload rescan and no
-/// allocation in the inner loop. The best candidate's per-query buffer is
-/// staged and committed with [`DerivationState::commit_staged`].
+/// The greedy driver every budget-aware enumerator runs: Algorithm 1
+/// over a [`DerivationState`], with the candidate order, tie-breaking and
+/// stopping rule of [`greedy_enumerate`]. `mode` prices each
+/// `(q, C ∪ {x})` cell — FCFS (vanilla greedy, two-phase), the atomic
+/// rule (AutoAdmin), or budget-free derivation (Best-Greedy extraction
+/// and the two-phase salvage).
 ///
-/// The caller seeds `state` with the per-query costs of the empty
-/// configuration (through the metered client, so telemetry matches the
-/// rescan implementation) and supplies the same `eval` it would have used
-/// per `(query, configuration)` pair before.
-pub fn greedy_enumerate_incremental(
-    ctx: &TuningContext<'_>,
-    constraints: &Constraints,
-    pool: &[IndexId],
-    state: &mut DerivationState,
-    mut eval: impl FnMut(QueryId, &IndexSet, IndexId, f64) -> f64,
-) -> IndexSet {
-    let mut remaining: Vec<IndexId> = pool.to_vec();
-
-    while !remaining.is_empty() && state.config().len() < constraints.k {
-        let filter = constraints.extension_filter(ctx, state.config());
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &id) in remaining.iter().enumerate() {
-            if !filter.admits(ctx, id) {
-                continue;
-            }
-            let cost = state.probe_with(id, &mut eval);
-            if best.is_none_or(|(_, b)| cost < b) {
-                best = Some((pos, cost));
-                state.stage_probe();
-            }
-        }
-        match best {
-            Some((pos, cost)) if cost < state.total() => {
-                let id = remaining.swap_remove(pos);
-                state.commit_staged(id, cost);
-            }
-            _ => break,
-        }
-    }
-    state.config().clone()
-}
-
-/// How a metered greedy step prices one `(q, C ∪ {x})` cell — the two
-/// budget-aware evaluator families shared by the greedy drivers. Each
-/// variant has a matching [`FrozenEval`] replica for the post-exhaustion
-/// parallel scan.
-#[derive(Clone, Copy)]
-pub(crate) enum MeteredEval<'a> {
-    /// FCFS: what-if calls while budget lasts, incremental derivation
-    /// afterwards (`MeteredWhatIf::cost_fcfs_extend`).
-    Fcfs,
-    /// AutoAdmin's rule: atomic configurations (singletons and the listed
-    /// pairs) go through FCFS, everything else is priced by derivation.
-    Atomic(&'a HashSet<IndexSet>),
-}
-
-impl<'a> MeteredEval<'a> {
-    #[inline]
-    fn eval(
-        &self,
-        mw: &mut MeteredWhatIf<'_>,
-        q: QueryId,
-        c: &IndexSet,
-        x: IndexId,
-        cur: f64,
-    ) -> f64 {
-        match self {
-            MeteredEval::Fcfs => mw.cost_fcfs_extend(q, c, x, cur),
-            MeteredEval::Atomic(pairs) => {
-                if c.len() <= 1 || pairs.contains(c) {
-                    mw.cost_fcfs_extend(q, c, x, cur)
-                } else {
-                    mw.cache().derived_with_extra(q, c, x, cur)
-                }
-            }
-        }
-    }
-
-    fn frozen(&self) -> FrozenEval<'a> {
-        match self {
-            MeteredEval::Fcfs => FrozenEval::Fcfs,
-            MeteredEval::Atomic(pairs) => FrozenEval::Atomic(pairs),
-        }
-    }
-}
-
-/// [`greedy_enumerate_incremental`] with budget metering and batched
-/// post-exhaustion scanning: candidates are probed by the exact serial
-/// loop while budget remains, and the moment the meter is exhausted *at a
-/// candidate boundary* — whether at step start or midway through a step —
-/// the cache is frozen and the rest of the step's scan runs through
-/// [`frozen_argmin`], which is bit-identical to the serial scan by
-/// construction (values *and* hit/derivation telemetry). The candidate
-/// whose probe exhausts the budget keeps its serial FCFS semantics: the
-/// hand-off happens between candidates, never inside one. The freeze is
-/// permanently valid because cache inserts only happen through budgeted
-/// what-if calls, which an exhausted meter refuses.
+/// Candidates are probed by the exact serial loop while `mode` may still
+/// spend budget. Once the meter is exhausted *at a candidate boundary* —
+/// at step start or midway through a step — or from the first candidate
+/// for a budget-free `mode`, the cache is frozen and the rest of the
+/// step's scan runs through [`frozen_argmin`], which is bit-identical to
+/// the serial scan by construction (values *and* hit/derivation
+/// telemetry). The candidate whose probe exhausts the budget keeps its
+/// serial FCFS semantics: the hand-off happens between candidates, never
+/// inside one. The freeze is permanently valid because cache inserts only
+/// happen through budgeted what-if calls, which an exhausted meter
+/// refuses and a budget-free evaluator never makes.
 ///
 /// The serial prefix and the kernel suffix are merged with strict `<`:
 /// serial positions precede kernel positions in pool order, so the merge
@@ -181,7 +102,7 @@ pub(crate) fn greedy_enumerate_metered(
     pool: &[IndexId],
     state: &mut DerivationState,
     mw: &mut MeteredWhatIf<'_>,
-    mode: MeteredEval<'_>,
+    mode: FrozenEval<'_>,
     threads: usize,
     stop: &StopSignal,
 ) -> (IndexSet, Option<Interrupt>) {
@@ -204,14 +125,16 @@ pub(crate) fn greedy_enumerate_metered(
         let filter = constraints.extension_filter(ctx, state.config());
         let queries_n = state.queries().len();
 
-        // Serial prefix: exact FCFS probing until the meter is exhausted
-        // (possibly before the first candidate). `serial_best`'s per-query
-        // values sit in the derivation state's staged buffer.
+        // Serial prefix: exact probing while `mode` may still spend
+        // budget (possibly no candidate at all). `serial_best`'s
+        // per-query values sit in the derivation state's staged buffer.
         let mut serial_best: Option<(usize, f64)> = None;
         let mut kernel_best: Option<(usize, IndexId, f64)> = None;
         let mut used_kernel = false;
         for (pos, &id) in remaining.iter().enumerate() {
-            if mw.meter().exhausted() && (remaining.len() - pos) * queries_n >= MIN_PARALLEL_WORK {
+            if (mw.meter().exhausted() || !mode.spends_budget())
+                && (remaining.len() - pos) * queries_n >= MIN_PARALLEL_WORK
+            {
                 // Kernel suffix: freeze and batch-price remaining[pos..].
                 mw.freeze_cache();
                 admissible.clear();
@@ -229,7 +152,7 @@ pub(crate) fn greedy_enumerate_metered(
                     state.per_query(),
                     state.config(),
                     &admissible,
-                    mode.frozen(),
+                    mode,
                     threads,
                     &obs,
                 );
@@ -241,7 +164,7 @@ pub(crate) fn greedy_enumerate_metered(
             if !filter.admits(ctx, id) {
                 continue;
             }
-            let cost = state.probe_with(id, &mut |q, c, x, cur| mode.eval(mw, q, c, x, cur));
+            let cost = state.probe_with(id, &mut |q, c, x, cur| mode.price(mw, q, c, x, cur));
             if serial_best.is_none_or(|(_, b)| cost < b) {
                 serial_best = Some((pos, cost));
                 state.stage_probe();
@@ -265,7 +188,7 @@ pub(crate) fn greedy_enumerate_metered(
                         state.per_query(),
                         state.config(),
                         id,
-                        mode.frozen(),
+                        mode,
                         &mut winner_buf,
                     );
                     debug_assert_eq!(total.to_bits(), cost.to_bits());
@@ -372,7 +295,7 @@ impl Tuner for VanillaGreedy {
             &pool,
             &mut state,
             &mut mw,
-            MeteredEval::Fcfs,
+            FrozenEval::Fcfs,
             threads,
             stop,
         );

@@ -68,7 +68,7 @@ pub use budget::{BudgetMeter, MeteredWhatIf, Phase, SessionTelemetry};
 pub use checkpoint::{MctsCheckpoint, SNAPSHOT_VERSION};
 pub use derivation_state::DerivationState;
 pub use derived::{CacheSnapshot, WhatIfCache};
-pub use greedy::{greedy_enumerate, greedy_enumerate_incremental, VanillaGreedy};
+pub use greedy::{greedy_enumerate, VanillaGreedy};
 pub use matrix::Layout;
 pub use mcts::extract::Extraction;
 pub use mcts::policy::{AmafTable, SelectionPolicy};

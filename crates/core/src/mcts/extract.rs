@@ -9,9 +9,11 @@
 //! * **Hybrid**: take whichever of the two has the lower derived cost (the
 //!   mitigation discussed in the ablation appendix).
 
+use crate::budget::MeteredWhatIf;
 use crate::derivation_state::DerivationState;
-use crate::derived::WhatIfCache;
-use crate::parallel::{frozen_argmin, FrozenEval, MIN_PARALLEL_WORK};
+use crate::greedy::greedy_enumerate_metered;
+use crate::parallel::FrozenEval;
+use crate::stop::StopSignal;
 use crate::tuner::{Constraints, TuningContext};
 use ixtune_common::{IndexId, IndexSet};
 use serde::{Deserialize, Serialize};
@@ -48,29 +50,29 @@ impl Extraction {
     /// Extract the final configuration.
     ///
     /// `best_explored` is the best (configuration, estimated cost) pair
-    /// tracked during the episodes; `cache` provides derived costs; `tree`
-    /// is the expanded search tree (used by the tree-walk strategies).
-    /// `threads` is the logical thread count for the Best-Greedy scan —
-    /// results are bit-identical for every value.
+    /// tracked during the episodes; `mw` is the session's metered client,
+    /// whose cache provides derived costs (extraction spends no budget);
+    /// `tree` is the expanded search tree (used by the tree-walk
+    /// strategies). `threads` is the logical thread count for the
+    /// Best-Greedy scan — results are bit-identical for every value.
     pub fn extract(
         &self,
         ctx: &TuningContext<'_>,
         constraints: &Constraints,
-        cache: &WhatIfCache,
+        mw: &mut MeteredWhatIf<'_>,
         tree: &crate::mcts::tree::Tree,
         best_explored: Option<&IndexSet>,
         threads: usize,
     ) -> IndexSet {
         let empty = IndexSet::empty(ctx.universe());
         let bce = || best_explored.cloned().unwrap_or_else(|| empty.clone());
-        let bg = || best_greedy(ctx, constraints, cache, threads);
         match self {
             Extraction::Bce => bce(),
-            Extraction::BestGreedy => bg(),
+            Extraction::BestGreedy => best_greedy(ctx, constraints, mw, threads),
             Extraction::Hybrid => {
                 let a = bce();
-                let b = bg();
-                if cache.derived_workload(&a) <= cache.derived_workload(&b) {
+                let b = best_greedy(ctx, constraints, mw, threads);
+                if mw.derived_workload(&a) <= mw.derived_workload(&b) {
                     a
                 } else {
                     b
@@ -122,83 +124,34 @@ fn tree_walk(
     tree.node(node).config.clone()
 }
 
-/// Best-Greedy over derived costs, implemented incrementally on a
-/// [`DerivationState`]: each candidate is priced with
-/// [`DerivationState::probe_extend`] (postings-guided, no mutation, no
-/// allocation) and the winner committed with
-/// [`DerivationState::commit_recompute`] — identical results to
-/// Algorithm 1 over `d(W, C)`, but linear per step.
-///
-/// Given enough work, each step's candidate scan runs through the
-/// frozen-cache kernel ([`frozen_argmin`] in `Derive` mode) — even at
-/// `threads == 1`, where it scans one chunk inline: the query-major entry
-/// pass prices a whole candidate block per cached entry, beating one
-/// postings walk per `(candidate, query)` cell before any parallelism.
-/// The kernel prices the same probes with the same telemetry and reduces
-/// to the same first-strict-min — the commit stays serial either way.
+/// Best-Greedy: Algorithm 1 over the whole candidate universe, priced by
+/// budget-free derivation ([`FrozenEval::Derive`]) through the greedy
+/// driver the budgeted enumerators run. Extraction is never interrupted:
+/// the search it summarizes has already stopped.
 fn best_greedy(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
-    cache: &WhatIfCache,
+    mw: &mut MeteredWhatIf<'_>,
     threads: usize,
 ) -> IndexSet {
-    let n = ctx.universe();
-    let mut state = DerivationState::workload(cache);
-    let mut remaining: Vec<IndexId> = (0..n).map(IndexId::from).collect();
-
-    while !remaining.is_empty() && state.config().len() < constraints.k {
-        let filter = constraints.extension_filter(ctx, state.config());
-        let batched = remaining.len() * state.queries().len() >= MIN_PARALLEL_WORK;
-        let best: Option<(usize, f64)> = if batched {
-            // Extraction spends no budget, so the cache is read-only for
-            // the rest of the session: latch it and fan the scan out.
-            cache.freeze();
-            let admissible: Vec<(usize, IndexId)> = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &id)| filter.admits(ctx, id))
-                .map(|(pos, &id)| (pos, id))
-                .collect();
-            let (found, _hits) = frozen_argmin(
-                cache,
-                state.queries(),
-                state.per_query(),
-                state.config(),
-                &admissible,
-                FrozenEval::Derive,
-                threads,
-                ctx.obs(),
-            );
-            found.map(|(pos, _, total)| (pos, total))
-        } else {
-            let mut best: Option<(usize, f64)> = None;
-            for (pos, &id) in remaining.iter().enumerate() {
-                if !filter.admits(ctx, id) {
-                    continue;
-                }
-                let total = state.probe_extend(cache, id);
-                if best.is_none_or(|(_, b)| total < b) {
-                    best = Some((pos, total));
-                }
-            }
-            best
-        };
-        match best {
-            Some((pos, total)) if total < state.total() => {
-                let id = remaining.swap_remove(pos);
-                state.commit_recompute(cache, id);
-                debug_assert_eq!(state.total(), total);
-            }
-            _ => break,
-        }
-    }
-    state.config().clone()
+    let pool: Vec<IndexId> = (0..ctx.universe()).map(IndexId::from).collect();
+    let mut state = DerivationState::workload(mw.cache());
+    let (config, _) = greedy_enumerate_metered(
+        ctx,
+        constraints,
+        &pool,
+        &mut state,
+        mw,
+        FrozenEval::Derive,
+        threads,
+        &StopSignal::never(),
+    );
+    config
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::MeteredWhatIf;
     use crate::mcts::tree::Tree;
     use ixtune_candidates::{generate_default, CandidateSet};
     use ixtune_common::QueryId;
@@ -216,16 +169,15 @@ mod tests {
     fn bce_returns_tracked_or_empty() {
         let (opt, cands) = setup(1);
         let ctx = TuningContext::new(&opt, &cands);
-        let mw = MeteredWhatIf::new(&opt, 0);
+        let mut mw = MeteredWhatIf::new(&opt, 0);
         let c = Constraints::cardinality(3);
-        let none =
-            Extraction::Bce.extract(&ctx, &c, mw.cache(), &Tree::new(ctx.universe()), None, 1);
+        let none = Extraction::Bce.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
         assert!(none.is_empty());
         let tracked = IndexSet::singleton(ctx.universe(), IndexId::new(0));
         let got = Extraction::Bce.extract(
             &ctx,
             &c,
-            mw.cache(),
+            &mut mw,
             &Tree::new(ctx.universe()),
             Some(&tracked),
             1,
@@ -248,14 +200,8 @@ mod tests {
             }
         }
         let c = Constraints::cardinality(3);
-        let bg = Extraction::BestGreedy.extract(
-            &ctx,
-            &c,
-            mw.cache(),
-            &Tree::new(ctx.universe()),
-            None,
-            1,
-        );
+        let bg =
+            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
         assert!(bg.len() <= 3);
         // With full singleton information, BG's derived cost is at most the
         // empty cost.
@@ -266,16 +212,10 @@ mod tests {
     fn bg_with_no_information_returns_empty() {
         let (opt, cands) = setup(3);
         let ctx = TuningContext::new(&opt, &cands);
-        let mw = MeteredWhatIf::new(&opt, 0);
+        let mut mw = MeteredWhatIf::new(&opt, 0);
         let c = Constraints::cardinality(3);
-        let bg = Extraction::BestGreedy.extract(
-            &ctx,
-            &c,
-            mw.cache(),
-            &Tree::new(ctx.universe()),
-            None,
-            1,
-        );
+        let bg =
+            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
         assert!(bg.is_empty(), "no cache entries → nothing beats ∅");
     }
 
@@ -297,20 +237,14 @@ mod tests {
         let h = Extraction::Hybrid.extract(
             &ctx,
             &c,
-            mw.cache(),
+            &mut mw,
             &Tree::new(ctx.universe()),
             Some(&tracked),
             1,
         );
         let bce_cost = mw.derived_workload(&tracked);
-        let bg = Extraction::BestGreedy.extract(
-            &ctx,
-            &c,
-            mw.cache(),
-            &Tree::new(ctx.universe()),
-            None,
-            1,
-        );
+        let bg =
+            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
         let bg_cost = mw.derived_workload(&bg);
         assert!(mw.derived_workload(&h) <= bce_cost.min(bg_cost) + 1e-9);
     }
@@ -338,7 +272,7 @@ mod tests {
                 mw.what_if(q, &cfg);
             }
             let c = Constraints::cardinality(4);
-            let fast = best_greedy(&ctx, &c, mw.cache(), 1);
+            let fast = best_greedy(&ctx, &c, &mut mw, 1);
             let pool: Vec<IndexId> = (0..n).map(IndexId::from).collect();
             let naive = greedy_enumerate(&ctx, &c, &pool, |cfg| mw.derived_workload(cfg));
             assert_eq!(
@@ -370,8 +304,8 @@ mod tests {
                 mw.what_if(q, &cfg);
             }
             let c = Constraints::cardinality(4);
-            let serial = best_greedy(&ctx, &c, mw.cache(), 1);
-            let par = best_greedy(&ctx, &c, mw.cache(), 4);
+            let serial = best_greedy(&ctx, &c, &mut mw, 1);
+            let par = best_greedy(&ctx, &c, &mut mw, 4);
             assert_eq!(serial, par, "seed {seed}: BG must be thread-invariant");
             assert_eq!(
                 mw.cache().derived_workload(&serial).to_bits(),

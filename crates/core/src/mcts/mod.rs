@@ -488,7 +488,7 @@ impl MctsTuner {
         let config = self.extraction.extract(
             ctx,
             &req.constraints,
-            mw.cache(),
+            &mut mw,
             &state.tree,
             state.best.as_ref().map(|(c, _)| c),
             threads,
@@ -868,7 +868,7 @@ impl MctsTuner {
         let config = self.extraction.extract(
             ctx,
             constraints,
-            master.cache(),
+            &mut master,
             &tree,
             best.as_ref().map(|(c, _)| c),
             threads,

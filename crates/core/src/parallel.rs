@@ -1,11 +1,12 @@
 //! Frozen-cache parallel candidate scanning.
 //!
-//! Once the what-if budget is exhausted, a greedy step is a pure function
-//! of the (now read-only) [`WhatIfCache`]: score every admissible
-//! candidate `x` by `Σ_q d(q, C ∪ {x})` and take the argmin. That work is
-//! embarrassingly parallel — the budget bounds optimizer calls, not CPU —
-//! and this module fans it out across threads while staying **bit-identical**
-//! to the serial scan:
+//! Once the what-if budget is exhausted — or for an evaluator that spends
+//! none — a greedy step is a pure function of the (now read-only)
+//! [`WhatIfCache`]: score every admissible candidate `x` by
+//! `Σ_q d(q, C ∪ {x})` and take the argmin. That work is embarrassingly
+//! parallel — the budget bounds optimizer calls, not CPU — and this module
+//! fans it out across threads while staying **bit-identical** to the
+//! serial scan:
 //!
 //! * **Batched query-major kernel.** Instead of one postings walk per
 //!   `(candidate, query)` pair, each worker makes a single ascending-cost
@@ -29,6 +30,7 @@
 //! `f64` summation order as the serial per-candidate loop, so sums match
 //! to the bit, not just to rounding.
 
+use crate::budget::MeteredWhatIf;
 use crate::derived::WhatIfCache;
 use crate::obs::Obs;
 use ixtune_common::sync::available_parallelism;
@@ -36,25 +38,60 @@ use ixtune_common::{IndexId, IndexSet, QueryId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Parallel candidate scans only engage when the scan is at least this
-/// many `(candidate, query)` evaluations — below it, thread setup costs
-/// more than it saves (e.g. two-phase's tiny per-query phase-1 scans).
+/// Candidate scans hand off to the kernel only when they are at least
+/// this many `(candidate, query)` evaluations. Below it the kernel's fixed
+/// per-scan cost — the informed-candidate pre-filter over every stored
+/// entry and the universe-sized scratch rows — outweighs the postings
+/// walks it replaces (e.g. two-phase's tiny per-query phase-1 scans).
 pub const MIN_PARALLEL_WORK: usize = 64;
 
-/// How a frozen-phase scan prices one `(q, C ∪ {x})` cell — each variant
-/// replicates one serial evaluator exactly, value *and* telemetry.
+/// How a greedy step prices one `(q, C ∪ {x})` cell. The same evaluator
+/// prices serially through the session's metered client (`price`) or in
+/// the frozen kernel ([`frozen_argmin`]), with identical values *and*
+/// telemetry either way.
 #[derive(Clone, Copy)]
 pub enum FrozenEval<'a> {
-    /// `MeteredWhatIf::cost_fcfs_extend` after exhaustion: cached exact
-    /// hit if present (a free cache hit), otherwise Eq. 1 derivation.
+    /// FCFS (`MeteredWhatIf::cost_fcfs_extend`): a what-if call while
+    /// budget lasts; after exhaustion a cached exact hit if present (a
+    /// free cache hit), otherwise Eq. 1 derivation.
     Fcfs,
     /// The AutoAdmin rule: atomic configurations (singletons and the
     /// listed pairs) go through the FCFS path, everything else is priced
     /// by pure derivation without an exact-hit probe.
     Atomic(&'a HashSet<IndexSet>),
-    /// Pure incremental derivation (`DerivationState::probe_extend`) —
-    /// the Best-Greedy extraction path, which never probes for hits.
+    /// Pure incremental derivation: never probes for hits and never
+    /// spends budget — Best-Greedy extraction and the two-phase salvage.
     Derive,
+}
+
+impl FrozenEval<'_> {
+    /// Whether pricing a cell may spend budget. A budget-free evaluator's
+    /// scans go to the kernel whatever the meter reads.
+    pub(crate) fn spends_budget(self) -> bool {
+        !matches!(self, FrozenEval::Derive)
+    }
+
+    /// Price one cell serially. `config` is the scratch set `C ∪ {extra}`
+    /// and `cur` is `cost(q, C)`.
+    #[inline]
+    pub(crate) fn price(
+        self,
+        mw: &mut MeteredWhatIf<'_>,
+        q: QueryId,
+        config: &IndexSet,
+        extra: IndexId,
+        cur: f64,
+    ) -> f64 {
+        match self {
+            FrozenEval::Fcfs => mw.cost_fcfs_extend(q, config, extra, cur),
+            FrozenEval::Atomic(pairs) if config.len() <= 1 || pairs.contains(config) => {
+                mw.cost_fcfs_extend(q, config, extra, cur)
+            }
+            FrozenEval::Atomic(_) | FrozenEval::Derive => {
+                mw.cache().derived_with_extra(q, config, extra, cur)
+            }
+        }
+    }
 }
 
 /// One chunk's scan outcome: the chunk-local `(cost, position, id)`

@@ -7,8 +7,9 @@
 
 use crate::budget::MeteredWhatIf;
 use crate::derivation_state::DerivationState;
-use crate::greedy::{greedy_enumerate_incremental, greedy_enumerate_metered, MeteredEval};
+use crate::greedy::greedy_enumerate_metered;
 use crate::matrix::Layout;
+use crate::parallel::FrozenEval;
 use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
 use ixtune_common::sync::effective_threads;
@@ -18,72 +19,136 @@ use ixtune_common::{IndexId, IndexSet, QueryId};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TwoPhaseGreedy;
 
-impl TwoPhaseGreedy {
-    /// Phase 1: per-query tuning; returns the union of per-query winners.
-    /// Exposed for reuse by the AutoAdmin variant. `mode` selects how an
-    /// extension `C ∪ {extra}` is priced (see
-    /// [`greedy_enumerate_metered`]). The per-query scans are tiny, so
-    /// they stay below the parallel-work threshold in practice; `threads`
-    /// is passed through for uniformity.
-    /// An interrupt mid-phase-1 returns the partial union built so far —
-    /// the caller salvages a configuration from it without further
-    /// what-if calls.
-    pub(crate) fn phase1(
-        ctx: &TuningContext<'_>,
-        constraints: &Constraints,
-        mw: &mut MeteredWhatIf<'_>,
-        mode: MeteredEval<'_>,
-        threads: usize,
-        stop: &StopSignal,
-    ) -> (Vec<IndexId>, Option<Interrupt>) {
-        let universe = ctx.universe();
-        let empty = IndexSet::empty(universe);
-        let mut union: Vec<IndexId> = Vec::new();
-        for qi in 0..ctx.num_queries() {
-            let q = QueryId::from(qi);
-            let pool = ctx.cands.for_query(q);
-            let init = vec![mw.cost_fcfs(q, &empty)];
-            let mut state = DerivationState::for_queries(universe, vec![q], init);
-            let (best, interrupt) = greedy_enumerate_metered(
-                ctx,
-                constraints,
-                pool,
-                &mut state,
-                mw,
-                mode,
-                threads,
-                stop,
-            );
-            for id in best.iter() {
-                if !union.contains(&id) {
-                    union.push(id);
-                }
-            }
-            if interrupt.is_some() {
-                return (union, interrupt);
-            }
-        }
-        (union, None)
+/// Algorithm 2 with every cell priced by `mode`: FCFS for two-phase, the
+/// atomic rule for AutoAdmin. `name` labels the result and `category` the
+/// phase spans.
+pub(crate) fn two_phase(
+    name: String,
+    category: &'static str,
+    ctx: &TuningContext<'_>,
+    req: &TuningRequest,
+    mode: FrozenEval<'_>,
+    stop: &StopSignal,
+) -> TuningResult {
+    let constraints = &req.constraints;
+    let threads = effective_threads(req.session_threads);
+    let src = ctx.source();
+    let mut mw = MeteredWhatIf::new(&src, req.budget);
+    let obs = ctx.obs().clone();
+
+    // Phase 1: each query as its own workload.
+    let p1_t0 = obs.span_start();
+    let (union, mut interrupt) = phase1(ctx, constraints, &mut mw, mode, threads, stop);
+    if let Some(t0) = p1_t0 {
+        obs.span_end(
+            t0,
+            "phase1",
+            category,
+            vec![("union".into(), union.len().to_string())],
+        );
     }
 
-    /// Budget-free salvage used when phase 1 was interrupted: greedy over
-    /// the (partial) union priced purely by cost derivation — no further
-    /// what-if calls, so the budget meter and the layout stay exactly as
-    /// interrupted.
-    pub(crate) fn salvage(
-        ctx: &TuningContext<'_>,
-        constraints: &Constraints,
-        union: &[IndexId],
-        mw: &MeteredWhatIf<'_>,
-    ) -> IndexSet {
+    let config = if interrupt.is_some() {
+        // Interrupted mid-phase-1: salvage from the partial union
+        // without spending more budget.
+        let t0 = obs.span_start();
+        let config = salvage(ctx, constraints, &union, &mut mw, threads);
+        if let Some(t0) = t0 {
+            obs.span_end(t0, "salvage", category, vec![]);
+        }
+        config
+    } else {
+        // Phase 2: workload-level greedy over the refined candidate set.
+        let t0 = obs.span_start();
         let universe = ctx.universe();
+        let empty = IndexSet::empty(universe);
         let queries: Vec<QueryId> = (0..ctx.num_queries()).map(QueryId::from).collect();
-        let init: Vec<f64> = queries.iter().map(|&q| mw.cache().empty_cost(q)).collect();
+        let init: Vec<f64> = queries.iter().map(|&q| mw.cost_fcfs(q, &empty)).collect();
         let mut state = DerivationState::for_queries(universe, queries, init);
-        greedy_enumerate_incremental(ctx, constraints, union, &mut state, |q, c, x, cur| {
-            mw.cache().derived_with_extra(q, c, x, cur)
-        })
+        let (config, i2) = greedy_enumerate_metered(
+            ctx,
+            constraints,
+            &union,
+            &mut state,
+            &mut mw,
+            mode,
+            threads,
+            stop,
+        );
+        if let Some(t0) = t0 {
+            obs.span_end(t0, "phase2", category, vec![]);
+        }
+        interrupt = i2;
+        config
+    };
+    mw.publish_obs();
+    let used = mw.meter().used();
+    let reason = mw.stop_reason(interrupt);
+    let mut telemetry = mw.telemetry();
+    telemetry.session_threads = threads;
+    TuningResult::evaluate(name, ctx, config, used, Layout::new(mw.into_trace()))
+        .with_telemetry(telemetry)
+        .with_stop_reason(reason)
+}
+
+/// Phase 1: per-query tuning; returns the union of per-query winners. The
+/// per-query scans are tiny, so they stay below the parallel-work
+/// threshold in practice; `threads` is passed through for uniformity. An
+/// interrupt mid-phase-1 returns the partial union built so far — the
+/// caller salvages a configuration from it without further what-if calls.
+fn phase1(
+    ctx: &TuningContext<'_>,
+    constraints: &Constraints,
+    mw: &mut MeteredWhatIf<'_>,
+    mode: FrozenEval<'_>,
+    threads: usize,
+    stop: &StopSignal,
+) -> (Vec<IndexId>, Option<Interrupt>) {
+    let universe = ctx.universe();
+    let empty = IndexSet::empty(universe);
+    let mut union: Vec<IndexId> = Vec::new();
+    for qi in 0..ctx.num_queries() {
+        let q = QueryId::from(qi);
+        let pool = ctx.cands.for_query(q);
+        let init = vec![mw.cost_fcfs(q, &empty)];
+        let mut state = DerivationState::for_queries(universe, vec![q], init);
+        let (best, interrupt) =
+            greedy_enumerate_metered(ctx, constraints, pool, &mut state, mw, mode, threads, stop);
+        for id in best.iter() {
+            if !union.contains(&id) {
+                union.push(id);
+            }
+        }
+        if interrupt.is_some() {
+            return (union, interrupt);
+        }
     }
+    (union, None)
+}
+
+/// Budget-free salvage used when phase 1 was interrupted: workload-level
+/// greedy over the (partial) union priced purely by cost derivation — no
+/// further what-if calls, so the budget meter and the layout stay exactly
+/// as interrupted. The stop signal has already fired, so it is not polled.
+fn salvage(
+    ctx: &TuningContext<'_>,
+    constraints: &Constraints,
+    union: &[IndexId],
+    mw: &mut MeteredWhatIf<'_>,
+    threads: usize,
+) -> IndexSet {
+    let mut state = DerivationState::workload(mw.cache());
+    let (config, _) = greedy_enumerate_metered(
+        ctx,
+        constraints,
+        union,
+        &mut state,
+        mw,
+        FrozenEval::Derive,
+        threads,
+        &StopSignal::never(),
+    );
+    config
 }
 
 impl Tuner for TwoPhaseGreedy {
@@ -101,66 +166,7 @@ impl Tuner for TwoPhaseGreedy {
         req: &TuningRequest,
         stop: &StopSignal,
     ) -> TuningResult {
-        let constraints = &req.constraints;
-        let threads = effective_threads(req.session_threads);
-        let src = ctx.source();
-        let mut mw = MeteredWhatIf::new(&src, req.budget);
-        let obs = ctx.obs().clone();
-
-        // Phase 1: each query as its own workload.
-        let p1_t0 = obs.span_start();
-        let (union, mut interrupt) =
-            Self::phase1(ctx, constraints, &mut mw, MeteredEval::Fcfs, threads, stop);
-        if let Some(t0) = p1_t0 {
-            obs.span_end(
-                t0,
-                "phase1",
-                "twophase",
-                vec![("union".into(), union.len().to_string())],
-            );
-        }
-
-        let config = if interrupt.is_some() {
-            // Interrupted mid-phase-1: salvage from the partial union
-            // without spending more budget.
-            let t0 = obs.span_start();
-            let config = Self::salvage(ctx, constraints, &union, &mw);
-            if let Some(t0) = t0 {
-                obs.span_end(t0, "salvage", "twophase", vec![]);
-            }
-            config
-        } else {
-            // Phase 2: workload-level greedy over the refined candidate set.
-            let t0 = obs.span_start();
-            let universe = ctx.universe();
-            let empty = IndexSet::empty(universe);
-            let queries: Vec<QueryId> = (0..ctx.num_queries()).map(QueryId::from).collect();
-            let init: Vec<f64> = queries.iter().map(|&q| mw.cost_fcfs(q, &empty)).collect();
-            let mut state = DerivationState::for_queries(universe, queries, init);
-            let (config, i2) = greedy_enumerate_metered(
-                ctx,
-                constraints,
-                &union,
-                &mut state,
-                &mut mw,
-                MeteredEval::Fcfs,
-                threads,
-                stop,
-            );
-            if let Some(t0) = t0 {
-                obs.span_end(t0, "phase2", "twophase", vec![]);
-            }
-            interrupt = i2;
-            config
-        };
-        mw.publish_obs();
-        let used = mw.meter().used();
-        let reason = mw.stop_reason(interrupt);
-        let mut telemetry = mw.telemetry();
-        telemetry.session_threads = threads;
-        TuningResult::evaluate(self.name(), ctx, config, used, Layout::new(mw.into_trace()))
-            .with_telemetry(telemetry)
-            .with_stop_reason(reason)
+        two_phase(self.name(), "twophase", ctx, req, FrozenEval::Fcfs, stop)
     }
 }
 
@@ -187,6 +193,54 @@ mod tests {
             let r = TwoPhaseGreedy.tune(&ctx, &TuningRequest::cardinality(k, budget));
             assert!(r.calls_used <= budget);
             assert!(r.config.len() <= k);
+        }
+    }
+
+    #[test]
+    fn phase1_cancel_salvages_algorithm1_over_derived_costs() {
+        use crate::autoadmin::AutoAdminGreedy;
+        use crate::greedy::greedy_enumerate;
+        use crate::stop::StopReason;
+        use ixtune_candidates::atomic::single_join_pairs;
+        use std::collections::HashSet;
+
+        let inst = tpch::generate(1.0);
+        let cands = generate_default(&inst);
+        let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+        let ctx = TuningContext::new(&opt, &cands);
+        let autoadmin = AutoAdminGreedy::default();
+        let pairs: HashSet<IndexSet> =
+            single_join_pairs(ctx.opt.workload(), ctx.cands, autoadmin.max_join_pairs)
+                .into_iter()
+                .collect();
+        let tuners: [(&dyn Tuner, FrozenEval<'_>); 2] = [
+            (&TwoPhaseGreedy, FrozenEval::Fcfs),
+            (&autoadmin, FrozenEval::Atomic(&pairs)),
+        ];
+        for (tuner, mode) in tuners {
+            for threads in [1, 4] {
+                let req = TuningRequest::cardinality(5, 300).with_session_threads(threads);
+                let stop = || StopSignal::never().cancel_after_calls(100);
+                // Replay phase 1 to recover the partial union and the
+                // cache the salvage prices against.
+                let src = ctx.source();
+                let mut mw = MeteredWhatIf::new(&src, req.budget);
+                let (union, interrupt) =
+                    phase1(&ctx, &req.constraints, &mut mw, mode, threads, &stop());
+                assert_eq!(interrupt, Some(Interrupt::Cancelled));
+                let oracle = greedy_enumerate(&ctx, &req.constraints, &union, |c| {
+                    mw.cache().derived_workload(c)
+                });
+                assert!(!oracle.is_empty(), "{}: nothing to salvage", tuner.name());
+
+                let r = tuner.tune_with_stop(&ctx, &req, &stop());
+                assert_eq!(r.stop_reason, Some(StopReason::Cancelled));
+                assert_eq!(r.config, oracle, "{} at {threads} threads", tuner.name());
+                assert!(
+                    r.telemetry.parallel_scans > 0,
+                    "salvage scans run through the kernel"
+                );
+            }
         }
     }
 

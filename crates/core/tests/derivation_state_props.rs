@@ -9,7 +9,7 @@
 //! shortcut in `WhatIfCache::derived` relies on it.
 
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use ixtune_core::{DerivationState, WhatIfCache};
+use ixtune_core::{winner_values, DerivationState, FrozenEval, WhatIfCache};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 12;
@@ -51,6 +51,53 @@ fn primed(
     (cache, inserted)
 }
 
+/// Linear-scan reference for `WhatIfCache::derived_with_extra`: every
+/// multi entry in cost order instead of the inverted postings for `extra`.
+fn linear_scan_with_extra(
+    cache: &WhatIfCache,
+    q: QueryId,
+    config: &IndexSet,
+    extra: IndexId,
+    current: f64,
+) -> f64 {
+    let mut best = current;
+    if let Some(s) = cache.singleton_cost(q, extra).filter(|&s| s < best) {
+        best = s;
+    }
+    for (set, cost) in cache.multi_entries(q) {
+        if *cost >= best {
+            break;
+        }
+        if set.contains(extra) && set.without(extra).is_subset(config) {
+            best = *cost;
+        }
+    }
+    best
+}
+
+/// Out-of-cost-order inserts shift postings; the postings walk still
+/// equals the linear scan and a fresh derivation of `C ∪ {x}`.
+#[test]
+fn with_extra_matches_scan_and_full_derivation() {
+    let set = |ids: &[usize]| IndexSet::from_ids(4, ids.iter().map(|&i| IndexId::from(i)));
+    let mut c = WhatIfCache::new(4, vec![100.0, 200.0]);
+    let q = QueryId::new(0);
+    c.put(q, &set(&[0, 1]), 30.0);
+    c.put(q, &set(&[1, 2]), 25.0);
+    c.put(q, &set(&[0, 2, 3]), 20.0);
+    c.put(q, &set(&[2]), 60.0);
+    for cfg in [set(&[]), set(&[0]), set(&[0, 3]), set(&[1, 2])] {
+        let cur = c.derived(q, &cfg);
+        for x in cfg.complement_iter() {
+            let fast = c.derived_with_extra(q, &cfg, x, cur);
+            let slow = linear_scan_with_extra(&c, q, &cfg, x, cur);
+            let full = c.derived(q, &cfg.with(x));
+            assert_eq!(fast, slow, "cfg={cfg:?} extra={x:?}");
+            assert_eq!(fast, full, "cfg={cfg:?} extra={x:?}");
+        }
+    }
+}
+
 /// Per-query empty costs, per-(query, index) cost factors, and a batch of
 /// (query, config) what-if results to prime the cache with.
 type CacheInputs = (Vec<f64>, Vec<Vec<f64>>, Vec<(usize, Vec<usize>)>);
@@ -85,7 +132,7 @@ proptest! {
             let q = QueryId::from(q);
             let current = cache.derived(q, &config);
             let fast = cache.derived_with_extra(q, &config, x, current);
-            let scan = cache.derived_with_extra_scan(q, &config, x, current);
+            let scan = linear_scan_with_extra(&cache, q, &config, x, current);
             let fresh = cache.derived(q, &config.with(x));
             prop_assert_eq!(fast.to_bits(), scan.to_bits());
             prop_assert_eq!(fast.to_bits(), fresh.to_bits());
@@ -93,9 +140,10 @@ proptest! {
     }
 
     /// Probe / stage / commit sequences over a random action list agree
-    /// exactly with fresh `derived_workload` recomputation, for both
-    /// commit flavors, and the derivation telemetry counter advances by
-    /// exactly one per (query, probe).
+    /// exactly with fresh `derived_workload` recomputation for both commit
+    /// flavors — the serial buffer swap and the kernel's re-priced winner
+    /// — and the derivation counter advances by exactly one per
+    /// (query, probe) and not at all at commit.
     #[test]
     fn state_tracks_fresh_recomputation(
         (empties, factors, entries) in cache_inputs(),
@@ -103,6 +151,7 @@ proptest! {
     ) {
         let (cache, _) = primed(&empties, &factors, &entries);
         let mut state = DerivationState::workload(&cache);
+        let mut values = Vec::new();
         prop_assert_eq!(state.total().to_bits(), cache.empty_workload_cost().to_bits());
 
         for (idx, staged_commit) in actions {
@@ -112,24 +161,34 @@ proptest! {
             }
 
             let before = cache.derivations();
-            let probed = state.probe_extend(&cache, x);
+            let probed = state.probe_with(x, &mut |q, cfg, extra, cur| {
+                cache.derived_with_extra(q, cfg, extra, cur)
+            });
             prop_assert_eq!(cache.derivations(), before + QUERIES);
 
             let fresh = cache.derived_workload(&state.config().with(x));
             prop_assert_eq!(probed.to_bits(), fresh.to_bits());
 
+            let before = cache.derivations();
             if staged_commit {
-                // FCFS-style path: probe via the buffer, stage, commit free.
-                let total = state.probe_with(x, &mut |q, cfg, extra, cur| {
-                    cache.derived_with_extra(q, cfg, extra, cur)
-                });
-                prop_assert_eq!(total.to_bits(), probed.to_bits());
+                // Serial path: stage the probe, commit by buffer swap.
                 state.stage_probe();
-                state.commit_staged(x, total);
+                state.commit_staged(x, probed);
             } else {
-                // Best-Greedy path: re-derive at commit time.
-                state.commit_recompute(&cache, x);
+                // Kernel path: re-price the winner, commit its values.
+                let total = winner_values(
+                    &cache,
+                    state.queries(),
+                    state.per_query(),
+                    state.config(),
+                    x,
+                    FrozenEval::Derive,
+                    &mut values,
+                );
+                prop_assert_eq!(total.to_bits(), probed.to_bits());
+                state.commit_values(x, &values, total);
             }
+            prop_assert_eq!(cache.derivations(), before);
 
             prop_assert_eq!(
                 state.total().to_bits(),

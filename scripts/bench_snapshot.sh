@@ -4,13 +4,10 @@
 #
 # The vendored criterion stand-in appends one JSON line per benchmark to
 # $CRITERION_SNAPSHOT; this script collects the lines and adds the
-# headline ratios: the greedy-step speedup of the incremental
-# DerivationState probe over the full derived_workload rescan it
-# replaced, the further speedup of the frozen-cache parallel kernel over
-# the incremental probe, the root-parallel MCTS session ratio, the
-# warm-store ratios (cold-start session over the identical session
-# seeded from a warm snapshot), and the compiled what-if kernel ratio
-# (interpreted reference model over the compiled plan tables).
+# headline ratios: the greedy-step speedup of the frozen-cache parallel
+# kernel over the serial incremental DerivationState probe, the
+# root-parallel MCTS session ratio, and the warm-store ratios (cold-start
+# session over the identical session seeded from a warm snapshot).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +26,7 @@ lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 medians = {e["bench"]: e["median_ns"] for e in lines}
 doc = {"median_ns_per_op": medians, "host_threads": os.cpu_count()}
 for universe in (64, 256, 1024):
-    full = medians.get(f"greedy-step/full-rescan-u{universe}")
     inc = medians.get(f"greedy-step/incremental-u{universe}")
-    if full and inc:
-        doc[f"greedy_step_u{universe}_speedup"] = round(full / inc, 2)
     par = medians.get(f"greedy-step/parallel-u{universe}")
     if inc and par:
         doc[f"greedy_step_parallel_u{universe}_speedup"] = round(inc / par, 2)
@@ -41,10 +35,6 @@ for budget in (256, 1024):
     warm = medians.get(f"greedy-step/warm-u{budget}")
     if cold and warm:
         doc[f"warm_session_u{budget}_speedup"] = round(cold / warm, 2)
-comp = medians.get("whatif/compiled-call")
-interp = medians.get("whatif/interpreted-call")
-if comp and interp:
-    doc["whatif_compiled_speedup"] = round(interp / comp, 2)
 serial = medians.get("mcts/episodes-serial")
 par = medians.get("mcts/episodes-parallel")
 if serial and par:

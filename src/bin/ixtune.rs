@@ -10,7 +10,9 @@
 //!
 //! `<workload>` ∈ {tpch, tpcds, job, reald, realm}. Algorithms:
 //! `mcts` (default), `vanilla`, `two-phase`, `autoadmin`, `bandits`,
-//! `nodba`, `dta`.
+//! `nodba`, `dta`. A bad command line — unknown command, workload,
+//! algorithm or flag, a flag without its value, an unparsable number —
+//! prints usage and exits 2 before any work starts.
 
 use ixtune::baselines::{DbaBandits, DtaTuner, NoDba};
 use ixtune::candidates::generate_default;
@@ -20,10 +22,13 @@ use ixtune::workload::compress::compress;
 use ixtune::workload::gen::{tpch, BenchmarkKind};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-fn usage() -> ExitCode {
+/// Print `error` and the usage text; a bad command line exits 2.
+fn usage(error: &str) -> ExitCode {
     eprintln!(
-        "usage:\n  \
+        "{error}\n\
+         usage:\n  \
          ixtune stats <workload>\n  \
          ixtune candidates <workload> [--limit N]\n  \
          ixtune tune <workload> [--algo mcts|vanilla|two-phase|autoadmin|bandits|nodba|dta]\n\
@@ -31,22 +36,38 @@ fn usage() -> ExitCode {
          ixtune compress [--instances N]\n\n\
          workloads: tpch tpcds job reald realm"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parse `--name value` pairs, accepting only the flags in `allowed`.
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if let Some(value) = args.get(i + 1) {
-                flags.insert(name.to_string(), value.clone());
-                i += 1;
-            }
-        }
-        i += 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--").filter(|n| allowed.contains(n)) else {
+            return Err(format!("unknown argument `{arg}`"));
+        };
+        let Some(value) = args.next() else {
+            return Err(format!("{arg} requires a value"));
+        };
+        flags.insert(name.to_string(), value.clone());
     }
-    flags
+    Ok(flags)
+}
+
+/// The value of `--name` parsed as `T`, or `default` when the flag is absent.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> Result<T, String> {
+    match flags.get(name) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--{name}: expected a number, got `{v}`")),
+    }
+}
+
+fn workload(arg: Option<&String>) -> Result<BenchmarkKind, String> {
+    let arg = arg.ok_or("missing <workload>")?;
+    BenchmarkKind::parse(arg).ok_or_else(|| format!("unknown workload `{arg}`"))
 }
 
 fn tuner_by_name(name: &str) -> Option<Box<dyn Tuner>> {
@@ -64,27 +85,30 @@ fn tuner_by_name(name: &str) -> Option<Box<dyn Tuner>> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(error) => usage(&error),
+    }
+}
+
+/// Run one command; `Err` is a command-line error, reported before any
+/// work starts.
+fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
-        return usage();
+        return Err("missing command".into());
     };
 
     match cmd.as_str() {
         "stats" => {
-            let Some(kind) = args.get(1).and_then(|s| BenchmarkKind::parse(s)) else {
-                return usage();
-            };
+            let kind = workload(args.get(1))?;
+            parse_flags(&args[2..], &[])?;
             let inst = kind.generate();
             println!("{}", inst.stats());
         }
         "candidates" => {
-            let Some(kind) = args.get(1).and_then(|s| BenchmarkKind::parse(s)) else {
-                return usage();
-            };
-            let flags = parse_flags(&args[2..]);
-            let limit: usize = flags
-                .get("limit")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(40);
+            let kind = workload(args.get(1))?;
+            let flags = parse_flags(&args[2..], &["limit"])?;
+            let limit: usize = flag(&flags, "limit", 40)?;
             let inst = kind.generate();
             let cands = generate_default(&inst);
             println!(
@@ -105,27 +129,26 @@ fn main() -> ExitCode {
             }
         }
         "tune" => {
-            let Some(kind) = args.get(1).and_then(|s| BenchmarkKind::parse(s)) else {
-                return usage();
-            };
-            let flags = parse_flags(&args[2..]);
+            let kind = workload(args.get(1))?;
+            let flags = parse_flags(&args[2..], &["algo", "budget", "k", "seed", "storage-gb"])?;
             let algo = flags.get("algo").map(String::as_str).unwrap_or("mcts");
-            let Some(tuner) = tuner_by_name(algo) else {
-                eprintln!("unknown algorithm `{algo}`");
-                return usage();
-            };
-            let budget: usize = flags
-                .get("budget")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| kind.budget_grid()[kind.budget_grid().len() / 2]);
-            let k: usize = flags.get("k").and_then(|v| v.parse().ok()).unwrap_or(10);
-            let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-
+            let tuner = tuner_by_name(algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
+            let budget: usize = flag(
+                &flags,
+                "budget",
+                kind.budget_grid()[kind.budget_grid().len() / 2],
+            )?;
+            let k: usize = flag(&flags, "k", 10)?;
+            let seed: u64 = flag(&flags, "seed", 1)?;
+            let storage_gb: Option<f64> = flags
+                .contains_key("storage-gb")
+                .then(|| flag(&flags, "storage-gb", 0.0))
+                .transpose()?;
             let inst = kind.generate();
             let cands = generate_default(&inst);
             let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
             let ctx = TuningContext::new(&opt, &cands);
-            let constraints = match flags.get("storage-gb").and_then(|v| v.parse::<f64>().ok()) {
+            let constraints = match storage_gb {
                 Some(gb) => Constraints::with_storage(k, (gb * (1u64 << 30) as f64) as u64),
                 None => Constraints::cardinality(k),
             };
@@ -157,11 +180,8 @@ fn main() -> ExitCode {
             );
         }
         "compress" => {
-            let flags = parse_flags(&args[1..]);
-            let instances: usize = flags
-                .get("instances")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(5);
+            let flags = parse_flags(&args[1..], &["instances"])?;
+            let instances: usize = flag(&flags, "instances", 5)?;
             let multi = tpch::generate_multi(1.0, instances, 7);
             let c = compress(&multi.workload);
             println!(
@@ -174,7 +194,7 @@ fn main() -> ExitCode {
                 println!("  {:<8} {} instances, weight {}", q.name, size, q.weight);
             }
         }
-        _ => return usage(),
+        other => return Err(format!("unknown command `{other}`")),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
