@@ -305,10 +305,9 @@ fn bench_warm_sessions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole MCTS sessions, single-tree vs root-parallel: 4 worker trees on
-/// private budget shares merged into the master — the session-level shape
-/// of the tentpole, not just the scan kernel. `episodes-warm` is the
-/// single-tree session seeded from a prior identical run's snapshot.
+/// Whole MCTS sessions: `episodes-serial` runs cold on one session
+/// thread, `episodes-warm` is the same session seeded from a prior
+/// identical run's snapshot.
 fn bench_mcts_episodes(c: &mut Criterion) {
     let mut group = c.benchmark_group("mcts");
     group.sample_size(10);
@@ -320,10 +319,6 @@ fn bench_mcts_episodes(c: &mut Criterion) {
     group.bench_function("episodes-serial", |b| {
         let tuner = MctsTuner::default();
         b.iter(|| black_box(tuner.tune(&ctx, &req.with_session_threads(1))))
-    });
-    group.bench_function("episodes-parallel", |b| {
-        let tuner = MctsTuner::default().with_root_workers(4);
-        b.iter(|| black_box(tuner.tune(&ctx, &req.with_session_threads(4))))
     });
     let tuner = MctsTuner::default();
     let snap = donor_snapshot(&session, &tuner, &req.with_session_threads(1));

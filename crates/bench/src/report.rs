@@ -72,8 +72,7 @@ pub fn to_csv(cells: &[Cell]) -> String {
 
 /// Per-cell telemetry sidecar: one JSON object per cell with the cell's
 /// coordinates and its summed session counters, in the versioned
-/// telemetry schema (`"version": 2` with typed sections). Old sidecars in
-/// `results/` stay readable through `ixtune_core::telemetry::v1`.
+/// telemetry schema (`"version": 2` with typed sections).
 pub fn to_telemetry_json(cells: &[Cell]) -> String {
     #[derive(serde::Serialize)]
     struct Row {
@@ -251,9 +250,6 @@ mod tests {
                 Some(u64::from(ixtune_core::telemetry::TELEMETRY_VERSION))
             );
         }
-        // And the v1 reader refuses v2 rows: flat v1 files and sectioned
-        // v2 sidecars cannot be confused for one another.
-        assert!(ixtune_core::telemetry::v1::read_rows(&json).is_err());
     }
 
     #[test]

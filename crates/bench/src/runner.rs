@@ -49,10 +49,6 @@ pub struct CellTelemetry {
     pub session_threads: usize,
     /// Frozen-cache parallel candidate scans across the cell's sessions.
     pub parallel_scans: usize,
-    /// Root-parallel MCTS tree merges across the cell's sessions.
-    pub tree_merges: usize,
-    /// Under-granted batched budget reservations (should stay 0).
-    pub reservation_shortfalls: usize,
     /// Wall-clock spent tuning, summed across seeds, in milliseconds.
     pub wall_clock_ms: f64,
     /// Budgeted calls answered from the warm cost store across the cell's
@@ -74,8 +70,6 @@ impl From<CellTelemetry> for SessionTelemetry {
             other_calls: c.other_calls,
             session_threads: c.session_threads,
             parallel_scans: c.parallel_scans,
-            tree_merges: c.tree_merges,
-            reservation_shortfalls: c.reservation_shortfalls,
             wall_clock_ms: c.wall_clock_ms,
             warm_hits: c.warm_hits,
             warm_seeded: c.warm_seeded,
@@ -94,8 +88,6 @@ impl CellTelemetry {
         self.other_calls += t.other_calls;
         self.session_threads = self.session_threads.max(t.session_threads);
         self.parallel_scans += t.parallel_scans;
-        self.tree_merges += t.tree_merges;
-        self.reservation_shortfalls += t.reservation_shortfalls;
         self.wall_clock_ms += t.wall_clock_ms;
         self.warm_hits += t.warm_hits;
         self.warm_seeded += t.warm_seeded;

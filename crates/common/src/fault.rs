@@ -162,8 +162,8 @@ fn label_hash(label: &str) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer over `(seed, site, call-index)` — same mixer as
-/// `rng::derive_indexed`.
+/// SplitMix64 finalizer over `(seed, site, call-index)`: adjacent call
+/// indexes land far apart in seed space.
 fn mix(seed: u64, site_hash: u64, n: u64) -> u64 {
     let mut z =
         (seed ^ site_hash).wrapping_add(n.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));

@@ -12,7 +12,7 @@
 //!   [`fault::FaultPlan`] with named injection sites, inert by default;
 //! * [`rng`] — deterministic RNG construction helpers so that every
 //!   stochastic component is reproducible from an explicit seed;
-//! * [`sync`] — atomic budget reservation and thread-count resolution for
+//! * [`sync`] — the service's monitor and thread-count resolution for
 //!   intra-session parallelism.
 
 pub mod bitset;

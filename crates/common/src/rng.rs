@@ -28,27 +28,6 @@ pub fn derive(seed: u64, stream: &str) -> StdRng {
     StdRng::seed_from_u64(seed ^ h)
 }
 
-/// Derive the generator for worker `index` within a labelled stream family.
-///
-/// Root-parallel search runs `N` logically independent workers from one
-/// session seed; each worker needs its own decorrelated stream whose
-/// identity depends only on `(seed, stream, index)` — never on thread
-/// scheduling. The label is mixed FNV-1a style as in [`derive`], then the
-/// worker index is folded in through a SplitMix64 finalizer so adjacent
-/// indexes land far apart in seed space.
-pub fn derive_indexed(seed: u64, stream: &str, index: u64) -> StdRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in stream.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let state = (seed ^ h).wrapping_add(index.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    StdRng::seed_from_u64(z ^ (z >> 31))
-}
-
 /// Weighted sampling: pick an element index with probability proportional to
 /// `weights[i]`. Non-finite or negative weights are treated as zero; if all
 /// weights are zero the choice is uniform. Returns `None` on empty input.
@@ -103,24 +82,6 @@ mod tests {
         let x: u64 = derive(7, "s").random();
         let y: u64 = derive(7, "s").random();
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn derive_indexed_is_deterministic_and_splits() {
-        let x: u64 = derive_indexed(7, "mcts-root-worker", 0).random();
-        let y: u64 = derive_indexed(7, "mcts-root-worker", 0).random();
-        assert_eq!(x, y);
-        let streams: Vec<u64> = (0..4)
-            .map(|w| derive_indexed(7, "mcts-root-worker", w).random())
-            .collect();
-        for i in 0..streams.len() {
-            for j in i + 1..streams.len() {
-                assert_ne!(streams[i], streams[j]);
-            }
-        }
-        // Worker streams are decorrelated from the label-only stream too.
-        let base: u64 = derive(7, "mcts-root-worker").random();
-        assert!(!streams.contains(&base));
     }
 
     #[test]

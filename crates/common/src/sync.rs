@@ -1,60 +1,8 @@
-//! Small concurrency primitives for intra-session parallelism.
-//!
-//! The what-if budget `B` bounds *optimizer calls*, not CPU, so a session
-//! may fan work out across threads — but no interleaving may ever let the
-//! workers collectively consume more than `B` calls. [`AtomicBudget`] is
-//! the shared reservation pool that enforces this: workers draw batched
-//! grants up front and run against their private grant, so the per-call
-//! hot path stays free of shared-state traffic.
+//! Small concurrency primitives: the service's monitor and thread-count
+//! resolution for intra-session parallelism.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// A shared pool of remaining what-if calls, drawn down in batches.
-///
-/// `reserve(n)` grants `min(n, remaining)` atomically: the sum of all
-/// grants can never exceed the initial pool, regardless of how reserving
-/// threads interleave.
-#[derive(Debug)]
-pub struct AtomicBudget {
-    remaining: AtomicUsize,
-}
-
-impl AtomicBudget {
-    pub fn new(remaining: usize) -> Self {
-        Self {
-            remaining: AtomicUsize::new(remaining),
-        }
-    }
-
-    /// Calls still available in the pool.
-    pub fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
-    }
-
-    /// Reserve up to `n` calls; returns the number actually granted
-    /// (`min(n, remaining)` at the instant the CAS succeeds, so the grant
-    /// can never overshoot the pool).
-    pub fn reserve(&self, n: usize) -> usize {
-        let mut cur = self.remaining.load(Ordering::Acquire);
-        loop {
-            let granted = n.min(cur);
-            if granted == 0 {
-                return 0;
-            }
-            match self.remaining.compare_exchange_weak(
-                cur,
-                cur - granted,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return granted,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
 
 /// A classic monitor: state guarded by a mutex plus a condition variable
 /// for waiters. The building block of the tuning service's session
@@ -162,37 +110,6 @@ pub fn effective_threads(requested: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reserve_grants_at_most_remaining() {
-        let pool = AtomicBudget::new(5);
-        assert_eq!(pool.reserve(3), 3);
-        assert_eq!(pool.remaining(), 2);
-        // remaining < n: partial grant, pool drains to zero.
-        assert_eq!(pool.reserve(10), 2);
-        assert_eq!(pool.remaining(), 0);
-    }
-
-    #[test]
-    fn reserve_on_empty_pool_grants_zero() {
-        let pool = AtomicBudget::new(0);
-        assert_eq!(pool.reserve(1), 0);
-        assert_eq!(pool.reserve(0), 0);
-        assert_eq!(pool.remaining(), 0);
-    }
-
-    #[test]
-    fn concurrent_reserves_never_oversubscribe() {
-        let pool = AtomicBudget::new(1000);
-        let granted: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| (0..100).map(|_| pool.reserve(3)).sum::<usize>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        assert_eq!(granted + pool.remaining(), 1000);
-        assert!(granted <= 1000);
-    }
 
     #[test]
     fn monitor_wait_observes_update() {

@@ -74,11 +74,6 @@ pub struct SessionTelemetry {
     /// (`MIN_PARALLEL_WORK`). An execution descriptor like
     /// `session_threads`, not part of result identity.
     pub parallel_scans: usize,
-    /// Root-parallel MCTS worker trees merged into the master tree.
-    pub tree_merges: usize,
-    /// Batched budget reservations that were granted less than requested
-    /// (should stay 0 — the static shares partition the remaining budget).
-    pub reservation_shortfalls: usize,
     /// Wall-clock of the tuning session in milliseconds (stamped by the
     /// experiment runner from a monotonic clock; 0 when run outside the
     /// runner).
@@ -114,17 +109,6 @@ impl BudgetMeter {
         } else {
             false
         }
-    }
-
-    /// Reserve up to `n` calls in one batch; returns the number granted
-    /// (`min(n, remaining)`), never more than the remaining budget. The
-    /// batched-reservation entry point for parallel workers drawing their
-    /// shares of `B`.
-    #[inline]
-    pub fn reserve(&mut self, n: usize) -> usize {
-        let granted = n.min(self.remaining());
-        self.used += granted;
-        granted
     }
 
     pub fn budget(&self) -> usize {
@@ -218,10 +202,6 @@ pub struct MeteredWhatIf<'a> {
     /// Telemetry as of the last [`publish_obs`](Self::publish_obs) — the
     /// delta base, so registry counters never double-count.
     published: SessionTelemetry,
-    /// Whether this client publishes telemetry deltas. Root-parallel
-    /// workers don't: their counters merge into the master, which
-    /// publishes once after the merge.
-    obs_publishing: bool,
 }
 
 impl<'a> MeteredWhatIf<'a> {
@@ -245,33 +225,6 @@ impl<'a> MeteredWhatIf<'a> {
             faults,
             fault_cursor,
             published: SessionTelemetry::default(),
-            obs_publishing: true,
-        }
-    }
-
-    /// Create a client over an existing cache snapshot — the root-parallel
-    /// worker entry point: the worker starts from a clone of the master's
-    /// cache (priors and earlier calls visible, hits stay free) but with a
-    /// private budget grant and zeroed derivation counters, so its
-    /// telemetry reports only its own activity. Workers don't publish
-    /// telemetry into the registry themselves — the master does after the
-    /// merge — so a scrape never sees a worker's counters twice.
-    pub fn with_cache(src: &'a dyn CostSource, budget: usize, cache: WhatIfCache) -> Self {
-        cache.reset_derivations();
-        let faults = src.faults();
-        let fault_cursor = faults.plan().cursor(site::WHATIF_ERROR);
-        Self {
-            src,
-            cache,
-            meter: BudgetMeter::new(budget),
-            trace: Vec::new(),
-            phase: Phase::Other,
-            counters: SessionTelemetry::default(),
-            obs: src.obs(),
-            faults,
-            fault_cursor,
-            published: SessionTelemetry::default(),
-            obs_publishing: false,
         }
     }
 
@@ -305,7 +258,6 @@ impl<'a> MeteredWhatIf<'a> {
             faults,
             fault_cursor,
             published,
-            obs_publishing: true,
         }
     }
 
@@ -368,22 +320,6 @@ impl<'a> MeteredWhatIf<'a> {
     pub(crate) fn note_parallel_scan(&mut self, hits: usize) {
         self.counters.cache_hits += hits;
         self.counters.parallel_scans += 1;
-    }
-
-    /// Direct access to the telemetry counters — root-parallel merge code
-    /// folds worker counters into the master's here.
-    pub(crate) fn counters_mut(&mut self) -> &mut SessionTelemetry {
-        &mut self.counters
-    }
-
-    /// Merge one budget-consuming call observed by a root-parallel worker:
-    /// publish its result into the master cache (duplicate-safe — several
-    /// workers may have paid for the same cell) and append it to the
-    /// layout trace (both workers did consume budget, so the layout keeps
-    /// both calls). Telemetry counters are merged separately.
-    pub(crate) fn absorb_call(&mut self, q: QueryId, config: IndexSet, cost: f64) {
-        self.cache.put(q, &config, cost);
-        self.trace.push((q, config));
     }
 
     /// Attempt a what-if call for `(q, config)`.
@@ -452,10 +388,9 @@ impl<'a> MeteredWhatIf<'a> {
 
     /// Mirror telemetry growth since the last publish into the metrics
     /// registry. Called at step/episode boundaries and at session end; a
-    /// no-op when observability is disabled (or for root-parallel workers,
-    /// whose counters the master publishes after the merge).
+    /// no-op when observability is disabled.
     pub fn publish_obs(&mut self) {
-        if !self.obs_publishing || !self.obs.is_enabled() {
+        if !self.obs.is_enabled() {
             return;
         }
         let cur = self.telemetry();
@@ -543,54 +478,6 @@ mod tests {
         assert_eq!(m.used(), 2);
         assert_eq!(m.remaining(), 0);
         assert!(m.exhausted());
-    }
-
-    #[test]
-    fn reserve_never_exceeds_remaining() {
-        let mut m = BudgetMeter::new(5);
-        assert_eq!(m.reserve(3), 3);
-        assert_eq!(m.used(), 3);
-        // remaining < n: partial grant drains the meter exactly.
-        assert_eq!(m.reserve(10), 2);
-        assert_eq!(m.used(), 5);
-        assert!(m.exhausted());
-        // remaining = 0: nothing granted, accounting unchanged.
-        assert_eq!(m.reserve(1), 0);
-        assert_eq!(m.reserve(0), 0);
-        assert_eq!(m.used(), 5);
-        assert_eq!(m.remaining(), 0);
-    }
-
-    #[test]
-    fn reserve_zero_budget_boundary() {
-        let mut m = BudgetMeter::new(0);
-        assert_eq!(m.reserve(4), 0);
-        assert_eq!(m.used(), 0);
-        assert!(m.exhausted());
-    }
-
-    #[test]
-    fn with_cache_starts_from_snapshot_with_fresh_counters() {
-        let opt = optimizer(11);
-        let n = opt.num_candidates();
-        let q = QueryId::new(0);
-        let mut master = MeteredWhatIf::new(&opt, 5);
-        let c0 = IndexSet::singleton(n, IndexId::new(0));
-        master.what_if(q, &c0).unwrap();
-        let _ = master.derived(
-            q,
-            &IndexSet::from_ids(n, [IndexId::new(0), IndexId::new(1)]),
-        );
-        assert!(master.telemetry().derivations > 0);
-
-        let mut worker = MeteredWhatIf::with_cache(&opt, 2, master.cache().clone());
-        let t = worker.telemetry();
-        assert_eq!(t.derivations, 0, "worker counters start clean");
-        assert_eq!(t.what_if_calls, 0);
-        // Master's entries are visible: re-asking c0 is a free hit.
-        assert!(worker.what_if(q, &c0).is_some());
-        assert_eq!(worker.meter().used(), 0);
-        assert_eq!(worker.telemetry().cache_hits, 1);
     }
 
     #[test]

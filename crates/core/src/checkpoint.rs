@@ -83,6 +83,7 @@ impl MctsCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcts::extract::Extraction;
     use crate::mcts::{MctsOutcome, MctsTuner};
     use crate::stop::StopSignal;
     use crate::tuner::TuningContext;
@@ -141,9 +142,43 @@ mod tests {
         assert!(tuner.resume(&ctx, &ckpt, &StopSignal::never()).is_err());
         ckpt.version = SNAPSHOT_VERSION;
 
-        let other = MctsTuner::default().with_root_workers(2);
+        let other = MctsTuner::default().with_extraction(Extraction::Hybrid);
         assert!(other.resume(&ctx, &ckpt, &StopSignal::never()).is_err());
 
         assert!(tuner.resume(&ctx, &ckpt, &StopSignal::never()).is_ok());
+    }
+
+    #[test]
+    fn resume_rejects_configurations_over_a_foreign_universe() {
+        let inst = synth::instance(3);
+        let cands = generate_default(&inst);
+        let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+        let ctx = TuningContext::new(&opt, &cands);
+        let ckpt = capture(3, 120, 60);
+        let n = ckpt.cache.universe();
+        let foreign = (4..)
+            .map(|seed| capture(seed, 120, 60))
+            .find(|c| c.cache.universe() != n)
+            .expect("some synth instance has a different candidate count");
+
+        let tuner = MctsTuner::default();
+        let never = StopSignal::never();
+        let mut bad = ckpt.clone();
+        bad.tree = foreign.tree.clone();
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "foreign tree");
+        let mut bad = ckpt.clone();
+        bad.best = foreign.best.clone();
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "foreign best");
+        let mut bad = ckpt.clone();
+        bad.trace = foreign.trace.clone();
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "foreign trace");
+        let mut bad = ckpt.clone();
+        bad.amaf = Some(AmafTable::new(foreign.cache.universe(), 50.0));
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "foreign AMAF");
+        let mut bad = ckpt.clone();
+        bad.priors.pop();
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "short priors");
+
+        assert!(tuner.resume(&ctx, &ckpt, &never).is_ok());
     }
 }

@@ -205,15 +205,6 @@ impl WhatIfCache {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Zero the derivation counters — used when a root-parallel worker
-    /// starts from a clone of the master cache and must report only its
-    /// own activity.
-    pub(crate) fn reset_derivations(&self) {
-        for s in &self.shards {
-            s.derivations.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Enter the read-only phase: parallel enumeration may now share the
     /// cache across threads. Appends after this point are a logic error
     /// (debug-asserted); cloning yields a fresh unfrozen cache.
@@ -919,15 +910,12 @@ mod tests {
     }
 
     #[test]
-    fn derivation_counters_batch_and_reset() {
+    fn derivation_counters_batch_and_clone() {
         let c = cache();
         c.add_derivations(QueryId::new(0), 7);
         c.add_derivations(QueryId::new(1), 3);
         assert_eq!(c.derivations(), 10);
         let d = c.clone();
         assert_eq!(d.derivations(), 10, "clone carries counters");
-        d.reset_derivations();
-        assert_eq!(d.derivations(), 0);
-        assert_eq!(c.derivations(), 10, "reset is per-instance");
     }
 }

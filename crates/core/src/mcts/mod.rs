@@ -20,16 +20,15 @@ use crate::budget::{MeteredWhatIf, Phase};
 use crate::checkpoint::{MctsCheckpoint, SNAPSHOT_VERSION};
 use crate::derived::WhatIfCache;
 use crate::matrix::Layout;
-use crate::stop::{Interrupt, StopReason, StopSignal};
+use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
 use extract::Extraction;
-use ixtune_common::rng::{derive, derive_indexed, weighted_choice};
-use ixtune_common::sync::{available_parallelism, effective_threads, AtomicBudget};
+use ixtune_common::rng::{derive, weighted_choice};
+use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use policy::SelectionPolicy;
 use rand::rngs::StdRng;
 use rollout::RolloutPolicy;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tree::Tree;
 
 /// The MCTS-based budget-aware tuner.
@@ -42,13 +41,6 @@ pub struct MctsTuner {
     pub query_selection: priors::QuerySelection,
     /// How episode rewards are backed up into the tree.
     pub update: UpdatePolicy,
-    /// Root-parallel worker count (§ DESIGN.md 5c): `1` runs the classic
-    /// single-tree search; `L > 1` splits the post-priors budget across
-    /// `L` workers with private trees and RNG streams, merging their
-    /// statistics into one master tree before extraction. This is a
-    /// *logical* count — results depend on it, but not on how many OS
-    /// threads execute the workers (`TuningRequest::session_threads`).
-    pub root_workers: usize,
 }
 
 impl Default for MctsTuner {
@@ -62,7 +54,6 @@ impl Default for MctsTuner {
             extraction: Extraction::BestGreedy,
             query_selection: priors::QuerySelection::RoundRobin,
             update: UpdatePolicy::Average,
-            root_workers: 1,
         }
     }
 }
@@ -113,12 +104,6 @@ impl MctsTuner {
     /// Set the priors-phase query-selection strategy (Algorithm 4).
     pub fn with_query_selection(mut self, query_selection: priors::QuerySelection) -> Self {
         self.query_selection = query_selection;
-        self
-    }
-
-    /// Set the root-parallel worker count (`1` = classic single tree).
-    pub fn with_root_workers(mut self, root_workers: usize) -> Self {
-        self.root_workers = root_workers.max(1);
         self
     }
 
@@ -264,11 +249,11 @@ struct EpisodeBuffers {
     actions: Vec<IndexId>,
 }
 
-/// The full mutable state of one (single-tree) MCTS search between
-/// episodes. Everything here — plus the [`MeteredWhatIf`] it runs against —
-/// is what a checkpoint must capture for a suspended session to resume
-/// bit-identically (scratch buffers are cleared before every use, so they
-/// carry nothing across episodes).
+/// The full mutable state of one MCTS search between episodes. Everything
+/// here — plus the [`MeteredWhatIf`] it runs against — is what a checkpoint
+/// must capture for a suspended session to resume bit-identically (scratch
+/// buffers are cleared before every use, so they carry nothing across
+/// episodes).
 pub(crate) struct MctsState {
     rng: StdRng,
     priors: Vec<f64>,
@@ -298,7 +283,6 @@ impl Tuner for MctsTuner {
             && self.extraction == default.extraction
             && self.query_selection == default.query_selection
             && self.update == default.update
-            && self.root_workers == default.root_workers
         {
             "MCTS".into()
         } else {
@@ -306,18 +290,12 @@ impl Tuner for MctsTuner {
                 UpdatePolicy::Average => String::new(),
                 UpdatePolicy::Rave { k } => format!(", RAVE(k={k})"),
             };
-            let workers = if self.root_workers > 1 {
-                format!(", W={}", self.root_workers)
-            } else {
-                String::new()
-            };
             format!(
-                "MCTS[{}, {}, {}{}{}]",
+                "MCTS[{}, {}, {}{}]",
                 self.selection.label(),
                 self.rollout.label(),
                 self.extraction.label(),
-                update,
-                workers
+                update
             )
         }
     }
@@ -555,10 +533,6 @@ impl MctsTuner {
         stop: &StopSignal,
         allow_suspend: bool,
     ) -> MctsOutcome {
-        if self.root_workers > 1 {
-            let (result, conv) = self.run_root_parallel(ctx, req, stop);
-            return MctsOutcome::Finished(result, conv);
-        }
         let src = ctx.source();
         let mut mw = MeteredWhatIf::new(&src, req.budget);
         let state = self.start_state(ctx, req, &mut mw);
@@ -566,17 +540,14 @@ impl MctsTuner {
     }
 
     /// Run under a stop signal with suspension enabled: a suspend request
-    /// yields a checkpoint instead of a result. Root-parallel searches are
-    /// not suspendable (worker trees have no serialized form mid-flight);
-    /// for them a suspend degrades to a cancel and the outcome is always
-    /// `Finished`.
+    /// yields a checkpoint instead of a result.
     pub fn run_resumable(
         &self,
         ctx: &TuningContext<'_>,
         req: &TuningRequest,
         stop: &StopSignal,
     ) -> MctsOutcome {
-        self.run_with_stop(ctx, req, stop, self.root_workers == 1)
+        self.run_with_stop(ctx, req, stop, true)
     }
 
     /// Resume a session from a checkpoint captured by
@@ -604,9 +575,6 @@ impl MctsTuner {
                 self.name()
             ));
         }
-        if self.root_workers > 1 {
-            return Err("root-parallel sessions are not suspendable".to_string());
-        }
         if ckpt.cache.universe() != ctx.universe() || ckpt.cache.num_queries() != ctx.num_queries()
         {
             return Err(format!(
@@ -618,8 +586,31 @@ impl MctsTuner {
                 ctx.num_queries()
             ));
         }
+        // Everything else the checkpoint carries must range over the same
+        // candidates and queries: the episode loop indexes the cache's
+        // singleton rows and the AMAF table by candidate id.
+        let n = ctx.universe();
+        if ckpt.best.as_ref().is_some_and(|(c, _)| c.universe() != n) {
+            return Err(format!(
+                "checkpoint best configuration does not range over {n} candidates"
+            ));
+        }
+        if let Some(i) = ckpt
+            .trace
+            .iter()
+            .position(|(q, c)| c.universe() != n || q.index() >= ctx.num_queries())
+        {
+            return Err(format!(
+                "checkpoint trace entry {i} is not a cell of this workload"
+            ));
+        }
+        if ckpt.priors.len() != n || ckpt.amaf.as_ref().is_some_and(|t| !t.spans(n)) {
+            return Err(format!(
+                "checkpoint priors or AMAF table do not cover {n} candidates"
+            ));
+        }
         let cache = WhatIfCache::from_snapshot(&ckpt.cache)?;
-        let tree = Tree::from_snapshot(&ckpt.tree)?;
+        let tree = Tree::from_snapshot(&ckpt.tree, n)?;
         let src = ctx.source();
         let mw =
             MeteredWhatIf::from_parts(&src, cache, ckpt.meter, ckpt.trace.clone(), ckpt.counters);
@@ -665,248 +656,6 @@ impl MctsTuner {
             MctsOutcome::Finished(result, conv) => (result, conv),
             MctsOutcome::Suspended(_) => unreachable!("suspension disabled"),
         }
-    }
-
-    /// Root-parallel search: after the (shared, once-only) priors phase,
-    /// the remaining budget is partitioned into static per-worker shares
-    /// drawn through an atomic reservation pool, and each worker runs the
-    /// classic episode loop on a private tree, a private clone of the
-    /// master cache, and a private RNG stream split from the session seed.
-    /// Worker statistics are merged into the master tree *in worker order*,
-    /// so the result depends on `root_workers` but not on
-    /// `session_threads` (which only chooses how many OS threads execute
-    /// the workers).
-    /// A stop signal interrupts every worker at its next episode boundary
-    /// (suspend degrades to cancel — worker trees are merged, not
-    /// checkpointed) and the merged best-so-far result carries the reason.
-    fn run_root_parallel(
-        &self,
-        ctx: &TuningContext<'_>,
-        req: &TuningRequest,
-        stop: &StopSignal,
-    ) -> (TuningResult, Vec<f64>) {
-        let constraints = &req.constraints;
-        let budget = req.budget;
-        let threads = effective_threads(req.session_threads);
-        let src = ctx.source();
-        let obs = ctx.obs().clone();
-        let mut master = MeteredWhatIf::new(&src, budget);
-
-        let priors = if self.selection.uses_priors() {
-            let t0 = obs.span_start();
-            let bp = priors::priors_budget(budget, ctx);
-            let priors = priors::compute_priors(ctx, &mut master, bp, self.query_selection);
-            if let Some(t0) = t0 {
-                obs.span_end(
-                    t0,
-                    "priors",
-                    "mcts",
-                    vec![("budget".into(), bp.to_string())],
-                );
-            }
-            master.publish_obs();
-            priors
-        } else {
-            vec![0.0; ctx.universe()]
-        };
-
-        let workers = self.root_workers;
-        let remaining = master.meter().remaining();
-        let pool = AtomicBudget::new(remaining);
-        let snapshot = master.cache().clone();
-
-        struct WorkerOut {
-            tree: Tree,
-            best: Option<(IndexSet, f64)>,
-            /// Budget-consuming calls in this worker's chronological order.
-            calls: Vec<(QueryId, IndexSet, f64)>,
-            conv: Vec<f64>,
-            telemetry: crate::budget::SessionTelemetry,
-            used: usize,
-            shortfall: bool,
-            interrupt: Option<Interrupt>,
-        }
-
-        let run_worker = |w: usize| -> WorkerOut {
-            // Static shares partition `remaining` exactly, so every
-            // reservation is fully granted no matter in which order the
-            // workers reach the pool — grants are deterministic.
-            let share = remaining / workers + usize::from(w < remaining % workers);
-            let granted = pool.reserve(share);
-            let shortfall = granted < share;
-            let mut mw = MeteredWhatIf::with_cache(&src, granted, snapshot.clone());
-            let mut state = MctsState {
-                rng: derive_indexed(req.seed, "mcts-root-worker", w as u64),
-                priors: priors.clone(),
-                tree: Tree::new(ctx.universe()),
-                amaf: match self.update {
-                    UpdatePolicy::Average => None,
-                    UpdatePolicy::Rave { k } => Some(policy::AmafTable::new(ctx.universe(), k)),
-                },
-                best: None,
-                conv: Vec::new(),
-                idle_streak: 0,
-            };
-            let interrupt = self.episode_loop(ctx, constraints, &mut mw, &mut state, stop);
-            let calls: Vec<(QueryId, IndexSet, f64)> = mw
-                .trace()
-                .iter()
-                .map(|(q, cfg)| {
-                    let cost = mw.cache().get(*q, cfg).expect("traced call is cached");
-                    (*q, cfg.clone(), cost)
-                })
-                .collect();
-            WorkerOut {
-                tree: state.tree,
-                best: state.best,
-                calls,
-                conv: state.conv,
-                telemetry: mw.telemetry(),
-                used: mw.meter().used(),
-                shortfall,
-                interrupt,
-            }
-        };
-
-        let os_threads = threads.min(available_parallelism()).min(workers);
-        let outs: Vec<WorkerOut> = if os_threads <= 1 {
-            (0..workers).map(run_worker).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<WorkerOut>> = (0..workers).map(|_| None).collect();
-            let collected = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..os_threads)
-                    .map(|_| {
-                        let next = &next;
-                        let run_worker = &run_worker;
-                        s.spawn(move || {
-                            let mut mine = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= workers {
-                                    return mine;
-                                }
-                                mine.push((i, run_worker(i)));
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("mcts root worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (i, out) in collected {
-                slots[i] = Some(out);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every worker ran exactly once"))
-                .collect()
-        };
-
-        // Merge in worker order: tree statistics, telemetry counters,
-        // budget-consuming calls (into the master cache and layout trace),
-        // the global best, and the concatenated convergence segments.
-        let merge_t0 = obs.span_start();
-        let mut tree = Tree::new(ctx.universe());
-        let mut best: Option<(IndexSet, f64)> = None;
-        let mut conv: Vec<f64> = Vec::new();
-        let mut worker_used = 0usize;
-        let mut worker_derivs = 0usize;
-        let mut interrupt: Option<Interrupt> = None;
-        for out in outs {
-            interrupt = interrupt.or(out.interrupt);
-            tree.merge_from(&out.tree);
-            {
-                let c = master.counters_mut();
-                c.what_if_calls += out.telemetry.what_if_calls;
-                c.cache_hits += out.telemetry.cache_hits;
-                c.priors_calls += out.telemetry.priors_calls;
-                c.selection_calls += out.telemetry.selection_calls;
-                c.rollout_calls += out.telemetry.rollout_calls;
-                c.other_calls += out.telemetry.other_calls;
-                c.parallel_scans += out.telemetry.parallel_scans;
-                c.warm_hits += out.telemetry.warm_hits;
-                c.tree_merges += 1;
-                c.reservation_shortfalls += usize::from(out.shortfall);
-            }
-            worker_derivs += out.telemetry.derivations;
-            worker_used += out.used;
-            for (q, cfg, cost) in out.calls {
-                master.absorb_call(q, cfg, cost);
-            }
-            if let Some((cfg, cost)) = out.best {
-                if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                    best = Some((cfg, cost));
-                }
-            }
-            conv.extend(out.conv);
-        }
-        if let Some(t0) = merge_t0 {
-            obs.span_end(
-                t0,
-                "merge",
-                "mcts",
-                vec![("workers".into(), workers.to_string())],
-            );
-        }
-        master.publish_obs();
-        // Worker derivations were counted on private cache clones and never
-        // reach the master's counters — mirror them into the registry
-        // directly so it stays equal to the result's telemetry.
-        obs.publish_deltas(
-            &crate::budget::SessionTelemetry::default(),
-            &crate::budget::SessionTelemetry {
-                derivations: worker_derivs,
-                ..Default::default()
-            },
-        );
-
-        // Extraction over the merged cache and tree.
-        let ext_t0 = obs.span_start();
-        let config = self.extraction.extract(
-            ctx,
-            constraints,
-            &mut master,
-            &tree,
-            best.as_ref().map(|(c, _)| c),
-            threads,
-        );
-        if let Some(t0) = ext_t0 {
-            obs.span_end(
-                t0,
-                "extraction",
-                "mcts",
-                vec![("chosen".into(), config.len().to_string())],
-            );
-        }
-        master.publish_obs();
-        let used = master.meter().used() + worker_used;
-        debug_assert!(used <= budget, "workers oversubscribed the budget");
-        // Master-side derivations (priors + extraction) live in the master
-        // cache; worker derivations were counted on their private clones.
-        let mut telemetry = master.telemetry();
-        telemetry.derivations += worker_derivs;
-        telemetry.session_threads = threads;
-        // A worker that degraded forfeited its private grant, so the summed
-        // `used` may sit below `budget`; the shared degraded flag still
-        // marks the run as salvaged.
-        let reason = if interrupt.is_none() && master.degraded() {
-            StopReason::Degraded
-        } else {
-            StopReason::from_interrupt(interrupt, used >= budget)
-        };
-        let result = TuningResult::evaluate(
-            self.name(),
-            ctx,
-            config,
-            used,
-            Layout::new(master.into_trace()),
-        )
-        .with_telemetry(telemetry)
-        .with_stop_reason(reason);
-        (result, conv)
     }
 }
 
@@ -1098,58 +847,6 @@ mod tests {
         assert!(t.name().contains("UCT"));
         let d = MctsTuner::default();
         assert_eq!(d.ablation_label(), "Prior + Greedy");
-    }
-
-    #[test]
-    fn root_parallel_respects_budget_and_is_thread_invariant() {
-        let (opt, cands) = setup(8);
-        let ctx = TuningContext::new(&opt, &cands);
-        let tuner = MctsTuner::default().with_root_workers(4);
-        let base = TuningRequest::cardinality(3, 60).with_seed(11);
-        let serial = tuner.tune(&ctx, &base.with_session_threads(1));
-        let parallel = tuner.tune(&ctx, &base.with_session_threads(4));
-        assert!(serial.calls_used <= 60, "budget oversubscribed");
-        assert_eq!(serial.config, parallel.config);
-        assert_eq!(serial.calls_used, parallel.calls_used);
-        assert_eq!(serial.improvement.to_bits(), parallel.improvement.to_bits());
-        assert_eq!(serial.layout.cells(), parallel.layout.cells());
-        assert_eq!(
-            serial.telemetry.what_if_calls,
-            parallel.telemetry.what_if_calls
-        );
-        assert_eq!(serial.telemetry.derivations, parallel.telemetry.derivations);
-        assert_eq!(serial.telemetry.tree_merges, 4);
-        assert_eq!(serial.telemetry.reservation_shortfalls, 0);
-    }
-
-    #[test]
-    fn root_parallel_is_deterministic_and_named() {
-        let (opt, cands) = setup(9);
-        let ctx = TuningContext::new(&opt, &cands);
-        let tuner = MctsTuner::default().with_root_workers(3);
-        assert!(tuner.name().contains("W=3"), "{}", tuner.name());
-        let req = TuningRequest::cardinality(3, 40).with_seed(5);
-        let a = tuner.tune(&ctx, &req);
-        let b = tuner.tune(&ctx, &req);
-        assert_eq!(a.config, b.config);
-        assert_eq!(a.calls_used, b.calls_used);
-        // Worker RNG streams are split from the seed, so a different seed
-        // steers the search differently (streams are live, not constant).
-        let c = tuner.tune(&ctx, &req.with_seed(6));
-        assert!(c.calls_used <= 40);
-    }
-
-    #[test]
-    fn root_parallel_with_tight_budget_degrades_gracefully() {
-        let (opt, cands) = setup(10);
-        let ctx = TuningContext::new(&opt, &cands);
-        let tuner = MctsTuner::default().with_root_workers(8);
-        // Fewer remaining calls than workers: trailing shares are 0.
-        for budget in [0usize, 1, 3, 7] {
-            let r = tuner.tune(&ctx, &TuningRequest::cardinality(2, budget).with_seed(2));
-            assert!(r.calls_used <= budget, "budget {budget}");
-            assert_eq!(r.telemetry.reservation_shortfalls, 0);
-        }
     }
 
     #[test]

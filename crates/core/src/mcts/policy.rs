@@ -183,6 +183,11 @@ impl AmafTable {
         }
     }
 
+    /// Whether the table holds one entry per candidate of `universe`.
+    pub(crate) fn spans(&self, universe: usize) -> bool {
+        self.n.len() == universe && self.q.len() == universe
+    }
+
     /// AMAF visit count for an action.
     pub fn visits(&self, a: IndexId) -> u32 {
         self.n[a.index()]

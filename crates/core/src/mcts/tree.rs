@@ -126,16 +126,6 @@ impl Tree {
         self.nodes.iter().map(|n| &n.config)
     }
 
-    /// Merge another tree's statistics into this one (root-parallel MCTS):
-    /// visit counts add, `visited` flags or together, and per-action `Q̂`
-    /// values combine as visit-weighted averages. Nodes missing here are
-    /// created on demand. Actions and children are walked in sorted
-    /// `IndexId` order so the merged arena's node numbering — and every
-    /// `f64` combination — is independent of `HashMap` iteration order.
-    pub fn merge_from(&mut self, other: &Tree) {
-        self.merge_node(Tree::ROOT, other, Tree::ROOT);
-    }
-
     /// Serializable image for checkpoint/resume. Nodes are captured in
     /// arena order, children/actions in sorted `IndexId` order; restoring
     /// reproduces the arena *indices* exactly, so a resumed search that
@@ -166,9 +156,9 @@ impl Tree {
         TreeSnapshot { nodes }
     }
 
-    /// Rebuild a tree from a [`snapshot`](Self::snapshot), preserving the
-    /// arena node numbering.
-    pub fn from_snapshot(s: &TreeSnapshot) -> Result<Tree, String> {
+    /// Rebuild a tree over `universe` candidates from a
+    /// [`snapshot`](Self::snapshot), preserving the arena node numbering.
+    pub fn from_snapshot(s: &TreeSnapshot, universe: usize) -> Result<Tree, String> {
         if s.nodes.is_empty() {
             return Err("tree snapshot has no root".to_string());
         }
@@ -181,6 +171,12 @@ impl Tree {
             .iter()
             .enumerate()
             .map(|(i, n)| {
+                if n.config.universe() != universe {
+                    return Err(format!(
+                        "node {i} ranges over {} candidates, not {universe}",
+                        n.config.universe()
+                    ));
+                }
                 for &(_, c) in &n.children {
                     if c >= len {
                         return Err(format!("node {i} links to out-of-range child {c}"));
@@ -196,33 +192,6 @@ impl Tree {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Tree { nodes })
-    }
-
-    fn merge_node(&mut self, into: usize, other: &Tree, from: usize) {
-        let src = other.node(from);
-        debug_assert_eq!(self.nodes[into].config, src.config);
-        self.nodes[into].n_visits += src.n_visits;
-        self.nodes[into].visited |= src.visited;
-
-        let mut actions: Vec<IndexId> = src.actions.keys().copied().collect();
-        actions.sort_unstable();
-        for a in actions {
-            let st = src.actions[&a];
-            let e = self.nodes[into].actions.entry(a).or_default();
-            let n = e.n + st.n;
-            if n > 0 {
-                e.q = (e.q * e.n as f64 + st.q * st.n as f64) / n as f64;
-            }
-            e.n = n;
-        }
-
-        let mut children: Vec<IndexId> = src.children.keys().copied().collect();
-        children.sort_unstable();
-        for a in children {
-            let from_child = src.children[&a];
-            let into_child = self.get_or_create_child(into, a);
-            self.merge_node(into_child, other, from_child);
-        }
     }
 }
 
@@ -306,48 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_visits_and_weights_q() {
-        let mut a = Tree::new(8);
-        let a1 = a.get_or_create_child(Tree::ROOT, id(0));
-        a.update_path(&[(Tree::ROOT, id(0))], a1, 0.2);
-
-        let mut b = Tree::new(8);
-        let b1 = b.get_or_create_child(Tree::ROOT, id(0));
-        b.update_path(&[(Tree::ROOT, id(0))], b1, 0.8);
-        let b2 = b.get_or_create_child(b1, id(3));
-        b.update_path(&[(Tree::ROOT, id(0)), (b1, id(3))], b2, 1.0);
-
-        a.merge_from(&b);
-        let root = a.node(Tree::ROOT);
-        assert_eq!(root.n_visits, 3);
-        assert_eq!(root.action_visits(id(0)), 3);
-        // Weighted average of 1×0.2 and 2×avg(0.8, 1.0).
-        let expect = (0.2 + 0.8 + 1.0) / 3.0;
-        assert!((root.q_value(id(0)).unwrap() - expect).abs() < 1e-12);
-        // The deep child from `b` was created here with its stats.
-        let m1 = a.node(a1);
-        assert_eq!(m1.action_visits(id(3)), 1);
-        let &m2 = m1.children.get(&id(3)).unwrap();
-        assert!(a.node(m2).visited);
-        assert_eq!(a.node(m2).config.len(), 2);
-    }
-
-    #[test]
-    fn merge_into_empty_replicates_source() {
-        let mut src = Tree::new(6);
-        let c1 = src.get_or_create_child(Tree::ROOT, id(2));
-        src.update_path(&[(Tree::ROOT, id(2))], c1, 0.5);
-        let mut dst = Tree::new(6);
-        dst.merge_from(&src);
-        assert_eq!(dst.len(), src.len());
-        assert_eq!(dst.node(Tree::ROOT).n_visits, 1);
-        assert_eq!(
-            dst.node(Tree::ROOT).q_value(id(2)).unwrap().to_bits(),
-            src.node(Tree::ROOT).q_value(id(2)).unwrap().to_bits()
-        );
-    }
-
-    #[test]
     fn snapshot_roundtrip_preserves_arena_and_stats() {
         let mut t = Tree::new(8);
         let c1 = t.get_or_create_child(Tree::ROOT, id(0));
@@ -360,7 +287,7 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: TreeSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap, "snapshot survives JSON");
-        let r = Tree::from_snapshot(&back).unwrap();
+        let r = Tree::from_snapshot(&back, 8).unwrap();
 
         assert_eq!(r.len(), t.len());
         for i in 0..t.len() {
@@ -383,10 +310,12 @@ mod tests {
         let mut t = Tree::new(4);
         t.get_or_create_child(Tree::ROOT, id(1));
         let mut snap = t.snapshot();
+        assert!(Tree::from_snapshot(&snap, 4).is_ok());
+        assert!(Tree::from_snapshot(&snap, 5).is_err());
         snap.nodes[0].children[0].1 = 99;
-        assert!(Tree::from_snapshot(&snap).is_err());
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
         snap.nodes.clear();
-        assert!(Tree::from_snapshot(&snap).is_err());
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
     }
 
     #[test]

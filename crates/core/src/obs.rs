@@ -50,8 +50,6 @@ struct ObsShared {
     cache_hits: Arc<Counter>,
     derivations: Arc<Counter>,
     parallel_scans: Arc<Counter>,
-    tree_merges: Arc<Counter>,
-    reservation_shortfalls: Arc<Counter>,
     warm_hits: Arc<Counter>,
     warm_seeded: Arc<Counter>,
     shard_hits: Vec<Arc<Counter>>,
@@ -112,16 +110,6 @@ impl Obs {
             parallel_scans: registry.counter(
                 "ixtune_parallel_scans_total",
                 "Frozen-cache parallel candidate scans",
-                &[],
-            ),
-            tree_merges: registry.counter(
-                "ixtune_tree_merges_total",
-                "Root-parallel MCTS worker trees merged",
-                &[],
-            ),
-            reservation_shortfalls: registry.counter(
-                "ixtune_reservation_shortfalls_total",
-                "Batched budget reservations granted less than requested",
                 &[],
             ),
             warm_hits: registry.counter(
@@ -215,9 +203,6 @@ impl Obs {
         s.derivations.add(d(prev.derivations, cur.derivations));
         s.parallel_scans
             .add(d(prev.parallel_scans, cur.parallel_scans));
-        s.tree_merges.add(d(prev.tree_merges, cur.tree_merges));
-        s.reservation_shortfalls
-            .add(d(prev.reservation_shortfalls, cur.reservation_shortfalls));
         s.warm_hits.add(d(prev.warm_hits, cur.warm_hits));
         s.warm_seeded.add(d(prev.warm_seeded, cur.warm_seeded));
     }
@@ -324,8 +309,6 @@ mod tests {
             rollout_calls: 1,
             other_calls: 4,
             parallel_scans: 2,
-            tree_merges: 1,
-            reservation_shortfalls: 0,
             ..SessionTelemetry::default()
         };
         obs.publish_deltas(&prev, &cur);

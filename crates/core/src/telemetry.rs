@@ -1,20 +1,16 @@
 //! Versioned telemetry schema.
 //!
-//! v1 was the flat counter bag serialized straight off
-//! [`SessionTelemetry`] — one anonymous JSON object per row, no version
-//! tag, fields accreting over time (early files lack `session_threads`
-//! and the parallel-execution counters entirely). v2
-//! ([`TelemetryV2`]) is the wire/sidecar schema going forward: a
-//! `"version": 2` tag and typed sections — the per-phase call breakdown,
-//! cache activity, and the execution profile — so consumers can match on
-//! structure instead of guessing which flat fields exist.
+//! [`TelemetryV2`] is the wire/sidecar schema: a `"version": 2` tag and
+//! typed sections — the per-phase call breakdown, cache activity, and the
+//! execution profile — so consumers can match on structure instead of
+//! guessing which flat fields exist. (v1, the unversioned flat counter
+//! bag, is no longer read.)
 //!
 //! [`SessionTelemetry`] itself stays the in-memory counter bag the
 //! enumerators increment (it is `Copy` and lives in hot paths);
 //! `TelemetryV2` is its serialization. The two convert losslessly in both
-//! directions, and [`v1::read_rows`] still reads every telemetry sidecar
-//! already checked into `results/`, tolerating the missing fields of old
-//! files.
+//! directions. Readers ignore unknown fields, so documents that still
+//! carry counters this build no longer keeps parse unchanged.
 
 use crate::budget::SessionTelemetry;
 use serde::{Deserialize, Serialize};
@@ -59,10 +55,6 @@ pub struct ExecutionProfile {
     pub session_threads: usize,
     /// Frozen-cache parallel candidate scans executed.
     pub parallel_scans: usize,
-    /// Root-parallel MCTS worker trees merged into the master.
-    pub tree_merges: usize,
-    /// Batched budget reservations granted less than requested.
-    pub reservation_shortfalls: usize,
 }
 
 /// Telemetry schema v2: the versioned, sectioned serialization of a
@@ -106,8 +98,6 @@ impl From<SessionTelemetry> for TelemetryV2 {
             exec: ExecutionProfile {
                 session_threads: t.session_threads,
                 parallel_scans: t.parallel_scans,
-                tree_merges: t.tree_merges,
-                reservation_shortfalls: t.reservation_shortfalls,
             },
             wall_clock_ms: t.wall_clock_ms,
         }
@@ -126,93 +116,10 @@ impl From<TelemetryV2> for SessionTelemetry {
             other_calls: v.calls.other_calls,
             session_threads: v.exec.session_threads,
             parallel_scans: v.exec.parallel_scans,
-            tree_merges: v.exec.tree_merges,
-            reservation_shortfalls: v.exec.reservation_shortfalls,
             wall_clock_ms: v.wall_clock_ms,
             warm_hits: v.cache.warm_hits,
             warm_seeded: v.cache.warm_seeded,
         }
-    }
-}
-
-/// Reader for the unversioned v1 telemetry sidecars in `results/`.
-pub mod v1 {
-    use super::*;
-    use serde::Value;
-
-    /// One v1 sidecar row: experiment-cell coordinates plus the flat
-    /// counter bag.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct V1Row {
-        pub algorithm: String,
-        pub k: usize,
-        pub budget: usize,
-        pub seeds: usize,
-        pub telemetry: SessionTelemetry,
-    }
-
-    impl V1Row {
-        /// Convert to the v2 schema.
-        pub fn to_v2(&self) -> TelemetryV2 {
-            self.telemetry.into()
-        }
-    }
-
-    fn usize_field(obj: &Value, key: &str) -> usize {
-        obj.get(key).and_then(Value::as_u64).unwrap_or(0) as usize
-    }
-
-    /// Parse a v1 telemetry sidecar (a JSON array of flat row objects).
-    /// Missing counter fields read as 0 — early files predate
-    /// `session_threads` and the parallel-execution counters. Rows that
-    /// carry a `version` tag are rejected: they are not v1.
-    pub fn read_rows(json: &str) -> Result<Vec<V1Row>, String> {
-        let value = serde_json::value_from_str(json).map_err(|e| format!("{e:?}"))?;
-        let Value::Arr(rows) = value else {
-            return Err("v1 telemetry sidecar must be a JSON array".into());
-        };
-        rows.iter()
-            .enumerate()
-            .map(|(i, row)| {
-                if !matches!(row, Value::Obj(_)) {
-                    return Err(format!("row {i}: not an object"));
-                }
-                if row.get("version").is_some() || row.get("telemetry").is_some() {
-                    return Err(format!("row {i}: versioned/sectioned row, not v1"));
-                }
-                let algorithm = row
-                    .get("algorithm")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("row {i}: missing algorithm"))?
-                    .to_string();
-                let telemetry = SessionTelemetry {
-                    what_if_calls: usize_field(row, "what_if_calls"),
-                    cache_hits: usize_field(row, "cache_hits"),
-                    derivations: usize_field(row, "derivations"),
-                    priors_calls: usize_field(row, "priors_calls"),
-                    selection_calls: usize_field(row, "selection_calls"),
-                    rollout_calls: usize_field(row, "rollout_calls"),
-                    other_calls: usize_field(row, "other_calls"),
-                    session_threads: usize_field(row, "session_threads"),
-                    parallel_scans: usize_field(row, "parallel_scans"),
-                    tree_merges: usize_field(row, "tree_merges"),
-                    reservation_shortfalls: usize_field(row, "reservation_shortfalls"),
-                    wall_clock_ms: row
-                        .get("wall_clock_ms")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.0),
-                    warm_hits: usize_field(row, "warm_hits"),
-                    warm_seeded: usize_field(row, "warm_seeded"),
-                };
-                Ok(V1Row {
-                    algorithm,
-                    k: usize_field(row, "k"),
-                    budget: usize_field(row, "budget"),
-                    seeds: usize_field(row, "seeds"),
-                    telemetry,
-                })
-            })
-            .collect()
     }
 }
 
@@ -231,8 +138,6 @@ mod tests {
             other_calls: 10,
             session_threads: 4,
             parallel_scans: 3,
-            tree_merges: 2,
-            reservation_shortfalls: 1,
             wall_clock_ms: 12.5,
             warm_hits: 8,
             warm_seeded: 120,
@@ -258,52 +163,5 @@ mod tests {
         }
         let back: TelemetryV2 = serde_json::from_str(&json).unwrap();
         assert_eq!(back, v2);
-    }
-
-    #[test]
-    fn v1_reader_tolerates_missing_fields() {
-        // The shape of results/fig8.telemetry.json rows, which predate
-        // session_threads/parallel_scans/tree_merges/reservation_shortfalls.
-        let json = r#"[{
-            "algorithm": "MCTS",
-            "k": 5,
-            "budget": 500,
-            "seeds": 3,
-            "what_if_calls": 1500,
-            "cache_hits": 200,
-            "derivations": 90,
-            "priors_calls": 60,
-            "selection_calls": 700,
-            "rollout_calls": 640,
-            "other_calls": 100,
-            "wall_clock_ms": 42.0
-        }]"#;
-        let rows = v1::read_rows(json).unwrap();
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert_eq!(r.algorithm, "MCTS");
-        assert_eq!(r.telemetry.what_if_calls, 1500);
-        assert_eq!(r.telemetry.session_threads, 0, "absent field reads 0");
-        assert_eq!(r.telemetry.parallel_scans, 0);
-        let v2 = r.to_v2();
-        assert_eq!(v2.calls.what_if_calls, 1500);
-        assert_eq!(v2.cache.cache_hits, 200);
-        assert_eq!(v2.wall_clock_ms, 42.0);
-    }
-
-    #[test]
-    fn v1_reader_rejects_versioned_rows() {
-        let json = r#"[{"algorithm": "A", "version": 2}]"#;
-        assert!(v1::read_rows(json).is_err());
-        // v2 sidecar rows nest the tag inside a `telemetry` section; the
-        // v1 reader must refuse those too rather than read zeros.
-        let sectioned = r#"[{"algorithm": "A", "telemetry": {"version": 2}}]"#;
-        assert!(v1::read_rows(sectioned).is_err());
-    }
-
-    #[test]
-    fn v1_reader_rejects_non_arrays() {
-        assert!(v1::read_rows("{}").is_err());
-        assert!(v1::read_rows("[3]").is_err());
     }
 }

@@ -134,11 +134,10 @@ const ROW_OVERHEAD: usize = 48;
 #[derive(Debug)]
 pub struct WarmState {
     snapshot: Arc<WarmSnapshot>,
-    /// Simulated calls this session performed; pushed at the source level
-    /// (so root-parallel workers sharing the source contribute too).
-    /// Push order is nondeterministic under parallelism, but the map-merge
-    /// in [`WarmStore::absorb`] makes the resulting snapshot content
-    /// deterministic (costs are pure functions of the cell).
+    /// Simulated calls this session performed, pushed at the source level.
+    /// The map-merge in [`WarmStore::absorb`] makes the resulting snapshot
+    /// content independent of push order (costs are pure functions of the
+    /// cell).
     ledger: Mutex<Vec<(QueryId, IndexSet, f64)>>,
 }
 
@@ -284,10 +283,10 @@ impl WarmStore {
     /// then evict least-recently-touched snapshots while the byte bound is
     /// exceeded. Returns the number of entries newly added.
     ///
-    /// Duplicate cells (several sessions — or root-parallel workers —
-    /// paying for the same `(q, config)`) carry the same cost, costs being
-    /// pure functions, so first-write-wins keeps content deterministic
-    /// regardless of ledger order.
+    /// Duplicate cells (several sessions paying for the same
+    /// `(q, config)`) carry the same cost, costs being pure functions, so
+    /// first-write-wins keeps content deterministic regardless of ledger
+    /// order.
     pub fn absorb(
         &self,
         key: &str,

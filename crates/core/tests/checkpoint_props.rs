@@ -221,12 +221,10 @@ fn suspend_flag_on_non_resumable_tuner_degrades_to_cancel() {
     let r = VanillaGreedy.tune_with_stop(&ctx, &req, &stop);
     assert_eq!(r.stop_reason, Some(StopReason::Cancelled));
 
-    // Root-parallel MCTS cannot checkpoint either: tune_with_stop treats
-    // the suspend as a cancel instead of wedging.
-    let r =
-        MctsTuner::default()
-            .with_root_workers(3)
-            .tune_with_stop(&ctx, &req.with_seed(2), &stop);
+    // MCTS through the plain `Tuner` entry point has no checkpoint to hand
+    // back either: tune_with_stop treats the suspend as a cancel instead
+    // of wedging.
+    let r = MctsTuner::default().tune_with_stop(&ctx, &req.with_seed(2), &stop);
     assert_eq!(r.stop_reason, Some(StopReason::Cancelled));
 }
 

@@ -8,7 +8,7 @@
 //! up immediately). The kernel serves every call; the interpreted model
 //! survives as `interpreted_what_if_cost`, the oracle these tests check
 //! it against — on every cell real tuning sessions visit (synthetic
-//! instances, all five enumerators, serial and parallel session threads)
+//! instances, every enumerator, serial and parallel session threads)
 //! and on swept cells of all five paper benchmark instances, quirk on and
 //! off.
 
@@ -59,10 +59,6 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
         ("two-phase", Box::new(TwoPhaseGreedy)),
         ("autoadmin", Box::new(AutoAdminGreedy::default())),
         ("mcts", Box::new(MctsTuner::default())),
-        (
-            "mcts-root4",
-            Box::new(MctsTuner::default().with_root_workers(4)),
-        ),
     ]
 }
 

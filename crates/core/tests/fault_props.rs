@@ -27,10 +27,6 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
         ("two-phase", Box::new(TwoPhaseGreedy)),
         ("autoadmin", Box::new(AutoAdminGreedy::default())),
         ("mcts", Box::new(MctsTuner::default())),
-        (
-            "mcts-root4",
-            Box::new(MctsTuner::default().with_root_workers(4)),
-        ),
     ]
 }
 

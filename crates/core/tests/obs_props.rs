@@ -7,8 +7,7 @@
 //! bits, same telemetry counters. And the registry is not an independent
 //! bookkeeper: because the mirrored counters are published as deltas off
 //! [`SessionTelemetry`], the registry totals after a session equal the
-//! final telemetry counters exactly, including under root-parallel MCTS
-//! where worker-thread derivations are merged in.
+//! final telemetry counters exactly.
 
 use ixtune_candidates::{generate_default, CandidateSet};
 use ixtune_core::prelude::*;
@@ -33,10 +32,6 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
         ("twophase", Box::new(TwoPhaseGreedy)),
         ("autoadmin", Box::new(AutoAdminGreedy::default())),
         ("mcts", Box::new(MctsTuner::default())),
-        (
-            "mcts-root-parallel",
-            Box::new(MctsTuner::default().with_root_workers(3)),
-        ),
     ]
 }
 
@@ -55,7 +50,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Bit-identity: results with observability on equal results with it
-    /// off, for every enumerator including root-parallel MCTS.
+    /// off, for every enumerator.
     #[test]
     fn observed_runs_are_bit_identical_to_unobserved(
         inst_seed in 0u64..500,
@@ -136,8 +131,6 @@ proptest! {
                 ("ixtune_cache_hits_total", t.cache_hits),
                 ("ixtune_derivations_total", t.derivations),
                 ("ixtune_parallel_scans_total", t.parallel_scans),
-                ("ixtune_tree_merges_total", t.tree_merges),
-                ("ixtune_reservation_shortfalls_total", t.reservation_shortfalls),
             ] {
                 let got = counter(&registry, series, &[]);
                 prop_assert!(got == want as u64, "{name}: {series}: {got} vs {want}");

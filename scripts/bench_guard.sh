@@ -51,9 +51,7 @@ tolerance = float(sys.argv[3])
 # frozen-cache parallel kernel (the one that takes the Obs handle),
 # whole cold-start and warm-seeded greedy sessions (now served by the
 # compiled kernel + sparse informed-candidate scan), and the raw
-# compiled what-if call. full-rescan and whatif/interpreted-call are
-# the pre-change comparators kept in the bench for the historical
-# speedup ratios; they are not guarded paths.
+# compiled what-if call.
 guarded = sorted(
     name
     for name in baseline

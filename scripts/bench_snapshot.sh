@@ -5,9 +5,9 @@
 # The vendored criterion stand-in appends one JSON line per benchmark to
 # $CRITERION_SNAPSHOT; this script collects the lines and adds the
 # headline ratios: the greedy-step speedup of the frozen-cache parallel
-# kernel over the serial incremental DerivationState probe, the
-# root-parallel MCTS session ratio, and the warm-store ratios (cold-start
-# session over the identical session seeded from a warm snapshot).
+# kernel over the serial incremental DerivationState probe, and the
+# warm-store ratios (cold-start greedy or MCTS session over the identical
+# session seeded from a warm snapshot).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,9 +36,6 @@ for budget in (256, 1024):
     if cold and warm:
         doc[f"warm_session_u{budget}_speedup"] = round(cold / warm, 2)
 serial = medians.get("mcts/episodes-serial")
-par = medians.get("mcts/episodes-parallel")
-if serial and par:
-    doc["mcts_root_parallel_speedup"] = round(serial / par, 2)
 warm = medians.get("mcts/episodes-warm")
 if serial and warm:
     doc["mcts_warm_session_speedup"] = round(serial / warm, 2)
