@@ -116,7 +116,7 @@ impl DbaBandits {
         let n = ctx.universe();
         let m = ctx.num_queries();
         let mut rng = derive(req.seed, "dba-bandits");
-        let mut mw = MeteredWhatIf::new(ctx.opt, req.budget);
+        let mut mw = MeteredWhatIf::new(ctx, req.budget);
         let mut model = LinModel::new(self.ridge);
 
         let features: Vec<[f64; DIM]> = (0..n)

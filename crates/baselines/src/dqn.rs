@@ -79,7 +79,7 @@ impl NoDba {
         let n = ctx.universe();
         let m = ctx.num_queries();
         let mut rng = derive(req.seed, "no-dba");
-        let mut mw = MeteredWhatIf::new(ctx.opt, req.budget);
+        let mut mw = MeteredWhatIf::new(ctx, req.budget);
         let base = mw.empty_workload_cost();
 
         // The paper's architecture: three hidden layers of 96 relu units.

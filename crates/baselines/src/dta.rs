@@ -61,7 +61,7 @@ impl Tuner for DtaTuner {
     fn tune(&self, ctx: &TuningContext<'_>, req: &TuningRequest) -> TuningResult {
         let constraints = &req.constraints;
         let m = ctx.num_queries();
-        let mut mw = MeteredWhatIf::new(ctx.opt, req.budget);
+        let mut mw = MeteredWhatIf::new(ctx, req.budget);
 
         // Cost-based priority queue: most expensive queries first.
         let mut order: Vec<QueryId> = (0..m).map(QueryId::from).collect();
@@ -164,7 +164,7 @@ mod tests {
         let ctx = TuningContext::new(&opt, &cands);
         // Tiny budget: only the first slice runs.
         let r = DtaTuner::default().tune(&ctx, &TuningRequest::cardinality(5, 15));
-        let mw = MeteredWhatIf::new(&opt, 0);
+        let mw = MeteredWhatIf::new(&ctx, 0);
         let max_cost = (0..ctx.num_queries())
             .map(|q| mw.empty_cost(QueryId::from(q)))
             .fold(0.0f64, f64::max);

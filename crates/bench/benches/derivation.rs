@@ -16,7 +16,7 @@ use rand::RngExt;
 use std::hint::black_box;
 
 fn primed_client(session: &Session, entries: usize) -> MeteredWhatIf<'_> {
-    let mut mw = MeteredWhatIf::new(&session.opt, entries);
+    let mut mw = MeteredWhatIf::new(&session.ctx(), entries);
     let n = session.cands.len();
     let m = session.opt.num_queries();
     let mut rng = seeded(7);

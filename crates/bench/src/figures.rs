@@ -1,6 +1,6 @@
 //! One runner per table/figure of the paper's evaluation (§7 and the
-//! appendix). Each returns the rendered report text and writes CSV/JSON
-//! sidecars into the output directory. See DESIGN.md §4 for the index.
+//! appendix). Each returns the rendered report text and writes its CSV and
+//! JSON results into the output directory. See DESIGN.md §4 for the index.
 
 use crate::report::{render_series, render_table, write_results};
 use crate::runner::{cap_session_threads, run_grid, Algo, Cell};

@@ -3,7 +3,7 @@
 //!
 //! * [`session`] — builds a workload + candidates + optimizer bundle;
 //! * [`runner`] — sweeps (algorithm × K × budget × seed) grids;
-//! * [`report`] — paper-style tables and CSV/JSON sidecars;
+//! * [`report`] — paper-style tables and CSV/JSON result files;
 //! * [`figures`] — one runner per table/figure (see DESIGN.md §4).
 //!
 //! The `experiments` binary dispatches by experiment id:

@@ -1,8 +1,6 @@
-//! Report rendering: paper-style text tables and CSV/JSON sidecars.
+//! Report rendering: paper-style text tables and CSV/JSON result files.
 
 use crate::runner::Cell;
-use ixtune_core::budget::SessionTelemetry;
-use ixtune_core::telemetry::TelemetryV2;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
@@ -70,41 +68,13 @@ pub fn to_csv(cells: &[Cell]) -> String {
     out
 }
 
-/// Per-cell telemetry sidecar: one JSON object per cell with the cell's
-/// coordinates and its summed session counters, in the versioned
-/// telemetry schema (`"version": 2` with typed sections).
-pub fn to_telemetry_json(cells: &[Cell]) -> String {
-    #[derive(serde::Serialize)]
-    struct Row {
-        algorithm: String,
-        k: usize,
-        budget: usize,
-        seeds: usize,
-        telemetry: TelemetryV2,
-    }
-    let rows: Vec<Row> = cells
-        .iter()
-        .map(|c| Row {
-            algorithm: c.algorithm.clone(),
-            k: c.k,
-            budget: c.budget,
-            seeds: c.seeds,
-            telemetry: SessionTelemetry::from(c.telemetry).into(),
-        })
-        .collect();
-    serde_json::to_string_pretty(&rows).expect("telemetry rows serialize")
-}
-
-/// Write CSV, JSON, and telemetry sidecars for an experiment into `dir`.
+/// Write an experiment's CSV and JSON into `dir`. Each cell's summed
+/// session counters ride in its `telemetry` object in `<name>.json`.
 pub fn write_results(dir: &Path, name: &str, cells: &[Cell]) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
     fs::write(dir.join(format!("{name}.csv")), to_csv(cells))?;
     let json = serde_json::to_string_pretty(cells).expect("cells serialize");
     fs::write(dir.join(format!("{name}.json")), json)?;
-    fs::write(
-        dir.join(format!("{name}.telemetry.json")),
-        to_telemetry_json(cells),
-    )?;
     Ok(())
 }
 
@@ -138,8 +108,7 @@ pub fn render_series(title: &str, xlabel: &str, columns: &[(&str, &[f64])]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::runner::CellTelemetry;
+    use ixtune_core::budget::SessionTelemetry;
 
     fn cells() -> Vec<Cell> {
         vec![
@@ -151,13 +120,13 @@ mod tests {
                 std_pct: 1.0,
                 seeds: 5,
                 calls_used: 100,
-                telemetry: CellTelemetry {
+                telemetry: SessionTelemetry {
                     what_if_calls: 100,
                     cache_hits: 40,
                     derivations: 25,
                     other_calls: 100,
                     wall_clock_ms: 12.5,
-                    ..CellTelemetry::default()
+                    ..SessionTelemetry::default()
                 },
             },
             Cell {
@@ -168,7 +137,7 @@ mod tests {
                 std_pct: 0.0,
                 seeds: 1,
                 calls_used: 90,
-                telemetry: CellTelemetry::default(),
+                telemetry: SessionTelemetry::default(),
             },
         ]
     }
@@ -205,51 +174,15 @@ mod tests {
     #[test]
     fn write_results_creates_files() {
         let dir = std::env::temp_dir().join("ixtune-report-test");
-        write_results(&dir, "t", &cells()).unwrap();
-        assert!(dir.join("t.csv").exists());
-        assert!(dir.join("t.json").exists());
-        assert!(dir.join("t.telemetry.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn telemetry_json_is_versioned_v2_rows() {
-        let json = to_telemetry_json(&cells());
-        for key in [
-            "algorithm",
-            "k",
-            "budget",
-            "seeds",
-            "version",
-            "calls",
-            "cache",
-            "exec",
-            "what_if_calls",
-            "cache_hits",
-            "derivations",
-            "session_threads",
-            "wall_clock_ms",
-        ] {
-            // One occurrence per cell.
-            assert_eq!(json.matches(&format!("\"{key}\"")).count(), 2, "{key}");
-        }
-        assert_eq!(json.matches("\"version\": 2").count(), 2);
-        assert!(json.contains("\"what_if_calls\": 100"));
-        assert!(json.contains("\"cache_hits\": 40"));
-        assert!(json.contains("\"wall_clock_ms\": 12.5"));
-        // The sidecar round-trips through the v2 schema types.
-        let parsed = serde_json::value_from_str(&json).unwrap();
-        let serde::Value::Arr(rows) = parsed else {
-            panic!("sidecar must be a JSON array");
-        };
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            let v = row.get("telemetry").expect("telemetry section");
-            assert_eq!(
-                v.get("version").and_then(serde::Value::as_u64),
-                Some(u64::from(ixtune_core::telemetry::TELEMETRY_VERSION))
-            );
-        }
+        write_results(&dir, "t", &cells()).unwrap();
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["t.csv", "t.json"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,73 +27,6 @@ impl Algo {
     }
 }
 
-/// Per-cell session telemetry, summed across the seeds of the cell.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
-pub struct CellTelemetry {
-    /// Budgeted what-if calls issued to the optimizer.
-    pub what_if_calls: usize,
-    /// Cost requests answered by the session cache (free).
-    pub cache_hits: usize,
-    /// Cost requests answered by derivation (Eq. 1 / Eq. 2).
-    pub derivations: usize,
-    /// What-if calls spent bootstrapping priors (Algorithm 4).
-    pub priors_calls: usize,
-    /// What-if calls spent evaluating tree-selected configurations.
-    pub selection_calls: usize,
-    /// What-if calls spent evaluating rollout-completed configurations.
-    pub rollout_calls: usize,
-    /// What-if calls outside any labelled phase (greedy/baseline tuners).
-    pub other_calls: usize,
-    /// Logical session thread count the cell's sessions resolved (max
-    /// across seeds — they all resolve the same request).
-    pub session_threads: usize,
-    /// Frozen-cache parallel candidate scans across the cell's sessions.
-    pub parallel_scans: usize,
-    /// Wall-clock spent tuning, summed across seeds, in milliseconds.
-    pub wall_clock_ms: f64,
-    /// Budgeted calls answered from the warm cost store across the cell's
-    /// sessions (0 outside the service).
-    pub warm_hits: usize,
-    /// Warm store entries the cell's sessions were seeded with.
-    pub warm_seeded: usize,
-}
-
-impl From<CellTelemetry> for SessionTelemetry {
-    fn from(c: CellTelemetry) -> Self {
-        Self {
-            what_if_calls: c.what_if_calls,
-            cache_hits: c.cache_hits,
-            derivations: c.derivations,
-            priors_calls: c.priors_calls,
-            selection_calls: c.selection_calls,
-            rollout_calls: c.rollout_calls,
-            other_calls: c.other_calls,
-            session_threads: c.session_threads,
-            parallel_scans: c.parallel_scans,
-            wall_clock_ms: c.wall_clock_ms,
-            warm_hits: c.warm_hits,
-            warm_seeded: c.warm_seeded,
-        }
-    }
-}
-
-impl CellTelemetry {
-    fn accumulate(&mut self, t: &SessionTelemetry) {
-        self.what_if_calls += t.what_if_calls;
-        self.cache_hits += t.cache_hits;
-        self.derivations += t.derivations;
-        self.priors_calls += t.priors_calls;
-        self.selection_calls += t.selection_calls;
-        self.rollout_calls += t.rollout_calls;
-        self.other_calls += t.other_calls;
-        self.session_threads = self.session_threads.max(t.session_threads);
-        self.parallel_scans += t.parallel_scans;
-        self.wall_clock_ms += t.wall_clock_ms;
-        self.warm_hits += t.warm_hits;
-        self.warm_seeded += t.warm_seeded;
-    }
-}
-
 /// One aggregated grid cell.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Cell {
@@ -106,8 +39,9 @@ pub struct Cell {
     pub std_pct: f64,
     pub seeds: usize,
     pub calls_used: usize,
-    /// Session telemetry summed across this cell's seeds.
-    pub telemetry: CellTelemetry,
+    /// Session telemetry summed across this cell's seeds
+    /// ([`SessionTelemetry::accumulate`]).
+    pub telemetry: SessionTelemetry,
 }
 
 /// Aggregate per-seed results into a cell.
@@ -116,7 +50,7 @@ pub fn aggregate(algorithm: &str, k: usize, budget: usize, runs: &[TuningResult]
     let n = vals.len().max(1) as f64;
     let mean = vals.iter().sum::<f64>() / n;
     let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-    let mut telemetry = CellTelemetry::default();
+    let mut telemetry = SessionTelemetry::default();
     for r in runs {
         telemetry.accumulate(&r.telemetry);
     }

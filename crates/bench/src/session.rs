@@ -40,13 +40,6 @@ impl Session {
         TuningContext::new(&self.opt, &self.cands)
     }
 
-    /// Decompose into the owned pieces a long-lived host (e.g. the tuning
-    /// service) needs to keep: the candidate set and the optimizer. The
-    /// host builds its own `TuningContext` views over them.
-    pub fn into_parts(self) -> (CandidateSet, SimulatedOptimizer) {
-        (self.cands, self.opt)
-    }
-
     /// The default storage-constraint limit used by the DTA comparison:
     /// 3× the database size (the DTA default noted in §7.3).
     pub fn storage_limit_3x(&self) -> u64 {

@@ -1,27 +1,36 @@
 //! Budget metering and the tuner-side what-if client.
 //!
 //! [`BudgetMeter`] counts what-if calls against the budget `B`.
-//! [`MeteredWhatIf`] combines a [`CostSource`], the cache, and the meter
-//! into the interface every budget-aware enumeration algorithm consumes:
-//! cache hits are free (§1: "a cache is typically used to enable efficient
-//! reuse of what-if calls"), cache misses consume budget, and once the
-//! budget is exhausted only derived costs remain. The sequence of metered
-//! calls is recorded as the session's [`Layout`](crate::matrix::Layout).
+//! [`MeteredWhatIf`] combines the session's optimizer, the cache, and the
+//! meter into the interface every budget-aware enumeration algorithm
+//! consumes: cache hits are free (§1: "a cache is typically used to enable
+//! efficient reuse of what-if calls"), cache misses consume budget, and
+//! once the budget is exhausted only derived costs remain. The sequence of
+//! metered calls is recorded as the session's
+//! [`Layout`](crate::matrix::Layout).
 //!
-//! [`BudgetMeter::charged_cost`] is the single place a budgeted optimizer
-//! invocation happens, and therefore the single latency-observation point:
-//! when the source is observing, the call is timed and reported through
-//! [`CostSource::observe`]. With observability disabled nothing here reads
-//! a clock.
+//! [`MeteredWhatIf::what_if`] is the single place a budgeted optimizer
+//! invocation happens, and therefore the single counting and
+//! latency-observation point: when the session's [`Obs`] is enabled, each
+//! call the warm snapshot did not answer is timed into the latency
+//! histograms. With observability disabled nothing here reads a clock.
 
 use crate::derived::WhatIfCache;
 use crate::obs::Obs;
-use crate::source::{CostSource, SessionFaults};
 use crate::stop::{Interrupt, StopReason};
+use crate::tuner::{SessionFaults, TuningContext};
+use crate::warm::WarmState;
 use ixtune_common::fault::{site, FaultCursor};
 use ixtune_common::{IndexId, IndexSet, QueryId};
+use ixtune_optimizer::{SimulatedOptimizer, WhatIfOptimizer};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Synthetic latency added to an observed what-if call when the
+/// `whatif.latency` fault site fires. Affects latency histograms only —
+/// never costs, budgets, or results.
+pub const LATENCY_SPIKE_S: f64 = 0.25;
 
 /// Which part of a tuning session a budgeted what-if call is attributed to.
 /// MCTS sets this around its phases (Algorithm 3/4); other tuners leave it
@@ -87,6 +96,27 @@ pub struct SessionTelemetry {
     pub warm_seeded: usize,
 }
 
+impl SessionTelemetry {
+    /// Add another session's counters into this one — how the experiment
+    /// runner sums a grid cell's seeds. Counters and wall clock add;
+    /// `session_threads` keeps the maximum (every seed of a cell resolves
+    /// the same request).
+    pub fn accumulate(&mut self, t: &SessionTelemetry) {
+        self.what_if_calls += t.what_if_calls;
+        self.cache_hits += t.cache_hits;
+        self.derivations += t.derivations;
+        self.priors_calls += t.priors_calls;
+        self.selection_calls += t.selection_calls;
+        self.rollout_calls += t.rollout_calls;
+        self.other_calls += t.other_calls;
+        self.session_threads = self.session_threads.max(t.session_threads);
+        self.parallel_scans += t.parallel_scans;
+        self.wall_clock_ms += t.wall_clock_ms;
+        self.warm_hits += t.warm_hits;
+        self.warm_seeded += t.warm_seeded;
+    }
+}
+
 /// Exact what-if call accounting. Serializable so a suspended session's
 /// consumption survives in its checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,57 +160,17 @@ impl BudgetMeter {
     /// Forfeit the remaining budget: shrink `budget` down to `used`, so
     /// the meter reads exhausted while `used` keeps reporting the calls
     /// actually made. The what-if error degradation ladder calls this —
-    /// once the source is failing, the rest of `B` is worthless and every
+    /// once the optimizer is failing, the rest of `B` is worthless and every
     /// subsequent cost comes from derivation.
     pub fn exhaust(&mut self) {
         self.budget = self.used;
     }
-
-    /// Consume one call and price `(q, config)` against the source; `None`
-    /// when the budget is spent. This is the *only* path through which a
-    /// budgeted optimizer invocation flows, so it is where the source's
-    /// [`observe`](CostSource::observe) hook fires — with the wall-clock
-    /// elapsed when the source is observing, and with no clock reads at
-    /// all when it is not.
-    pub fn charged_cost(
-        &mut self,
-        src: &dyn CostSource,
-        q: QueryId,
-        config: &IndexSet,
-    ) -> Option<f64> {
-        self.charged_cost_tagged(src, q, config).map(|(c, _)| c)
-    }
-
-    /// [`charged_cost`](Self::charged_cost) with warm provenance: the
-    /// second component is `true` when the source served the answer from a
-    /// warm store snapshot. Warm answers consume budget exactly like
-    /// simulated ones, but skip the latency observation — there was no
-    /// optimizer invocation to time, and a synthetic zero would poison the
-    /// latency histograms.
-    pub fn charged_cost_tagged(
-        &mut self,
-        src: &dyn CostSource,
-        q: QueryId,
-        config: &IndexSet,
-    ) -> Option<(f64, bool)> {
-        if !self.try_consume() {
-            return None;
-        }
-        let t0 = src.observing().then(Instant::now);
-        let (cost, warm) = src.cost_tagged(q, config);
-        if let Some(t0) = t0 {
-            if !warm {
-                src.observe(q, config, cost, t0.elapsed().as_secs_f64());
-            }
-        }
-        Some((cost, warm))
-    }
 }
 
-/// The tuner-side what-if client: cost source + cache + meter + call
+/// The tuner-side what-if client: optimizer + cache + meter + call
 /// trace, instrumented with per-session [`SessionTelemetry`].
 pub struct MeteredWhatIf<'a> {
-    src: &'a dyn CostSource,
+    opt: &'a SimulatedOptimizer,
     cache: WhatIfCache,
     meter: BudgetMeter,
     /// Chronological record of budget-consuming calls — the layout of the
@@ -191,9 +181,12 @@ pub struct MeteredWhatIf<'a> {
     /// Calls issued vs served from cache, and the per-phase budget split.
     /// Derivation counts live in the cache (they happen behind `&self`).
     counters: SessionTelemetry,
-    /// Observability handle mirrored from the source at construction.
+    /// The session's observability handle (a clone of the context's).
     obs: Obs,
-    /// Session fault state mirrored from the source at construction.
+    /// Warm overlay: snapshot consulted before the optimizer, ledger fed
+    /// with the optimizer's answers. `None` outside the service.
+    warm: Option<Arc<WarmState>>,
+    /// The session's fault state (a clone of the context's).
     faults: SessionFaults,
     /// This client's private `whatif.error` cursor: call indices follow the
     /// client's own miss stream, so injection is deterministic under any
@@ -204,28 +197,48 @@ pub struct MeteredWhatIf<'a> {
     published: SessionTelemetry,
 }
 
+/// Price `(q, config)`: the warm snapshot's answer when it has one
+/// (`true` in the second component), else the optimizer's, which the
+/// warm ledger records for write-back.
+fn price(
+    opt: &SimulatedOptimizer,
+    warm: Option<&WarmState>,
+    q: QueryId,
+    config: &IndexSet,
+) -> (f64, bool) {
+    let Some(warm) = warm else {
+        return (opt.what_if_cost(q, config), false);
+    };
+    if let Some(cost) = warm.lookup(q, config) {
+        return (cost, true);
+    }
+    let cost = opt.what_if_cost(q, config);
+    warm.record(q, config.clone(), cost);
+    (cost, false)
+}
+
 impl<'a> MeteredWhatIf<'a> {
-    /// Create a client with budget `budget`. Computes `c(q, ∅)` for every
-    /// query up front; these baseline calls are not charged (every
-    /// algorithm and the evaluation metric need them — see DESIGN.md §5).
-    pub fn new(src: &'a dyn CostSource, budget: usize) -> Self {
-        let faults = src.faults();
-        let fault_cursor = faults.plan().cursor(site::WHATIF_ERROR);
-        Self {
-            src,
-            cache: WhatIfCache::from_source(src),
-            meter: BudgetMeter::new(budget),
-            trace: Vec::new(),
-            phase: Phase::Other,
-            counters: SessionTelemetry {
-                warm_seeded: src.warm_seeded(),
-                ..SessionTelemetry::default()
-            },
-            obs: src.obs(),
-            faults,
-            fault_cursor,
-            published: SessionTelemetry::default(),
-        }
+    /// Create a client with budget `budget` over the context's optimizer,
+    /// observability, warm overlay and fault state. Computes `c(q, ∅)` for
+    /// every query up front; these baseline calls are not charged, timed
+    /// or counted (every algorithm and the evaluation metric need them —
+    /// see DESIGN.md §5), but they do read and feed the warm overlay.
+    pub fn new(ctx: &TuningContext<'a>, budget: usize) -> Self {
+        let warm = ctx.warm();
+        let empty = IndexSet::empty(ctx.universe());
+        let empty_costs = (0..ctx.num_queries())
+            .map(|i| price(ctx.opt, warm.map(Arc::as_ref), QueryId::from(i), &empty).0)
+            .collect();
+        let counters = SessionTelemetry {
+            warm_seeded: warm.map_or(0, |w| w.seeded()),
+            ..SessionTelemetry::default()
+        };
+        let cache = WhatIfCache::new(ctx.universe(), empty_costs);
+        let mut mw = Self::from_parts(ctx, cache, BudgetMeter::new(budget), Vec::new(), counters);
+        // A fresh client publishes everything it counts, `warm_seeded`
+        // included; only a resumed one starts from its restored counters.
+        mw.published = SessionTelemetry::default();
+        mw
     }
 
     /// Rebuild a client from checkpointed parts — the resume entry point.
@@ -235,7 +248,7 @@ impl<'a> MeteredWhatIf<'a> {
     /// already published its counters, so only new activity flows to the
     /// registry.
     pub(crate) fn from_parts(
-        src: &'a dyn CostSource,
+        ctx: &TuningContext<'a>,
         cache: WhatIfCache,
         meter: BudgetMeter,
         trace: Vec<(QueryId, IndexSet)>,
@@ -245,16 +258,17 @@ impl<'a> MeteredWhatIf<'a> {
             derivations: cache.derivations(),
             ..counters
         };
-        let faults = src.faults();
+        let faults = ctx.faults().clone();
         let fault_cursor = faults.plan().cursor(site::WHATIF_ERROR);
         Self {
-            src,
+            opt: ctx.opt,
             cache,
             meter,
             trace,
             phase: Phase::Other,
             counters,
-            obs: src.obs(),
+            obs: ctx.obs().clone(),
+            warm: ctx.warm().cloned(),
             faults,
             fault_cursor,
             published,
@@ -316,7 +330,7 @@ impl<'a> MeteredWhatIf<'a> {
 
     /// Account one frozen-cache parallel scan: `hits` cache hits observed
     /// by the kernel (its derivation counts flow through the cache's
-    /// per-shard counters directly).
+    /// counter directly).
     pub(crate) fn note_parallel_scan(&mut self, hits: usize) {
         self.counters.cache_hits += hits;
         self.counters.parallel_scans += 1;
@@ -329,13 +343,10 @@ impl<'a> MeteredWhatIf<'a> {
     ///   it in the layout trace, returns `Some(cost)`.
     /// * Miss without budget → `None`.
     pub fn what_if(&mut self, q: QueryId, config: &IndexSet) -> Option<f64> {
-        let shard = q.index() % self.cache.num_shards();
         if let Some(c) = self.cache.get(q, config) {
             self.counters.cache_hits += 1;
-            self.obs.on_cache_ref(shard, true);
             return Some(c);
         }
-        self.obs.on_cache_ref(shard, false);
         // Injected what-if failure: forfeit the remaining budget and fall
         // back to derivation-only search. The enumerators already handle
         // `None` (budget exhaustion) by salvaging best-so-far through the
@@ -345,10 +356,25 @@ impl<'a> MeteredWhatIf<'a> {
             self.meter.exhaust();
             return None;
         }
-        let (cost, warm) = self.meter.charged_cost_tagged(self.src, q, config)?;
+        if !self.meter.try_consume() {
+            return None;
+        }
+        let t0 = self.obs.is_enabled().then(Instant::now);
+        let (cost, warm) = price(self.opt, self.warm.as_deref(), q, config);
         self.counters.what_if_calls += 1;
         if warm {
+            // Served from the warm snapshot: budgeted like any call, but
+            // there was no optimizer invocation to time.
             self.counters.warm_hits += 1;
+        } else if let Some(t0) = t0 {
+            let mut elapsed_s = t0.elapsed().as_secs_f64();
+            // An injected latency spike lands in the histograms only;
+            // costs, budget accounting, and results never see it.
+            if self.faults.plan().fire(site::WHATIF_LATENCY) {
+                elapsed_s += LATENCY_SPIKE_S;
+            }
+            self.obs
+                .observe_whatif_latency(elapsed_s, self.opt.call_latency_s(q));
         }
         match self.phase {
             Phase::Priors => self.counters.priors_calls += 1,
@@ -458,15 +484,16 @@ impl<'a> MeteredWhatIf<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ixtune_candidates::generate_default;
+    use ixtune_candidates::{generate_default, CandidateSet};
     use ixtune_common::IndexId;
-    use ixtune_optimizer::{CostModel, SimulatedOptimizer};
+    use ixtune_optimizer::CostModel;
     use ixtune_workload::gen::synth;
 
-    fn optimizer(seed: u64) -> SimulatedOptimizer {
+    fn setup(seed: u64) -> (SimulatedOptimizer, CandidateSet) {
         let inst = synth::instance(seed);
         let cands = generate_default(&inst);
-        SimulatedOptimizer::new(inst, cands.indexes, CostModel::default())
+        let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+        (opt, cands)
     }
 
     #[test]
@@ -482,9 +509,10 @@ mod tests {
 
     #[test]
     fn cache_hits_are_free() {
-        let opt = optimizer(3);
+        let (opt, cands) = setup(3);
+        let ctx = TuningContext::new(&opt, &cands);
         let n = opt.num_candidates();
-        let mut mw = MeteredWhatIf::new(&opt, 5);
+        let mut mw = MeteredWhatIf::new(&ctx, 5);
         let cfg = IndexSet::singleton(n, IndexId::new(0));
         let q = QueryId::new(0);
         let a = mw.what_if(q, &cfg).unwrap();
@@ -497,18 +525,20 @@ mod tests {
 
     #[test]
     fn empty_costs_not_charged() {
-        let opt = optimizer(4);
-        let mw = MeteredWhatIf::new(&opt, 3);
+        let (opt, cands) = setup(4);
+        let ctx = TuningContext::new(&opt, &cands);
+        let mw = MeteredWhatIf::new(&ctx, 3);
         assert_eq!(mw.meter().used(), 0);
         assert!(mw.empty_workload_cost() > 0.0);
     }
 
     #[test]
     fn exhaustion_falls_back_to_derived() {
-        let opt = optimizer(5);
+        let (opt, cands) = setup(5);
+        let ctx = TuningContext::new(&opt, &cands);
         let n = opt.num_candidates();
         assert!(n >= 3, "need candidates");
-        let mut mw = MeteredWhatIf::new(&opt, 1);
+        let mut mw = MeteredWhatIf::new(&ctx, 1);
         let q = QueryId::new(0);
         let c0 = IndexSet::singleton(n, IndexId::new(0));
         let c1 = IndexSet::singleton(n, IndexId::new(1));
@@ -522,9 +552,10 @@ mod tests {
 
     #[test]
     fn derived_equals_whatif_when_known() {
-        let opt = optimizer(6);
+        let (opt, cands) = setup(6);
+        let ctx = TuningContext::new(&opt, &cands);
         let n = opt.num_candidates();
-        let mut mw = MeteredWhatIf::new(&opt, 10);
+        let mut mw = MeteredWhatIf::new(&ctx, 10);
         let q = QueryId::new(0);
         let cfg = IndexSet::from_ids(n, [IndexId::new(0), IndexId::new(1)]);
         let c = mw.what_if(q, &cfg).unwrap();
@@ -533,10 +564,11 @@ mod tests {
 
     #[test]
     fn telemetry_counts_calls_hits_and_derivations() {
-        let opt = optimizer(8);
+        let (opt, cands) = setup(8);
+        let ctx = TuningContext::new(&opt, &cands);
         let n = opt.num_candidates();
         assert!(n >= 2, "need candidates");
-        let mut mw = MeteredWhatIf::new(&opt, 2);
+        let mut mw = MeteredWhatIf::new(&ctx, 2);
         let q = QueryId::new(0);
         let c0 = IndexSet::singleton(n, IndexId::new(0));
         let c1 = IndexSet::singleton(n, IndexId::new(1));
@@ -561,10 +593,11 @@ mod tests {
 
     #[test]
     fn telemetry_attributes_calls_to_the_active_phase() {
-        let opt = optimizer(9);
+        let (opt, cands) = setup(9);
+        let ctx = TuningContext::new(&opt, &cands);
         let n = opt.num_candidates();
         assert!(n >= 4, "need candidates");
-        let mut mw = MeteredWhatIf::new(&opt, 10);
+        let mut mw = MeteredWhatIf::new(&ctx, 10);
         let q = QueryId::new(0);
         let cfg = |i: u32| IndexSet::singleton(n, IndexId::new(i));
 
@@ -594,10 +627,71 @@ mod tests {
     }
 
     #[test]
+    fn observed_misses_are_timed_and_warm_answers_are_not() {
+        use crate::warm::WarmStore;
+        use ixtune_obs::MetricsRegistry;
+
+        let (opt, cands) = setup(3);
+        let (m, n) = (opt.num_queries(), opt.num_candidates());
+        assert!(n >= 2, "need candidates");
+        let q = QueryId::new(0);
+        let c0 = IndexSet::singleton(n, IndexId::new(0));
+        let c1 = IndexSet::singleton(n, IndexId::new(1));
+        // A warm snapshot that knows (q, {1}) and nothing else.
+        let store = WarmStore::new(1 << 20);
+        store.absorb(
+            "w",
+            0,
+            m,
+            n,
+            vec![(q, c1.clone(), opt.what_if_cost(q, &c1))],
+        );
+        let warm = Arc::new(WarmState::new(store.checkout("w", 0, m, n)));
+        let registry = Arc::new(MetricsRegistry::new());
+        let ctx = TuningContext::new(&opt, &cands)
+            .with_obs(Obs::enabled(Arc::clone(&registry), None, 0))
+            .with_warm(Arc::clone(&warm));
+        let samples = || {
+            let text = registry.render();
+            [
+                "ixtune_whatif_latency_seconds",
+                "ixtune_whatif_sim_latency_seconds",
+            ]
+            .map(|h| {
+                text.lines()
+                    .find_map(|l| l.strip_prefix(&format!("{h}_count ")))
+                    .map_or(0, |v| v.parse::<u64>().unwrap())
+            })
+        };
+
+        let mut mw = MeteredWhatIf::new(&ctx, 10);
+        assert_eq!(samples(), [0, 0], "the ∅ baseline is not timed");
+        assert_eq!(warm.ledger_len(), m, "the ∅ baseline is ledgered");
+        assert!(mw.what_if(q, &c0).is_some());
+        assert_eq!(samples(), [1, 1], "one budgeted miss, one sample each");
+        assert!(mw.what_if(q, &c0).is_some());
+        assert!(mw.what_if(q, &c1).is_some());
+        assert_eq!(samples(), [1, 1], "cache hit and warm answer are not timed");
+        assert_eq!(
+            warm.ledger_len(),
+            m + 1,
+            "only the optimizer's answer is ledgered"
+        );
+
+        let t = mw.telemetry();
+        assert_eq!(t.what_if_calls, 2);
+        assert_eq!(t.cache_hits, 1);
+        assert_eq!(t.warm_hits, 1);
+        assert_eq!(t.warm_seeded, 1);
+        assert_eq!(mw.meter().used(), 2);
+    }
+
+    #[test]
     fn improvement_is_zero_for_empty_and_nonnegative() {
-        let opt = optimizer(7);
+        let (opt, cands) = setup(7);
+        let ctx = TuningContext::new(&opt, &cands);
         let n = opt.num_candidates();
-        let mut mw = MeteredWhatIf::new(&opt, 20);
+        let mut mw = MeteredWhatIf::new(&ctx, 20);
         assert_eq!(mw.improvement(&IndexSet::empty(n)), 0.0);
         let q = QueryId::new(0);
         for i in 0..n.min(5) {

@@ -9,10 +9,10 @@
 //! paper's analysis in §3.1.2 builds on); larger entries are kept sorted by
 //! ascending cost so the subset scan can stop at the first hit.
 //!
-//! # Sharding and the publish/freeze protocol
+//! # The publish/freeze protocol
 //!
-//! Storage is split into shards by `query_id % shards`. A tuning session
-//! alternates between two phases:
+//! Storage is one row per query. A tuning session alternates between two
+//! phases:
 //!
 //! * **write phase** — while budget remains, what-if results are appended
 //!   through `&mut self` (single-threaded by construction; the FCFS call
@@ -21,8 +21,8 @@
 //! * **frozen read phase** — once the budget is exhausted, [`freeze`]
 //!   flips the cache read-only and enumeration fans derivation probes out
 //!   across threads against `&self`. Readers are lock-free: the only
-//!   shared mutable state is the per-shard derivation counter, a relaxed
-//!   atomic that parallel scans bump in per-query batches rather than
+//!   shared mutable state is the derivation counter, a relaxed atomic
+//!   that parallel scans bump once per (query, chunk) batch rather than
 //!   per probe.
 //!
 //! [`freeze`]: WhatIfCache::freeze
@@ -30,70 +30,6 @@
 use ixtune_common::{ConfigInterner, IdCostMap, IndexId, IndexSet, QueryId};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-/// Number of query shards (capped by the query count).
-const DEFAULT_SHARDS: usize = 8;
-
-/// One shard's storage: rows for the queries with `q % shards == s`,
-/// addressed by local row `q / shards`.
-#[derive(Debug)]
-struct CacheShard {
-    /// Dense singleton costs: `singleton[lq][i] = c(q, {I_i})`, NaN if unknown.
-    singleton: Vec<Vec<f64>>,
-    /// Multi-index entries per local row, sorted by ascending cost.
-    multi: Vec<Vec<(IndexSet, f64)>>,
-    /// Inverted postings: `postings[lq][i]` = ascending positions into
-    /// `multi[lq]` of entries containing index `i`. Because `multi` is
-    /// sorted by cost, position order *is* cost order, so
-    /// [`WhatIfCache::derived_with_extra`] can scan only the entries that
-    /// mention `extra` and still early-exit on cost. Rows are lazily
-    /// sized: a row with no multi entries stays an empty `Vec` instead of
-    /// holding `universe` empty postings lists — materializing
-    /// `rows × universe` headers up front dominates cache construction on
-    /// large workloads.
-    postings: Vec<Vec<Vec<u32>>>,
-    /// Exact multi-entry lookup, keyed by the cache-level interned id of
-    /// the configuration (see [`WhatIfCache::interner`]) — an integer
-    /// open-addressed probe instead of hashing a block bitset per lookup.
-    /// Singletons have their own dense row and never enter this table.
-    exact: Vec<IdCostMap>,
-    /// Largest multi-entry size stored per local row: configurations
-    /// bigger than this can skip the exact-map probe entirely, which
-    /// avoids hashing wide bitsets in greedy inner loops.
-    max_multi_size: Vec<usize>,
-    /// Telemetry: cost evaluations answered by derivation (Eq. 1/Eq. 2)
-    /// rather than a stored what-if result. Atomic (relaxed) because
-    /// derivation happens behind `&self`, possibly from several threads;
-    /// per-shard so concurrent scans of different queries do not contend
-    /// on one cache line.
-    derivations: AtomicUsize,
-}
-
-impl CacheShard {
-    fn new(rows: usize, universe: usize) -> Self {
-        Self {
-            singleton: vec![vec![f64::NAN; universe]; rows],
-            multi: vec![Vec::new(); rows],
-            postings: vec![Vec::new(); rows],
-            exact: vec![IdCostMap::new(); rows],
-            max_multi_size: vec![0; rows],
-            derivations: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl Clone for CacheShard {
-    fn clone(&self) -> Self {
-        Self {
-            singleton: self.singleton.clone(),
-            multi: self.multi.clone(),
-            postings: self.postings.clone(),
-            exact: self.exact.clone(),
-            max_multi_size: self.max_multi_size.clone(),
-            derivations: AtomicUsize::new(self.derivations.load(Ordering::Relaxed)),
-        }
-    }
-}
 
 /// Per-session what-if cache with derivation.
 #[derive(Debug)]
@@ -103,12 +39,32 @@ pub struct WhatIfCache {
     empty: Vec<f64>,
     /// `Σ_q c(q, ∅)`, cached so `improvement()` does not re-sum per call.
     empty_total: f64,
-    /// Query-sharded storage: query `q` lives in shard `q % shards.len()`
-    /// at local row `q / shards.len()`.
-    shards: Vec<CacheShard>,
+    /// Dense singleton costs: `singleton[q][i] = c(q, {I_i})`, NaN if unknown.
+    singleton: Vec<Vec<f64>>,
+    /// Multi-index entries per query, sorted by ascending cost.
+    multi: Vec<Vec<(IndexSet, f64)>>,
+    /// Inverted postings: `postings[q][i]` = ascending positions into
+    /// `multi[q]` of entries containing index `i`. Because `multi` is
+    /// sorted by cost, position order *is* cost order, so
+    /// [`derived_with_extra`](Self::derived_with_extra) can scan only the
+    /// entries that mention `extra` and still early-exit on cost. Rows are
+    /// lazily sized: a row with no multi entries stays an empty `Vec`
+    /// instead of holding `universe` empty postings lists — materializing
+    /// `queries × universe` headers up front dominates cache construction
+    /// on large workloads.
+    postings: Vec<Vec<Vec<u32>>>,
+    /// Exact multi-entry lookup per query, keyed by the interned id of the
+    /// configuration (see `interner`) — an integer open-addressed probe
+    /// instead of hashing a block bitset per lookup. Singletons have their
+    /// own dense row and never enter this table.
+    exact: Vec<IdCostMap>,
+    /// Largest multi-entry size stored per query: configurations bigger
+    /// than this can skip the exact-map probe entirely, which avoids
+    /// hashing wide bitsets in greedy inner loops.
+    max_multi_size: Vec<usize>,
     /// Cache-level interner for multi-entry (len ≥ 2) configurations:
     /// stable insertion-ordered `IndexSet → u32` ids shared by every
-    /// shard's `exact` table. Interning happens on the write path
+    /// query's `exact` table. Interning happens on the write path
     /// (`&mut self`); the frozen read phase only resolves ids (`&self`),
     /// so parallel scans stay lock-free.
     interner: ConfigInterner,
@@ -118,6 +74,10 @@ pub struct WhatIfCache {
     singleton_any: IndexSet,
     /// Number of distinct (q, C) what-if results stored (excluding ∅).
     stored: usize,
+    /// Telemetry: cost evaluations answered by derivation (Eq. 1/Eq. 2)
+    /// rather than a stored what-if result. Atomic (relaxed) because
+    /// derivation happens behind `&self`, possibly from several threads.
+    derivations: AtomicUsize,
     /// Publish-protocol latch: once set, the cache is in its read-only
     /// phase and append paths are debug-asserted unreachable. Cloning
     /// starts a fresh (unfrozen) write phase.
@@ -130,10 +90,15 @@ impl Clone for WhatIfCache {
             universe: self.universe,
             empty: self.empty.clone(),
             empty_total: self.empty_total,
-            shards: self.shards.clone(),
+            singleton: self.singleton.clone(),
+            multi: self.multi.clone(),
+            postings: self.postings.clone(),
+            exact: self.exact.clone(),
+            max_multi_size: self.max_multi_size.clone(),
             interner: self.interner.clone(),
             singleton_any: self.singleton_any.clone(),
             stored: self.stored,
+            derivations: AtomicUsize::new(self.derivations()),
             frozen: AtomicBool::new(false),
         }
     }
@@ -145,64 +110,33 @@ impl WhatIfCache {
     pub fn new(universe: usize, empty_costs: Vec<f64>) -> Self {
         let m = empty_costs.len();
         let empty_total = empty_costs.iter().sum();
-        let num_shards = DEFAULT_SHARDS.min(m.max(1));
-        let shards = (0..num_shards)
-            .map(|s| CacheShard::new((m + num_shards - 1 - s) / num_shards, universe))
-            .collect();
         Self {
             universe,
             empty: empty_costs,
             empty_total,
-            shards,
+            singleton: vec![vec![f64::NAN; universe]; m],
+            multi: vec![Vec::new(); m],
+            postings: vec![Vec::new(); m],
+            exact: vec![IdCostMap::new(); m],
+            max_multi_size: vec![0; m],
             interner: ConfigInterner::new(),
             singleton_any: IndexSet::empty(universe),
             stored: 0,
+            derivations: AtomicUsize::new(0),
             frozen: AtomicBool::new(false),
         }
-    }
-
-    /// Create a cache warmed with the empty-configuration baseline costs
-    /// of a [`CostSource`]. The baseline calls are unbudgeted and
-    /// unobserved — every algorithm and the evaluation metric need them
-    /// (DESIGN.md §5).
-    pub fn from_source(src: &dyn crate::source::CostSource) -> Self {
-        let universe = src.num_candidates();
-        let empty = IndexSet::empty(universe);
-        let empty_costs: Vec<f64> = (0..src.num_queries())
-            .map(|i| src.cost(QueryId::from(i), &empty))
-            .collect();
-        Self::new(universe, empty_costs)
-    }
-
-    #[inline]
-    fn slot(&self, qi: usize) -> (&CacheShard, usize) {
-        let s = self.shards.len();
-        (&self.shards[qi % s], qi / s)
     }
 
     /// Telemetry: how many cost evaluations were answered by derivation
     /// instead of a stored what-if result.
     pub fn derivations(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.derivations.load(Ordering::Relaxed))
-            .sum()
+        self.derivations.load(Ordering::Relaxed)
     }
 
-    #[inline]
-    fn count_derivation(&self, qi: usize) {
-        self.shards[qi % self.shards.len()]
-            .derivations
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bulk-count `n` derivations against `q`'s shard — parallel scan
-    /// kernels account one batch per (query, chunk) instead of one atomic
-    /// add per probe.
-    pub(crate) fn add_derivations(&self, q: QueryId, n: usize) {
-        self.shards[q.index() % self.shards.len()]
-            .derivations
-            .fetch_add(n, Ordering::Relaxed);
+    /// Bulk-count `n` derivations — parallel scan kernels account one
+    /// batch per (query, chunk) instead of one atomic add per probe.
+    pub(crate) fn add_derivations(&self, n: usize) {
+        self.derivations.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Enter the read-only phase: parallel enumeration may now share the
@@ -224,11 +158,6 @@ impl WhatIfCache {
         self.empty.len()
     }
 
-    /// Number of query shards (diagnostics).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// `c(q, ∅)`.
     pub fn empty_cost(&self, q: QueryId) -> f64 {
         self.empty[q.index()]
@@ -244,20 +173,20 @@ impl WhatIfCache {
         if config.is_empty() {
             return Some(self.empty[q.index()]);
         }
-        let (shard, lq) = self.slot(q.index());
+        let qi = q.index();
         if config.len() == 1 {
             let id = config.iter().next().unwrap();
-            let v = shard.singleton[lq][id.index()];
+            let v = self.singleton[qi][id.index()];
             return if v.is_nan() { None } else { Some(v) };
         }
         // Nothing of this size (or larger) was ever stored: skip the probe
         // and its bitset hash — the hot case in greedy inner loops.
-        if config.len() > shard.max_multi_size[lq] {
+        if config.len() > self.max_multi_size[qi] {
             return None;
         }
         self.interner
             .get(config)
-            .and_then(|id| shard.exact[lq].get(id))
+            .and_then(|id| self.exact[qi].get(id))
     }
 
     /// Record a what-if result. Returns `true` if it was new.
@@ -286,39 +215,36 @@ impl WhatIfCache {
             !self.is_frozen(),
             "append to a frozen cache (write phase is over)"
         );
-        let s = self.shards.len();
-        let universe = self.universe;
         if config.len() == 1 {
-            let (shard, lq) = (&mut self.shards[qi % s], qi / s);
             let id = config.iter().next().unwrap();
-            shard.singleton[lq][id.index()] = cost;
+            self.singleton[qi][id.index()] = cost;
             self.singleton_any.insert(id);
         } else {
             let key = self.interner.intern(config);
-            let (shard, lq) = (&mut self.shards[qi % s], qi / s);
-            shard.exact[lq].insert(key, cost);
-            let list = &mut shard.multi[lq];
+            self.exact[qi].insert(key, cost);
+            let list = &mut self.multi[qi];
             let pos = list.partition_point(|(_, c)| *c < cost);
             list.insert(pos, (config.clone(), cost));
-            shard.max_multi_size[lq] = shard.max_multi_size[lq].max(config.len());
+            self.max_multi_size[qi] = self.max_multi_size[qi].max(config.len());
+            let postings = &mut self.postings[qi];
             // First multi entry for this row: materialize its postings
             // lists (rows start empty — see the field doc).
-            if shard.postings[lq].is_empty() {
-                shard.postings[lq].resize(universe, Vec::new());
+            if postings.is_empty() {
+                postings.resize(self.universe, Vec::new());
             }
             // Maintain the inverted postings: positions at or past the
             // insertion point shift by one (lists stay sorted), then the
             // new position joins each member's list. Puts are bounded by
             // the budget; probes are not — so this is the cheap side.
             let p = pos as u32;
-            for slot in &mut shard.postings[lq] {
+            for slot in postings.iter_mut() {
                 let from = slot.partition_point(|&v| v < p);
                 for v in &mut slot[from..] {
                     *v += 1;
                 }
             }
             for id in config.iter() {
-                let slot = &mut shard.postings[lq][id.index()];
+                let slot = &mut postings[id.index()];
                 let at = slot.partition_point(|&v| v < p);
                 slot.insert(at, p);
             }
@@ -328,22 +254,19 @@ impl WhatIfCache {
 
     /// Known singleton cost `c(q, {id})`, if evaluated.
     pub fn singleton_cost(&self, q: QueryId, id: IndexId) -> Option<f64> {
-        let (shard, lq) = self.slot(q.index());
-        let v = shard.singleton[lq][id.index()];
+        let v = self.singleton[q.index()][id.index()];
         (!v.is_nan()).then_some(v)
     }
 
     /// Dense singleton row for `q` (`NaN` = unknown) — read side of the
     /// frozen-phase batch kernel.
     pub(crate) fn singleton_row(&self, q: QueryId) -> &[f64] {
-        let (shard, lq) = self.slot(q.index());
-        &shard.singleton[lq]
+        &self.singleton[q.index()]
     }
 
     /// Largest multi-entry size stored for `q`.
     pub(crate) fn max_multi_len(&self, q: QueryId) -> usize {
-        let (shard, lq) = self.slot(q.index());
-        shard.max_multi_size[lq]
+        self.max_multi_size[q.index()]
     }
 
     /// Interned id of a multi configuration, if any query ever stored it.
@@ -357,8 +280,7 @@ impl WhatIfCache {
     /// Exact-map probe by interned id (see [`interned_id`](Self::interned_id)).
     #[inline]
     pub(crate) fn exact_get_id(&self, q: QueryId, id: u32) -> Option<f64> {
-        let (shard, lq) = self.slot(q.index());
-        shard.exact[lq].get(id)
+        self.exact[q.index()].get(id)
     }
 
     /// Number of distinct multi-entry configurations interned — surfaced
@@ -378,26 +300,20 @@ impl WhatIfCache {
     /// without touching their cells.
     pub(crate) fn informed_candidates(&self, config: &IndexSet) -> IndexSet {
         let mut out = self.singleton_any.clone();
-        for shard in &self.shards {
-            for list in &shard.multi {
-                'entries: for (set, _) in list {
-                    let mut extra = usize::MAX;
-                    for (bi, (&eb, &cb)) in
-                        set.as_blocks().iter().zip(config.as_blocks()).enumerate()
-                    {
-                        let diff = eb & !cb;
-                        if diff == 0 {
-                            continue;
-                        }
-                        if extra != usize::MAX || diff & (diff - 1) != 0 {
-                            continue 'entries; // ≥ 2 members outside C
-                        }
-                        extra = bi * 64 + diff.trailing_zeros() as usize;
-                    }
-                    if extra != usize::MAX {
-                        out.insert(IndexId::from(extra));
-                    }
+        'entries: for (set, _) in self.multi.iter().flatten() {
+            let mut extra = usize::MAX;
+            for (bi, (&eb, &cb)) in set.as_blocks().iter().zip(config.as_blocks()).enumerate() {
+                let diff = eb & !cb;
+                if diff == 0 {
+                    continue;
                 }
+                if extra != usize::MAX || diff & (diff - 1) != 0 {
+                    continue 'entries; // ≥ 2 members outside C
+                }
+                extra = bi * 64 + diff.trailing_zeros() as usize;
+            }
+            if extra != usize::MAX {
+                out.insert(IndexId::from(extra));
             }
         }
         out
@@ -410,19 +326,19 @@ impl WhatIfCache {
         if let Some(c) = self.get(q, config) {
             return c;
         }
-        self.count_derivation(qi);
-        let (shard, lq) = self.slot(qi);
+        self.add_derivations(1);
         let mut best = self.empty[qi];
         // Singleton fast path: members of `config` with known costs.
+        let singleton = &self.singleton[qi];
         for id in config.iter() {
-            let v = shard.singleton[lq][id.index()];
+            let v = singleton[id.index()];
             if !v.is_nan() && v < best {
                 best = v;
             }
         }
         // Multi-index entries: sorted ascending, so stop once entries can no
         // longer improve.
-        for (set, cost) in &shard.multi[lq] {
+        for (set, cost) in &self.multi[qi] {
             if *cost >= best {
                 break;
             }
@@ -437,11 +353,11 @@ impl WhatIfCache {
     /// whose benefit function is provably submodular (Theorem 1).
     pub fn derived_singleton(&self, q: QueryId, config: &IndexSet) -> f64 {
         let qi = q.index();
-        self.count_derivation(qi);
-        let (shard, lq) = self.slot(qi);
+        self.add_derivations(1);
         let mut best = self.empty[qi];
+        let singleton = &self.singleton[qi];
         for id in config.iter() {
-            let v = shard.singleton[lq][id.index()];
+            let v = singleton[id.index()];
             if !v.is_nan() && v < best {
                 best = v;
             }
@@ -464,8 +380,7 @@ impl WhatIfCache {
     /// Multi-index entries for `q`, sorted by ascending cost — the raw
     /// material for incremental derivation and the frozen scan kernel.
     pub fn multi_entries(&self, q: QueryId) -> &[(IndexSet, f64)] {
-        let (shard, lq) = self.slot(q.index());
-        &shard.multi[lq]
+        &self.multi[q.index()]
     }
 
     /// Incremental derivation: `d(q, C ∪ {extra})` given `d(q, C)`.
@@ -487,7 +402,7 @@ impl WhatIfCache {
         extra: IndexId,
         current: f64,
     ) -> f64 {
-        self.count_derivation(q.index());
+        self.add_derivations(1);
         self.derived_with_extra_uncounted(q, config, extra, current)
     }
 
@@ -501,18 +416,18 @@ impl WhatIfCache {
         extra: IndexId,
         current: f64,
     ) -> f64 {
-        let (shard, lq) = self.slot(q.index());
+        let qi = q.index();
         let mut best = current;
-        let s = shard.singleton[lq][extra.index()];
+        let s = self.singleton[qi][extra.index()];
         if !s.is_nan() && s < best {
             best = s;
         }
-        let prow = &shard.postings[lq];
+        let prow = &self.postings[qi];
         if prow.is_empty() {
             // No multi entries for this row (postings never materialized).
             return best;
         }
-        let list = &shard.multi[lq];
+        let list = &self.multi[qi];
         for &pos in &prow[extra.index()] {
             let (set, cost) = &list[pos as usize];
             if *cost >= best {
@@ -536,19 +451,16 @@ impl WhatIfCache {
     /// and silently perturb derived costs.
     pub fn snapshot(&self) -> CacheSnapshot {
         let rows = (0..self.num_queries())
-            .map(|qi| {
-                let (shard, lq) = self.slot(qi);
-                CacheRowSnapshot {
-                    // NaN cells mean "unknown" and would not survive JSON
-                    // (it has no NaN); store only the known cells.
-                    singletons: shard.singleton[lq]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| !v.is_nan())
-                        .map(|(i, &v)| (i as u32, v))
-                        .collect(),
-                    multi: shard.multi[lq].clone(),
-                }
+            .map(|qi| CacheRowSnapshot {
+                // NaN cells mean "unknown" and would not survive JSON (it
+                // has no NaN); store only the known cells.
+                singletons: self.singleton[qi]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| !v.is_nan())
+                    .map(|(i, &v)| (i as u32, v))
+                    .collect(),
+                multi: self.multi[qi].clone(),
             })
             .collect();
         CacheSnapshot {
@@ -571,12 +483,10 @@ impl WhatIfCache {
                 cache.num_queries()
             ));
         }
-        let num_shards = cache.shards.len();
         let mut stored = 0usize;
         for (qi, row) in s.rows.iter().enumerate() {
-            let (shard, lq) = (&mut cache.shards[qi % num_shards], qi / num_shards);
             for &(id, cost) in &row.singletons {
-                let cell = shard.singleton[lq]
+                let cell = cache.singleton[qi]
                     .get_mut(id as usize)
                     .ok_or_else(|| format!("singleton id {id} outside universe {}", s.universe))?;
                 if !cell.is_nan() {
@@ -596,27 +506,25 @@ impl WhatIfCache {
                 }
                 prev = *cost;
                 let key = cache.interner.intern(set);
-                let (shard, lq) = (&mut cache.shards[qi % num_shards], qi / num_shards);
-                if shard.exact[lq].insert(key, *cost).is_some() {
+                if cache.exact[qi].insert(key, *cost).is_some() {
                     return Err(format!("duplicate multi entry for query {qi}"));
                 }
-                shard.multi[lq].push((set.clone(), *cost));
-                shard.max_multi_size[lq] = shard.max_multi_size[lq].max(set.len());
-                if shard.postings[lq].is_empty() {
-                    shard.postings[lq].resize(s.universe, Vec::new());
+                cache.multi[qi].push((set.clone(), *cost));
+                cache.max_multi_size[qi] = cache.max_multi_size[qi].max(set.len());
+                let postings = &mut cache.postings[qi];
+                if postings.is_empty() {
+                    postings.resize(s.universe, Vec::new());
                 }
                 // Positions are appended in ascending order, so every
                 // postings list comes out sorted without shifting.
                 for id in set.iter() {
-                    shard.postings[lq][id.index()].push(pos as u32);
+                    postings[id.index()].push(pos as u32);
                 }
                 stored += 1;
             }
         }
         cache.stored = stored;
-        // Per-shard derivation counters only ever surface as their sum
-        // (telemetry), so the restored total lives in shard 0.
-        cache.shards[0].derivations = AtomicUsize::new(s.derivations);
+        cache.derivations = AtomicUsize::new(s.derivations);
         Ok(cache)
     }
 }
@@ -771,12 +679,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_routing_is_transparent() {
-        // More queries than shards: rows land in every shard and wrap.
+    fn every_query_keeps_its_own_rows() {
         let m = 19;
         let empties: Vec<f64> = (0..m).map(|q| 100.0 + q as f64).collect();
         let mut c = WhatIfCache::new(6, empties.clone());
-        assert_eq!(c.num_shards(), 8);
         for q in 0..m {
             let qid = QueryId::from(q);
             c.put(qid, &set(6, &[(q % 6) as u32]), 10.0 + q as f64);
@@ -831,7 +737,7 @@ mod tests {
             c.put(qid, &set(6, &[2, 3]), 50.0);
             c.put(qid, &set(6, &[1, 4, 5]), 42.0 + q as f64);
         }
-        c.add_derivations(QueryId::new(0), 17);
+        c.add_derivations(17);
 
         let snap = c.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
@@ -912,8 +818,8 @@ mod tests {
     #[test]
     fn derivation_counters_batch_and_clone() {
         let c = cache();
-        c.add_derivations(QueryId::new(0), 7);
-        c.add_derivations(QueryId::new(1), 3);
+        c.add_derivations(7);
+        c.add_derivations(3);
         assert_eq!(c.derivations(), 10);
         let d = c.clone();
         assert_eq!(d.derivations(), 10, "clone carries counters");

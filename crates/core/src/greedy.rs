@@ -281,8 +281,7 @@ impl Tuner for VanillaGreedy {
         stop: &StopSignal,
     ) -> TuningResult {
         let threads = effective_threads(req.session_threads);
-        let src = ctx.source();
-        let mut mw = MeteredWhatIf::new(&src, req.budget);
+        let mut mw = MeteredWhatIf::new(ctx, req.budget);
         let universe = ctx.universe();
         let pool: Vec<IndexId> = (0..universe).map(IndexId::from).collect();
         let empty = IndexSet::empty(universe);

@@ -3,14 +3,10 @@
 //! * [`derived`] — what-if cache and cost derivation (Eq. 1 / Eq. 2);
 //! * [`derivation_state`] — incremental workload-level derivation used by
 //!   every enumerator's inner loop;
-//! * [`source`] — the [`CostSource`] trait: the single cost-asking API
-//!   the meter charges against, with an optional observation hook;
 //! * [`budget`] — the budget meter and the tuner-side metered what-if
-//!   client;
+//!   client, the one path from a tuner to the optimizer;
 //! * [`obs`] — the per-session observability handle: metric instruments
 //!   and tracing spans, zero-cost when disabled;
-//! * [`telemetry`] — the versioned telemetry schema (v2) and the v1
-//!   sidecar reader;
 //! * [`matrix`] — budget-allocation-matrix layouts (§3.2);
 //! * [`tuner`] — the [`Tuner`] trait, contexts, constraints, and
 //!   oracle-evaluated results;
@@ -56,9 +52,7 @@ pub mod matrix;
 pub mod mcts;
 pub mod obs;
 pub mod parallel;
-pub mod source;
 pub mod stop;
-pub mod telemetry;
 pub mod tuner;
 pub mod twophase;
 pub mod warm;
@@ -72,16 +66,13 @@ pub use greedy::{greedy_enumerate, VanillaGreedy};
 pub use matrix::Layout;
 pub use mcts::extract::Extraction;
 pub use mcts::policy::{AmafTable, SelectionPolicy};
-pub use mcts::priors::QuerySelection;
 pub use mcts::rollout::RolloutPolicy;
 pub use mcts::tree::TreeSnapshot;
 pub use mcts::{MctsOutcome, MctsTuner, UpdatePolicy};
-pub use obs::{publish_cache_hit_ratios, Obs, METRIC_SHARDS};
+pub use obs::Obs;
 pub use parallel::{frozen_argmin, winner_values, FrozenEval, MIN_PARALLEL_WORK};
-pub use source::{CostSource, ObservedSource, SessionFaults};
 pub use stop::{Interrupt, Progress, StopReason, StopSignal};
-pub use telemetry::{TelemetryV2, TELEMETRY_VERSION};
-pub use tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
+pub use tuner::{Constraints, SessionFaults, Tuner, TuningContext, TuningRequest, TuningResult};
 pub use twophase::TwoPhaseGreedy;
 pub use warm::{WarmSnapshot, WarmState, WarmStore, WarmStoreStats};
 
@@ -92,17 +83,10 @@ pub mod prelude {
     pub use crate::greedy::VanillaGreedy;
     pub use crate::mcts::extract::Extraction;
     pub use crate::mcts::policy::SelectionPolicy;
-    pub use crate::mcts::priors::QuerySelection;
     pub use crate::mcts::rollout::RolloutPolicy;
     pub use crate::mcts::{MctsOutcome, MctsTuner, UpdatePolicy};
     pub use crate::obs::Obs;
-    // `CostSource` is deliberately NOT in the prelude: its method names
-    // mirror `WhatIfOptimizer`'s, so glob-importing both would make every
-    // call on a `SimulatedOptimizer` ambiguous. Import it by name
-    // (`ixtune_core::CostSource`) where the trait is actually used.
-    pub use crate::source::ObservedSource;
     pub use crate::stop::{StopReason, StopSignal};
-    pub use crate::telemetry::{TelemetryV2, TELEMETRY_VERSION};
     pub use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
     pub use crate::twophase::TwoPhaseGreedy;
 }

@@ -169,7 +169,7 @@ mod tests {
     fn bce_returns_tracked_or_empty() {
         let (opt, cands) = setup(1);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 0);
+        let mut mw = MeteredWhatIf::new(&ctx, 0);
         let c = Constraints::cardinality(3);
         let none = Extraction::Bce.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
         assert!(none.is_empty());
@@ -189,7 +189,7 @@ mod tests {
     fn bg_uses_cached_information() {
         let (opt, cands) = setup(2);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 1_000);
+        let mut mw = MeteredWhatIf::new(&ctx, 1_000);
         // Prime the cache with every singleton for every query.
         for q in 0..ctx.num_queries() {
             for i in 0..ctx.universe() {
@@ -212,7 +212,7 @@ mod tests {
     fn bg_with_no_information_returns_empty() {
         let (opt, cands) = setup(3);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 0);
+        let mut mw = MeteredWhatIf::new(&ctx, 0);
         let c = Constraints::cardinality(3);
         let bg =
             Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
@@ -223,7 +223,7 @@ mod tests {
     fn hybrid_picks_the_cheaper() {
         let (opt, cands) = setup(4);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 1_000);
+        let mut mw = MeteredWhatIf::new(&ctx, 1_000);
         for q in 0..ctx.num_queries() {
             for i in 0..ctx.universe() {
                 mw.what_if(
@@ -255,7 +255,7 @@ mod tests {
         for seed in 0..5u64 {
             let (opt, cands) = setup(seed + 40);
             let ctx = TuningContext::new(&opt, &cands);
-            let mut mw = MeteredWhatIf::new(&opt, 60);
+            let mut mw = MeteredWhatIf::new(&ctx, 60);
             // Populate a mixed cache: singletons and a few pairs.
             let n = ctx.universe();
             let mut rng = ixtune_common::rng::seeded(seed);
@@ -288,7 +288,7 @@ mod tests {
         for seed in 0..4u64 {
             let (opt, cands) = setup(seed + 60);
             let ctx = TuningContext::new(&opt, &cands);
-            let mut mw = MeteredWhatIf::new(&opt, 80);
+            let mut mw = MeteredWhatIf::new(&ctx, 80);
             let n = ctx.universe();
             let mut rng = ixtune_common::rng::seeded(seed ^ 0x517);
             use rand::RngExt;

@@ -37,22 +37,20 @@ pub struct MctsTuner {
     pub selection: SelectionPolicy,
     pub rollout: RolloutPolicy,
     pub extraction: Extraction,
-    /// Query-selection strategy for the priors phase (Algorithm 4).
-    pub query_selection: priors::QuerySelection,
     /// How episode rewards are backed up into the tree.
     pub update: UpdatePolicy,
 }
 
 impl Default for MctsTuner {
     /// The paper's best-performing setting (§7.1): ε-greedy with priors,
-    /// myopic rollout with step size 0, Best-Greedy extraction, round-robin
-    /// prior query selection, and plain running-average updates.
+    /// myopic rollout with step size 0, Best-Greedy extraction, and plain
+    /// running-average updates. Priors always use the paper's round-robin
+    /// query selection (Algorithm 4).
     fn default() -> Self {
         Self {
             selection: SelectionPolicy::EpsilonGreedyPrior,
             rollout: RolloutPolicy::FixedStep(0),
             extraction: Extraction::BestGreedy,
-            query_selection: priors::QuerySelection::RoundRobin,
             update: UpdatePolicy::Average,
         }
     }
@@ -98,12 +96,6 @@ impl MctsTuner {
     /// Set the reward back-up policy.
     pub fn with_update(mut self, update: UpdatePolicy) -> Self {
         self.update = update;
-        self
-    }
-
-    /// Set the priors-phase query-selection strategy (Algorithm 4).
-    pub fn with_query_selection(mut self, query_selection: priors::QuerySelection) -> Self {
-        self.query_selection = query_selection;
         self
     }
 
@@ -281,7 +273,6 @@ impl Tuner for MctsTuner {
         if self.selection == default.selection
             && self.rollout == default.rollout
             && self.extraction == default.extraction
-            && self.query_selection == default.query_selection
             && self.update == default.update
         {
             "MCTS".into()
@@ -421,7 +412,7 @@ impl MctsTuner {
             let obs = mw.obs().clone();
             let t0 = obs.span_start();
             let bp = priors::priors_budget(req.budget, ctx);
-            let priors = priors::compute_priors(ctx, mw, bp, self.query_selection);
+            let priors = priors::compute_priors(ctx, mw, bp);
             if let Some(t0) = t0 {
                 obs.span_end(
                     t0,
@@ -533,8 +524,7 @@ impl MctsTuner {
         stop: &StopSignal,
         allow_suspend: bool,
     ) -> MctsOutcome {
-        let src = ctx.source();
-        let mut mw = MeteredWhatIf::new(&src, req.budget);
+        let mut mw = MeteredWhatIf::new(ctx, req.budget);
         let state = self.start_state(ctx, req, &mut mw);
         self.drive(ctx, req, mw, state, stop, allow_suspend)
     }
@@ -611,9 +601,8 @@ impl MctsTuner {
         }
         let cache = WhatIfCache::from_snapshot(&ckpt.cache)?;
         let tree = Tree::from_snapshot(&ckpt.tree, n)?;
-        let src = ctx.source();
         let mw =
-            MeteredWhatIf::from_parts(&src, cache, ckpt.meter, ckpt.trace.clone(), ckpt.counters);
+            MeteredWhatIf::from_parts(ctx, cache, ckpt.meter, ckpt.trace.clone(), ckpt.counters);
         let state = MctsState {
             rng: StdRng::from_state([ckpt.rng.0, ckpt.rng.1, ckpt.rng.2, ckpt.rng.3]),
             priors: ckpt.priors.clone(),
@@ -774,9 +763,6 @@ mod tests {
             MctsTuner::default()
                 .with_selection(SelectionPolicy::uct())
                 .with_update(UpdatePolicy::Rave { k: 20.0 }),
-            MctsTuner::default().with_query_selection(QuerySelection::CostWeighted),
-            MctsTuner::default()
-                .with_query_selection(QuerySelection::RandomSubset { per_mille: 500 }),
         ];
         for tuner in variants {
             let r = tuner.tune(&ctx, &req);
@@ -786,8 +772,6 @@ mod tests {
             assert_eq!(r.config, again.config, "{} not deterministic", tuner.name());
         }
     }
-
-    use crate::mcts::priors::QuerySelection;
 
     #[test]
     fn tree_walk_extractions_respect_constraints_and_budget() {
@@ -814,26 +798,6 @@ mod tests {
         assert!(r.calls_used <= 150);
         // The trace tracks estimated improvements in [0, 1].
         assert!(trace.iter().all(|v| (0.0..=1.0).contains(v)));
-    }
-
-    #[test]
-    fn query_selection_strategies_produce_usable_priors_on_tpch() {
-        let (opt, cands) = tpch_ctx();
-        let ctx = TuningContext::new(&opt, &cands);
-        for strategy in [
-            QuerySelection::RoundRobin,
-            QuerySelection::CostWeighted,
-            QuerySelection::RandomSubset { per_mille: 300 },
-        ] {
-            let mut mw = crate::budget::MeteredWhatIf::new(&opt, 300);
-            let priors = priors::compute_priors(&ctx, &mut mw, 150, strategy);
-            assert!(
-                priors.iter().any(|&p| p > 0.0),
-                "{}: no useful priors",
-                strategy.label()
-            );
-            assert!(mw.meter().used() <= 150);
-        }
     }
 
     #[test]

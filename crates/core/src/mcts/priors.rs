@@ -10,10 +10,7 @@
 
 use crate::budget::{MeteredWhatIf, Phase};
 use crate::tuner::TuningContext;
-use ixtune_common::rng::{derive, weighted_choice};
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use rand::RngExt;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The paper's priors budget: `B' = min(B/2, P)` where `B` is the total
@@ -22,48 +19,14 @@ pub fn priors_budget(total_budget: usize, ctx: &TuningContext<'_>) -> usize {
     (total_budget / 2).min(ctx.cands.num_query_index_pairs())
 }
 
-/// `QuerySelection` strategies for Algorithm 4 (§6.1). The paper defaults
-/// to round-robin ("robust and works well"), and discusses the
-/// alternatives implemented here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum QuerySelection {
-    /// Cycle through queries in order — the paper's default, maximizing
-    /// breadth across the workload.
-    #[default]
-    RoundRobin,
-    /// Sample queries with probability proportional to `c(q, ∅)` — the
-    /// same weighting `EvaluateCostWithBudget` uses.
-    CostWeighted,
-    /// Round-robin restricted to a random sample of `fraction` of the
-    /// queries (per-mille) — the paper's scalability escape hatch for
-    /// workloads larger than the budget.
-    RandomSubset {
-        /// Sample size in per-mille of the workload (e.g. 250 = 25%).
-        per_mille: u16,
-    },
-}
-
-impl QuerySelection {
-    pub fn label(&self) -> String {
-        match self {
-            QuerySelection::RoundRobin => "round-robin".into(),
-            QuerySelection::CostWeighted => "cost-weighted".into(),
-            QuerySelection::RandomSubset { per_mille } => {
-                format!("subset({}%)", *per_mille as f64 / 10.0)
-            }
-        }
-    }
-}
-
 /// Compute `η(W, {I})` for every candidate `I`, spending at most
-/// `budget_prime` what-if calls through `mw`, with the paper's default
+/// `budget_prime` what-if calls through `mw`, with the paper's
 /// round-robin query selection. Returns improvements as fractions in
 /// `[0, 1]`.
 pub fn compute_priors(
     ctx: &TuningContext<'_>,
     mw: &mut MeteredWhatIf<'_>,
     budget_prime: usize,
-    strategy: QuerySelection,
 ) -> Vec<f64> {
     let prev_phase = mw.set_phase(Phase::Priors);
     let n = ctx.universe();
@@ -84,40 +47,11 @@ pub fn compute_priors(
         .collect();
     let mut evaluated: HashSet<(usize, IndexId)> = HashSet::new();
 
-    // Strategy state: an RNG derived from the cache's identity-free stream
-    // keeps prior computation deterministic per (strategy, budget).
-    let mut rng = derive(0x5e1ec7, "priors-query-selection");
-    let eligible: Vec<usize> = match strategy {
-        QuerySelection::RandomSubset { per_mille } => {
-            let want = ((m as u64 * per_mille as u64).div_ceil(1000) as usize).clamp(1, m);
-            let mut pool: Vec<usize> = (0..m).collect();
-            // Partial Fisher–Yates.
-            for i in 0..want {
-                let j = i + rng.random_range(0..pool.len() - i);
-                pool.swap(i, j);
-            }
-            pool.truncate(want);
-            pool
-        }
-        _ => (0..m).collect(),
-    };
-    let costs: Vec<f64> = eligible
-        .iter()
-        .map(|&q| mw.empty_cost(QueryId::from(q)))
-        .collect();
-
     let mut spent = 0usize;
     let mut qi = 0usize;
     let mut idle_rounds = 0usize;
     while spent < budget_prime && idle_rounds < m {
-        let q = match strategy {
-            QuerySelection::RoundRobin | QuerySelection::RandomSubset { .. } => {
-                eligible[qi % eligible.len()]
-            }
-            QuerySelection::CostWeighted => {
-                eligible[weighted_choice(&mut rng, &costs).unwrap_or(qi % eligible.len())]
-            }
-        };
+        let q = qi % m;
         qi += 1;
         // IndexSelection: next unevaluated candidate of this query.
         let next = queues[q]
@@ -179,9 +113,9 @@ mod tests {
     fn priors_are_bounded_and_spend_at_most_bprime() {
         let (opt, cands) = setup(2);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 100);
+        let mut mw = MeteredWhatIf::new(&ctx, 100);
         let bp = 6;
-        let priors = compute_priors(&ctx, &mut mw, bp, QuerySelection::RoundRobin);
+        let priors = compute_priors(&ctx, &mut mw, bp);
         assert_eq!(priors.len(), ctx.universe());
         assert!(priors.iter().all(|p| (0.0..=1.0).contains(p)));
         assert!(mw.meter().used() <= bp);
@@ -191,8 +125,8 @@ mod tests {
     fn zero_budget_gives_zero_priors() {
         let (opt, cands) = setup(3);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 100);
-        let priors = compute_priors(&ctx, &mut mw, 0, QuerySelection::RoundRobin);
+        let mut mw = MeteredWhatIf::new(&ctx, 100);
+        let priors = compute_priors(&ctx, &mut mw, 0);
         assert!(priors.iter().all(|&p| p == 0.0));
         assert_eq!(mw.meter().used(), 0);
     }
@@ -204,8 +138,8 @@ mod tests {
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
         let pairs = ctx.cands.num_query_index_pairs();
-        let mut mw = MeteredWhatIf::new(&opt, pairs * 2);
-        let _ = compute_priors(&ctx, &mut mw, pairs, QuerySelection::RoundRobin);
+        let mut mw = MeteredWhatIf::new(&ctx, pairs * 2);
+        let _ = compute_priors(&ctx, &mut mw, pairs);
         // Round-robin should have touched every query with candidates.
         let layout = crate::matrix::Layout::new(mw.into_trace());
         assert_eq!(layout.distinct_queries(), ctx.num_queries());
@@ -219,8 +153,8 @@ mod tests {
         let cands = generate_default(&inst);
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 10_000);
-        let priors = compute_priors(&ctx, &mut mw, 5_000, QuerySelection::RoundRobin);
+        let mut mw = MeteredWhatIf::new(&ctx, 10_000);
+        let priors = compute_priors(&ctx, &mut mw, 5_000);
         assert!(
             priors.iter().any(|&p| p > 0.01),
             "some TPC-H index must show singleton benefit"
@@ -231,8 +165,8 @@ mod tests {
     fn priors_stop_when_global_budget_smaller() {
         let (opt, cands) = setup(4);
         let ctx = TuningContext::new(&opt, &cands);
-        let mut mw = MeteredWhatIf::new(&opt, 3);
-        let _ = compute_priors(&ctx, &mut mw, 100, QuerySelection::RoundRobin);
+        let mut mw = MeteredWhatIf::new(&ctx, 3);
+        let _ = compute_priors(&ctx, &mut mw, 100);
         assert_eq!(mw.meter().used(), 3);
     }
 }

@@ -16,10 +16,9 @@
 //!   so the registry can never drift from the legacy counters — they are
 //!   derived from them. This is what the registry≡telemetry property test
 //!   pins down.
-//! * **Hot-path instruments.** Per-shard cache hit/lookup counters and the
-//!   what-if latency histograms are incremented inline (one relaxed atomic
-//!   op each) because the information they carry — shard attribution,
-//!   latency distribution — does not exist in the telemetry bag at all.
+//! * **Hot-path instrument.** The what-if latency histograms are observed
+//!   inline, once per budgeted optimizer invocation, because the latency
+//!   distribution they carry does not exist in the telemetry bag at all.
 //!
 //! Observability must never perturb results: nothing here feeds back into
 //! search decisions, and the disabled path does no work — the bit-identity
@@ -28,11 +27,6 @@
 use crate::budget::SessionTelemetry;
 use ixtune_obs::{Counter, Histogram, MetricsRegistry, TraceRecorder};
 use std::sync::Arc;
-
-/// Shard label cardinality for the per-shard cache metrics. Matches the
-/// cache's default shard count; caches with fewer shards fold into the
-/// lower labels.
-pub const METRIC_SHARDS: usize = 8;
 
 /// Bucket bounds (seconds) for real what-if wall-clock latency.
 const REAL_LATENCY_BOUNDS: [f64; 9] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 60.0];
@@ -52,8 +46,6 @@ struct ObsShared {
     parallel_scans: Arc<Counter>,
     warm_hits: Arc<Counter>,
     warm_seeded: Arc<Counter>,
-    shard_hits: Vec<Arc<Counter>>,
-    shard_lookups: Vec<Arc<Counter>>,
     whatif_latency: Arc<Histogram>,
     whatif_sim_latency: Arc<Histogram>,
 }
@@ -88,11 +80,6 @@ impl Obs {
                 &[("phase", p)],
             )
         });
-        let shard = |name: &str, help: &str| -> Vec<Arc<Counter>> {
-            (0..METRIC_SHARDS)
-                .map(|s| registry.counter(name, help, &[("shard", &s.to_string())]))
-                .collect()
-        };
         let shared = ObsShared {
             scope,
             tracer,
@@ -121,14 +108,6 @@ impl Obs {
                 "ixtune_warm_seeded_total",
                 "Warm store entries sessions were seeded with at admission",
                 &[],
-            ),
-            shard_hits: shard(
-                "ixtune_cache_shard_hits_total",
-                "Cache hits by cache shard (serial lookup path)",
-            ),
-            shard_lookups: shard(
-                "ixtune_cache_shard_lookups_total",
-                "Cache lookups by cache shard (serial lookup path)",
             ),
             whatif_latency: registry.histogram(
                 "ixtune_whatif_latency_seconds",
@@ -166,18 +145,6 @@ impl Obs {
         if let Some(s) = &self.shared {
             s.whatif_latency.observe(real_s);
             s.whatif_sim_latency.observe(sim_s);
-        }
-    }
-
-    /// Record one serial-path cache lookup against `shard` and whether it
-    /// hit.
-    #[inline]
-    pub fn on_cache_ref(&self, shard: usize, hit: bool) {
-        if let Some(s) = &self.shared {
-            s.shard_lookups[shard % METRIC_SHARDS].inc();
-            if hit {
-                s.shard_hits[shard % METRIC_SHARDS].inc();
-            }
         }
     }
 
@@ -252,34 +219,6 @@ impl std::fmt::Debug for Obs {
     }
 }
 
-/// Scrape-time helper: compute per-shard cache hit *ratio* gauges from the
-/// shard hit/lookup counters. Called by the daemon right before rendering
-/// the exposition so the ratios reflect the counters in the same scrape.
-pub fn publish_cache_hit_ratios(registry: &MetricsRegistry) {
-    for s in 0..METRIC_SHARDS {
-        let label = s.to_string();
-        let labels: [(&str, &str); 1] = [("shard", &label)];
-        let hits = registry
-            .counter_value("ixtune_cache_shard_hits_total", &labels)
-            .unwrap_or(0);
-        let lookups = registry
-            .counter_value("ixtune_cache_shard_lookups_total", &labels)
-            .unwrap_or(0);
-        let ratio = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        };
-        registry
-            .gauge(
-                "ixtune_cache_shard_hit_ratio",
-                "Cache hit ratio by cache shard (serial lookup path)",
-                &labels,
-            )
-            .set(ratio);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,7 +229,6 @@ mod tests {
         assert!(!obs.is_enabled());
         assert_eq!(obs.scope(), 0);
         assert_eq!(obs.span_start(), None);
-        obs.on_cache_ref(3, true);
         obs.observe_whatif_latency(0.1, 1.0);
         obs.publish_deltas(&SessionTelemetry::default(), &SessionTelemetry::default());
     }
@@ -334,22 +272,6 @@ mod tests {
             registry.counter_value("ixtune_parallel_scans_total", &[]),
             Some(2)
         );
-    }
-
-    #[test]
-    fn shard_ratio_gauges_render_at_scrape_time() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let obs = Obs::enabled(Arc::clone(&registry), None, 0);
-        obs.on_cache_ref(0, true);
-        obs.on_cache_ref(0, false);
-        obs.on_cache_ref(9, true); // folds into shard 1
-        publish_cache_hit_ratios(&registry);
-        let text = registry.render();
-        assert!(
-            text.contains("ixtune_cache_shard_hit_ratio{shard=\"0\"} 0.5"),
-            "{text}"
-        );
-        assert!(text.contains("ixtune_cache_shard_hit_ratio{shard=\"1\"} 1"));
     }
 
     #[test]

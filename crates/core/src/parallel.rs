@@ -101,7 +101,7 @@ type ChunkOutcome = (Option<(f64, usize, IndexId)>, usize);
 
 /// Scan `chunk` (pool positions + candidate ids, ascending) against every
 /// query, returning the chunk argmin and hit count. Derivation counts are
-/// batched straight into the cache's per-shard counters.
+/// batched straight into the cache's counter, once per query.
 fn scan_chunk(
     cache: &WhatIfCache,
     queries: &[QueryId],
@@ -226,7 +226,7 @@ fn scan_chunk(
             totals[ci] += v;
         }
         // Serial accounting: every non-hit evaluation was one derivation.
-        cache.add_derivations(q, chunk.len() - row_hits);
+        cache.add_derivations(chunk.len() - row_hits);
         hits += row_hits;
     }
 
@@ -290,11 +290,7 @@ pub fn frozen_argmin(
             uninformed += 1;
         }
     }
-    if uninformed > 0 {
-        for &q in queries {
-            cache.add_derivations(q, uninformed);
-        }
-    }
+    cache.add_derivations(uninformed * queries.len());
     if informed.is_empty() {
         // Every admissible candidate prices to the fold of `per_query`.
         let total = fold_per_query(per_query);

@@ -12,14 +12,49 @@
 use crate::budget::SessionTelemetry;
 use crate::matrix::Layout;
 use crate::obs::Obs;
-use crate::source::{ObservedSource, SessionFaults};
 use crate::stop::{StopReason, StopSignal};
 use crate::warm::WarmState;
 use ixtune_candidates::CandidateSet;
+use ixtune_common::fault::FaultPlan;
 use ixtune_common::{IndexId, IndexSet};
 use ixtune_optimizer::{SimulatedOptimizer, WhatIfOptimizer};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Per-session fault state: the (shared) fault plan plus the degraded
+/// flag the what-if error ladder raises. Clones share the flag, so every
+/// metered client of one session observes the same degradation.
+#[derive(Clone, Default)]
+pub struct SessionFaults {
+    plan: FaultPlan,
+    degraded: Arc<AtomicBool>,
+}
+
+impl SessionFaults {
+    pub fn new(plan: FaultPlan) -> Self {
+        Self {
+            plan,
+            degraded: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// The fault plan (inert by default).
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Raise the degraded flag: a what-if error fired and the session fell
+    /// back to derivation-only search.
+    pub fn mark_degraded(&self) {
+        self.degraded.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether any client of this session has degraded.
+    pub fn is_degraded(&self) -> bool {
+        self.degraded.load(Ordering::Relaxed)
+    }
+}
 
 /// Everything a tuning session reads: the optimizer (schema + workload +
 /// cost model), the candidate universe with per-query attribution, and
@@ -55,10 +90,10 @@ impl<'a> TuningContext<'a> {
     }
 
     /// Attach a warm store state (see [`crate::warm`]): the session's
-    /// sources serve known costs from the snapshot without invoking the
-    /// optimizer and ledger the ones they do compute. Warm seeding never
-    /// perturbs results — only `warm_hits`/`warm_seeded` provenance
-    /// counters differ from a cold run
+    /// metered clients serve known costs from the snapshot without
+    /// invoking the optimizer and ledger the ones they do compute. Warm
+    /// seeding never perturbs results — only `warm_hits`/`warm_seeded`
+    /// provenance counters differ from a cold run
     /// (`crates/core/tests/warm_store_props.rs`).
     pub fn with_warm(mut self, warm: Arc<WarmState>) -> Self {
         self.warm = Some(warm);
@@ -66,9 +101,9 @@ impl<'a> TuningContext<'a> {
     }
 
     /// Attach the session's fault state (see
-    /// [`SessionFaults`]): the sources this context builds consult the
-    /// plan's `whatif.*` sites, and the shared degraded flag records a
-    /// fallback to derivation-only search. Inert by default.
+    /// [`SessionFaults`]): the metered clients built over this context
+    /// consult the plan's `whatif.*` sites, and the shared degraded flag
+    /// records a fallback to derivation-only search. Inert by default.
     pub fn with_faults(mut self, faults: SessionFaults) -> Self {
         self.faults = faults;
         self
@@ -84,15 +119,9 @@ impl<'a> TuningContext<'a> {
         &self.obs
     }
 
-    /// The cost source tuners meter their calls against: the optimizer
-    /// wrapped with this context's observability handle and, in the
-    /// service, the warm store overlay.
-    pub fn source(&self) -> ObservedSource<'a> {
-        let src = ObservedSource::new(self.opt, self.obs.clone()).with_faults(self.faults.clone());
-        match &self.warm {
-            Some(w) => src.with_warm(Arc::clone(w)),
-            None => src,
-        }
+    /// The session's warm store state, if any.
+    pub(crate) fn warm(&self) -> Option<&Arc<WarmState>> {
+        self.warm.as_ref()
     }
 
     /// Universe size `|I|`.

@@ -32,8 +32,7 @@ pub(crate) fn two_phase(
 ) -> TuningResult {
     let constraints = &req.constraints;
     let threads = effective_threads(req.session_threads);
-    let src = ctx.source();
-    let mut mw = MeteredWhatIf::new(&src, req.budget);
+    let mut mw = MeteredWhatIf::new(ctx, req.budget);
     let obs = ctx.obs().clone();
 
     // Phase 1: each query as its own workload.
@@ -223,8 +222,7 @@ mod tests {
                 let stop = || StopSignal::never().cancel_after_calls(100);
                 // Replay phase 1 to recover the partial union and the
                 // cache the salvage prices against.
-                let src = ctx.source();
-                let mut mw = MeteredWhatIf::new(&src, req.budget);
+                let mut mw = MeteredWhatIf::new(&ctx, req.budget);
                 let (union, interrupt) =
                     phase1(&ctx, &req.constraints, &mut mw, mode, threads, &stop());
                 assert_eq!(interrupt, Some(Interrupt::Cancelled));

@@ -9,9 +9,9 @@
 //! Three pieces:
 //!
 //! * [`WarmSnapshot`] — an **immutable** per-workload bundle of known
-//!   costs. Published whole behind an `Arc`, so session read paths (and the
-//!   frozen-cache parallel scan workers that share the session's
-//!   [`CostSource`](crate::source::CostSource)) never take a lock.
+//!   costs. Published whole behind an `Arc`, so the session's
+//!   [`MeteredWhatIf`](crate::budget::MeteredWhatIf) reads it without
+//!   taking a lock.
 //! * [`WarmState`] — one session's view: the snapshot it was admitted
 //!   with plus a write ledger of the simulated calls it paid for. The
 //!   ledger is drained by the daemon when the session settles (completion,
@@ -134,7 +134,8 @@ const ROW_OVERHEAD: usize = 48;
 #[derive(Debug)]
 pub struct WarmState {
     snapshot: Arc<WarmSnapshot>,
-    /// Simulated calls this session performed, pushed at the source level.
+    /// Simulated calls this session performed, pushed by its metered
+    /// clients.
     /// The map-merge in [`WarmStore::absorb`] makes the resulting snapshot
     /// content independent of push order (costs are pure functions of the
     /// cell).

@@ -21,7 +21,7 @@ fn best_greedy_counts_one_derivation_per_scanned_cell() {
     let c = Constraints::cardinality(4);
     let pool: Vec<IndexId> = (0..n).map(IndexId::from).collect();
     for threads in [1, 4] {
-        let mut mw = MeteredWhatIf::new(&opt, 2 * n);
+        let mut mw = MeteredWhatIf::new(&ctx, 2 * n);
         for i in 0..n {
             let id = IndexId::from(i);
             mw.what_if(QueryId::from(i % nq), &IndexSet::singleton(n, id));

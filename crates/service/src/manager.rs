@@ -25,7 +25,7 @@ use ixtune_common::fault::{site, FaultPlan};
 use ixtune_common::sync::Monitor;
 use ixtune_core::checkpoint::MctsCheckpoint;
 use ixtune_core::mcts::{MctsOutcome, MctsTuner};
-use ixtune_core::obs::{publish_cache_hit_ratios, Obs};
+use ixtune_core::obs::Obs;
 use ixtune_core::stop::{Progress, StopReason, StopSignal};
 use ixtune_core::tuner::{Tuner, TuningContext, TuningResult};
 use ixtune_core::warm::{WarmState, WarmStore, WarmStoreStats};
@@ -412,8 +412,9 @@ impl SessionManager {
     }
 
     /// Render the Prometheus text exposition. Queue depth, per-state
-    /// session counts, and the per-shard cache hit ratios are gauges
-    /// computed at scrape time; everything else accumulates live.
+    /// session counts, the warm store gauges and the fault-injection
+    /// counts are computed at scrape time; everything else accumulates
+    /// live.
     pub fn metrics(&self) -> String {
         let (depth, counts) = self.state.with(|st| {
             let mut counts = [0usize; SESSION_STATES.len()];
@@ -486,7 +487,6 @@ impl SessionManager {
                 counter.add(injected - seen);
             }
         }
-        publish_cache_hit_ratios(&self.registry);
         self.registry.render()
     }
 

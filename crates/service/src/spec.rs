@@ -1,6 +1,5 @@
 //! Session submission specs and daemon configuration.
 
-use ixtune_bench::session::Session;
 use ixtune_candidates::{generate_default, CandidateSet};
 use ixtune_core::tuner::TuningRequest;
 use ixtune_optimizer::{CostModel, SimulatedOptimizer};
@@ -68,24 +67,19 @@ impl WorkloadSpec {
         }
     }
 
-    /// Generate the workload and build the optimizer + candidate set.
-    /// Benchmarks go through the bench crate's [`Session`] construction so
-    /// the service tunes exactly what the experiment runner tunes.
+    /// Generate the workload and build the optimizer + candidate set the
+    /// way the experiment runner does: default candidates and the default
+    /// cost model.
     pub fn prepare(&self) -> Result<Prepared, String> {
-        match self {
-            WorkloadSpec::Bench(name) => {
-                let kind = bench_kind(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
-                let (cands, opt) = Session::build(kind).into_parts();
-                Ok(Prepared { cands, opt })
-            }
-            WorkloadSpec::Synth(seed) => {
-                let inst = synth::instance(*seed);
-                let cands = generate_default(&inst);
-                let opt =
-                    SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
-                Ok(Prepared { cands, opt })
-            }
-        }
+        let inst = match self {
+            WorkloadSpec::Bench(name) => bench_kind(name)
+                .ok_or_else(|| format!("unknown workload `{name}`"))?
+                .generate(),
+            WorkloadSpec::Synth(seed) => synth::instance(*seed),
+        };
+        let cands = generate_default(&inst);
+        let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+        Ok(Prepared { cands, opt })
     }
 }
 

@@ -221,8 +221,9 @@ fn metrics_scrape_mid_run_and_trace_download() {
         "latency histogram present"
     );
     assert!(
-        text.contains("ixtune_cache_shard_hit_ratio"),
-        "per-shard hit ratios present"
+        text.lines()
+            .any(|l| l.starts_with("ixtune_cache_hits_total ")),
+        "cache hit counter present:\n{text}"
     );
 
     client.cancel(id).expect("cancel");

@@ -12,7 +12,7 @@
 //!   (same outcome set) give identical derived costs and identical greedy
 //!   output.
 
-use ixtune::candidates::generate_default;
+use ixtune::candidates::{generate_default, CandidateSet};
 use ixtune::common::{IndexId, IndexSet, QueryId};
 use ixtune::core::derived::WhatIfCache;
 use ixtune::core::prelude::*;
@@ -21,7 +21,7 @@ use ixtune::optimizer::{CostModel, SimulatedOptimizer, WhatIfOptimizer};
 use ixtune::workload::gen::synth::{self, SynthParams};
 use proptest::prelude::*;
 
-fn small_optimizer(seed: u64) -> SimulatedOptimizer {
+fn small_optimizer(seed: u64) -> (SimulatedOptimizer, CandidateSet) {
     let inst = synth::generate(&SynthParams {
         seed,
         num_tables: 3,
@@ -30,7 +30,8 @@ fn small_optimizer(seed: u64) -> SimulatedOptimizer {
         max_filters: 2,
     });
     let cands = generate_default(&inst);
-    SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default())
+    let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+    (opt, cands)
 }
 
 fn subset_of(universe: usize, mask: u64) -> IndexSet {
@@ -48,7 +49,7 @@ proptest! {
     /// Assumption 1: `C1 ⊆ C2 ⇒ c(q, C2) ≤ c(q, C1)`.
     #[test]
     fn whatif_cost_is_monotone(seed in 0u64..40, mask in any::<u64>(), extra in 0usize..16) {
-        let opt = small_optimizer(seed);
+        let (opt, _) = small_optimizer(seed);
         let n = opt.num_candidates();
         prop_assume!(n > 0);
         let c1 = subset_of(n, mask);
@@ -65,11 +66,12 @@ proptest! {
     /// exactly once the configuration has been evaluated.
     #[test]
     fn derived_is_a_tight_upper_bound(seed in 0u64..40, mask in any::<u64>()) {
-        let opt = small_optimizer(seed);
+        let (opt, cands) = small_optimizer(seed);
         let n = opt.num_candidates();
         prop_assume!(n > 0);
         let config = subset_of(n, mask);
-        let mut mw = MeteredWhatIf::new(&opt, 1_000);
+        let ctx = TuningContext::new(&opt, &cands);
+        let mut mw = MeteredWhatIf::new(&ctx, 1_000);
         // Evaluate a few singletons to give derivation something to chew on.
         for i in 0..n.min(4) {
             for q in 0..opt.num_queries() {
@@ -100,11 +102,12 @@ proptest! {
         extra_sel in 0usize..16,
         z_sel in 0usize..16,
     ) {
-        let opt = small_optimizer(seed);
+        let (opt, cands) = small_optimizer(seed);
         let n = opt.num_candidates();
         prop_assume!(n >= 2);
         // Evaluate every singleton for every query (full Eq. 2 information).
-        let mut mw = MeteredWhatIf::new(&opt, 1_000_000);
+        let ctx = TuningContext::new(&opt, &cands);
+        let mut mw = MeteredWhatIf::new(&ctx, 1_000_000);
         for i in 0..n {
             for q in 0..opt.num_queries() {
                 mw.what_if(QueryId::from(q), &IndexSet::singleton(n, IndexId::from(i)));
@@ -143,7 +146,7 @@ proptest! {
         perm_seed in any::<u64>(),
         probe_mask in any::<u64>(),
     ) {
-        let opt = small_optimizer(seed);
+        let (opt, _) = small_optimizer(seed);
         let n = opt.num_candidates();
         prop_assume!(n >= 2);
         let m = opt.num_queries();
@@ -196,24 +199,14 @@ proptest! {
 #[test]
 fn greedy_achieves_submodular_approximation_bound() {
     for seed in 0..25u64 {
-        let opt = small_optimizer(seed);
-        let inst_cands = generate_default(&{
-            // Rebuild the instance to get the candidate set back.
-            synth::generate(&SynthParams {
-                seed,
-                num_tables: 3,
-                num_queries: 4,
-                max_scans: 3,
-                max_filters: 2,
-            })
-        });
+        let (opt, cands) = small_optimizer(seed);
         let n = opt.num_candidates();
         if n == 0 || n > 16 {
             continue; // keep brute force tractable
         }
-        let ctx = TuningContext::new(&opt, &inst_cands);
+        let ctx = TuningContext::new(&opt, &cands);
         let k = 3usize;
-        let mut mw = MeteredWhatIf::new(&opt, 1_000_000);
+        let mut mw = MeteredWhatIf::new(&ctx, 1_000_000);
         for i in 0..n {
             for q in 0..opt.num_queries() {
                 mw.what_if(QueryId::from(q), &IndexSet::singleton(n, IndexId::from(i)));
