@@ -44,15 +44,6 @@ impl Default for DtaTuner {
     }
 }
 
-impl DtaTuner {
-    /// The experiments map the paper's tuning-time budget to a what-if call
-    /// budget by dividing through the average call latency — the same
-    /// internal mapping the paper suggests in §8.
-    pub fn calls_for_time(minutes: f64, avg_call_seconds: f64) -> usize {
-        ((minutes * 60.0) / avg_call_seconds.max(1e-6)).round() as usize
-    }
-}
-
 impl Tuner for DtaTuner {
     fn name(&self) -> String {
         "DTA".into()
@@ -173,11 +164,5 @@ mod tests {
         if let Some((q, _)) = r.layout.cells().first() {
             assert!(mw.empty_cost(*q) >= max_cost * 0.99);
         }
-    }
-
-    #[test]
-    fn time_to_calls_mapping() {
-        assert_eq!(DtaTuner::calls_for_time(10.0, 1.0), 600);
-        assert_eq!(DtaTuner::calls_for_time(1.0, 0.5), 120);
     }
 }

@@ -4,19 +4,14 @@
 //! configurations whose cost cannot be derived from strict subsets because
 //! their indexes can be used together in a single plan. For single-join
 //! analysis the paper uses atomic configurations of size 1 (singletons) and
-//! size 2 (pairs of indexes on tables joined by some query).
+//! size 2 (pairs of indexes on tables joined by some query). Every
+//! singleton is atomic, so only the pairs need a list; this module builds
+//! it.
 
 use crate::gen::CandidateSet;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use ixtune_workload::Workload;
 use std::collections::BTreeSet;
-
-/// All singleton configurations over the candidate universe.
-pub fn singletons(universe: usize) -> Vec<IndexSet> {
-    (0..universe)
-        .map(|i| IndexSet::singleton(universe, IndexId::from(i)))
-        .collect()
-}
 
 /// Single-join atomic pairs: for every query and every join edge, pair each
 /// candidate keyed on the left join column with each keyed on the right join
@@ -60,18 +55,6 @@ pub fn single_join_pairs(
         .collect()
 }
 
-/// The full atomic-configuration list used by the AutoAdmin greedy variant:
-/// singletons first (Figure 5(d) fills those), then single-join pairs.
-pub fn atomic_configurations(
-    workload: &Workload,
-    cands: &CandidateSet,
-    max_pairs: usize,
-) -> Vec<IndexSet> {
-    let mut out = singletons(cands.len());
-    out.extend(single_join_pairs(workload, cands, max_pairs));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,17 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn singletons_enumerate_universe() {
-        let sets = singletons(5);
-        assert_eq!(sets.len(), 5);
-        assert!(sets.iter().all(|s| s.len() == 1));
-        assert!(sets
-            .iter()
-            .enumerate()
-            .all(|(i, s)| s.contains(IndexId::from(i))));
-    }
-
-    #[test]
     fn join_pairs_link_both_sides() {
         let inst = join_instance();
         let cands = generate_default(&inst);
@@ -120,19 +92,6 @@ mod tests {
             assert_eq!(p.len(), 2);
             let tables: Vec<_> = p.iter().map(|id| cands.indexes[id.index()].table).collect();
             assert_ne!(tables[0], tables[1]);
-        }
-    }
-
-    #[test]
-    fn atomic_list_has_singletons_first() {
-        let inst = join_instance();
-        let cands = generate_default(&inst);
-        let atoms = atomic_configurations(&inst.workload, &cands, 10);
-        assert!(atoms.len() > cands.len());
-        for (i, a) in atoms.iter().enumerate() {
-            if i < cands.len() {
-                assert_eq!(a.len(), 1);
-            }
         }
     }
 

@@ -5,13 +5,12 @@
 //!   range, join, group/order, payload);
 //! * [`gen`] — propose per-query candidate indexes and union them into the
 //!   workload-level [`CandidateSet`] that enumeration searches over;
-//! * [`atomic`] — atomic configurations for the AutoAdmin greedy variant;
-//! * [`merge`] — DTA-style index merging.
+//! * [`atomic`] — single-join atomic configurations for the AutoAdmin
+//!   greedy variant.
 
 pub mod atomic;
 pub mod gen;
 pub mod indexable;
-pub mod merge;
 
 pub use gen::{generate, generate_default, CandidateSet, GenOptions};
 pub use indexable::{extract, IndexableColumns};

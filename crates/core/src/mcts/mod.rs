@@ -99,19 +99,6 @@ impl MctsTuner {
         self
     }
 
-    /// The configuration labels used by the ablation figures, e.g.
-    /// `"Prior + Greedy"`.
-    pub fn ablation_label(&self) -> String {
-        let ext = match self.extraction {
-            Extraction::Bce => "Only",
-            Extraction::BestGreedy => "+ Greedy",
-            Extraction::Hybrid => "+ Hybrid",
-            Extraction::TreeByValue => "+ Tree(Q)",
-            Extraction::TreeByVisits => "+ Tree(n)",
-        };
-        format!("{} {}", self.selection.label(), ext)
-    }
-
     /// Tune and also return the best-so-far *estimated* improvement after
     /// each episode (from the budgeted evaluations, like the baselines'
     /// convergence traces in Figures 14/21).
@@ -807,10 +794,7 @@ mod tests {
             .with_selection(SelectionPolicy::uct())
             .with_rollout(RolloutPolicy::RandomStep)
             .with_extraction(Extraction::Bce);
-        assert_eq!(t.ablation_label(), "UCT Only");
         assert!(t.name().contains("UCT"));
-        let d = MctsTuner::default();
-        assert_eq!(d.ablation_label(), "Prior + Greedy");
     }
 
     #[test]

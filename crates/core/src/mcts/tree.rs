@@ -81,10 +81,6 @@ impl Tree {
         &self.nodes[i]
     }
 
-    pub fn node_mut(&mut self, i: usize) -> &mut Node {
-        &mut self.nodes[i]
-    }
-
     pub fn len(&self) -> usize {
         self.nodes.len()
     }

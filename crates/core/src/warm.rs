@@ -34,11 +34,14 @@
 //! [`TuningResult`]: crate::tuner::TuningResult
 
 use ixtune_common::{ConfigInterner, IdCostMap, IndexSet, QueryId};
+use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Immutable per-workload bundle of known `(query, config) → cost`
-/// entries. Cheap to share (`Arc`), never mutated after publication.
+/// entries. Cheap to share (`Arc`), never mutated while shared: the store
+/// merges into a published snapshot only when no session holds it.
 ///
 /// Configurations are stored once in a snapshot-owned [`ConfigInterner`];
 /// the per-query rows are open-addressed integer-keyed tables
@@ -46,7 +49,7 @@ use std::sync::{Arc, Mutex};
 /// FNV pass over the probed bitset to find its interned id, then one cheap
 /// integer probe per row — and a configuration shared by many queries is
 /// hashed against the snapshot once, not once per row.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct WarmSnapshot {
     /// Distinct configurations any row keys on, interned to dense ids.
     configs: ConfigInterner,
@@ -105,9 +108,9 @@ impl WarmSnapshot {
     }
 
     /// Every stored `(query, config, cost)` cell, rows in query order,
-    /// cells in table order. The persistence layer serializes snapshots
-    /// through this; costs come back exactly as stored (no rounding), so
-    /// a recovered snapshot answers bit-identically.
+    /// cells in table order. Compaction serializes snapshots through this;
+    /// costs come back exactly as stored (no rounding), so a recovered
+    /// snapshot answers bit-identically.
     pub fn iter_entries(&self) -> impl Iterator<Item = (QueryId, &IndexSet, f64)> + '_ {
         self.rows.iter().enumerate().flat_map(move |(q, row)| {
             row.iter()
@@ -196,8 +199,8 @@ impl WarmState {
 }
 
 /// Aggregate store counters, surfaced by the daemon's `store stats` verb
-/// and the `ixtune_warm_store_*` gauges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// (this struct is its wire form) and the `ixtune_warm_store_*` gauges.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmStoreStats {
     /// Distinct `(workload, fingerprint)` snapshots held.
     pub workloads: usize,
@@ -279,10 +282,11 @@ impl WarmStore {
         }
     }
 
-    /// Absorb one settled session's ledger: copy-on-write merge into the
-    /// workload's snapshot, publish the merged snapshot as a new epoch,
+    /// Absorb one settled session's ledger into the workload's snapshot,
     /// then evict least-recently-touched snapshots while the byte bound is
-    /// exceeded. Returns the number of entries newly added.
+    /// exceeded. Merges in place when no session holds the snapshot, and
+    /// into a copy otherwise (readers keep their old `Arc`). Returns the
+    /// cells it added, in ledger order: what a settle logs.
     ///
     /// Duplicate cells (several sessions paying for the same
     /// `(q, config)`) carry the same cost, costs being pure functions, so
@@ -294,50 +298,40 @@ impl WarmStore {
         fingerprint: u64,
         num_queries: usize,
         universe: usize,
-        ledger: Vec<(QueryId, IndexSet, f64)>,
-    ) -> usize {
+        mut ledger: Vec<(QueryId, IndexSet, f64)>,
+    ) -> Vec<(QueryId, IndexSet, f64)> {
         if ledger.is_empty() {
-            return 0;
+            return ledger;
         }
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.epoch += 1;
         let epoch = inner.epoch;
-        let map_key = (key.to_string(), fingerprint);
-        let base = inner.map.get(&map_key).map(|e| Arc::clone(&e.snapshot));
-        let old_bytes = base.as_ref().map_or(0, |s| s.bytes());
-        // Copy-on-write: readers keep their old Arc; the merged snapshot
-        // replaces it for future checkouts.
-        let mut merged = match base {
-            Some(s) => WarmSnapshot {
-                configs: s.configs.clone(),
-                rows: s.rows.clone(),
-                universe: s.universe,
-                entries: s.entries,
-            },
-            None => WarmSnapshot::empty(num_queries, universe),
+        let (entry, old_bytes) = match inner.map.entry((key.to_string(), fingerprint)) {
+            Entry::Occupied(e) => {
+                let bytes = e.get().snapshot.bytes();
+                (e.into_mut(), bytes)
+            }
+            Entry::Vacant(e) => (
+                e.insert(StoreEntry {
+                    snapshot: Arc::new(WarmSnapshot::empty(num_queries, universe)),
+                    last_touch: epoch,
+                }),
+                0,
+            ),
         };
-        let mut added = 0usize;
-        for (q, config, cost) in ledger {
-            if q.index() >= merged.rows.len() {
-                continue;
-            }
-            let id = merged.configs.intern(&config);
-            // `IdCostMap::insert` keeps the first write, so duplicate
-            // cells leave the stored cost untouched.
-            if merged.rows[q.index()].insert(id, cost).is_none() {
-                added += 1;
-            }
-        }
-        merged.entries += added;
-        let new_bytes = merged.bytes();
-        inner.bytes = inner.bytes - old_bytes + new_bytes;
-        inner.map.insert(
-            map_key,
-            StoreEntry {
-                snapshot: Arc::new(merged),
-                last_touch: epoch,
-            },
-        );
+        entry.last_touch = epoch;
+        let merged = Arc::make_mut(&mut entry.snapshot);
+        // `IdCostMap::insert` keeps the first write, so duplicate cells
+        // leave the stored cost untouched and are not returned.
+        ledger.retain(|(q, config, cost)| {
+            q.index() < merged.rows.len()
+                && merged.rows[q.index()]
+                    .insert(merged.configs.intern(config), *cost)
+                    .is_none()
+        });
+        merged.entries += ledger.len();
+        inner.bytes = inner.bytes - old_bytes + merged.bytes();
         // LRU eviction: drop least-recently-touched snapshots until the
         // bound holds. The bound is strict — a single oversized workload
         // is dropped too (it can be re-learned), keeping the daemon's
@@ -354,7 +348,7 @@ impl WarmStore {
                 inner.evictions += 1;
             }
         }
-        added
+        ledger
     }
 
     /// Current aggregate counters.
@@ -392,8 +386,9 @@ impl WarmStore {
     }
 
     /// Every live `(key, fingerprint) → snapshot` pair, sorted by key for
-    /// deterministic serialization order. Snapshots are immutable `Arc`
-    /// clones, so the caller can walk them without holding the store lock.
+    /// deterministic serialization order. Compaction writes these as the
+    /// snapshot's warm tables. The caller walks the `Arc` clones without
+    /// holding the store lock; an absorb meanwhile merges into a copy.
     /// Importing the tables back is [`WarmStore::absorb`] — its first-write
     /// -wins merge makes re-import idempotent.
     pub fn export_tables(&self) -> Vec<((String, u64), Arc<WarmSnapshot>)> {
@@ -440,7 +435,7 @@ mod tests {
                 (QueryId::new(2), c.clone(), 7.25),
             ],
         );
-        assert_eq!(added, 2);
+        assert_eq!(added.len(), 2);
         let snap = store.checkout("tpch", 7, 3, 16);
         assert_eq!(snap.get(QueryId::new(0), &c), Some(42.5));
         assert_eq!(snap.get(QueryId::new(2), &c), Some(7.25));
@@ -458,12 +453,50 @@ mod tests {
             (QueryId::new(0), c.clone(), 5.0),
             (QueryId::new(0), c.clone(), 5.0),
         ];
-        assert_eq!(store.absorb("w", 1, 1, 16, ledger), 1);
-        assert_eq!(
-            store.absorb("w", 1, 1, 16, vec![(QueryId::new(0), c, 5.0)]),
-            0
-        );
+        assert_eq!(store.absorb("w", 1, 1, 16, ledger).len(), 1);
+        assert!(store
+            .absorb("w", 1, 1, 16, vec![(QueryId::new(0), c, 5.0)])
+            .is_empty());
         assert_eq!(store.stats().entries, 1);
+    }
+
+    #[test]
+    fn absorb_returns_the_cells_it_added_in_ledger_order() {
+        let store = WarmStore::new(1 << 20);
+        let (a, b, c) = (cfg(16, &[1]), cfg(16, &[2]), cfg(16, &[3]));
+        let cell = |q: u32, set: &IndexSet, cost: f64| (QueryId::new(q), set.clone(), cost);
+        let first = vec![
+            cell(1, &b, 2.0),
+            cell(0, &a, 1.0),
+            cell(1, &b, 2.0),
+            cell(5, &a, 9.0), // out of range: never stored
+            cell(0, &c, 3.0),
+        ];
+        let added = store.absorb("w", 1, 2, 16, first);
+        assert_eq!(
+            added,
+            vec![cell(1, &b, 2.0), cell(0, &a, 1.0), cell(0, &c, 3.0)]
+        );
+        // An overlapping ledger adds only what is new, still in order;
+        // with no session holding the snapshot the merge is in place.
+        let held = Arc::as_ptr(&store.checkout("w", 1, 2, 16));
+        let again = store.absorb(
+            "w",
+            1,
+            2,
+            16,
+            vec![
+                cell(0, &c, 3.0),
+                cell(1, &a, 4.0),
+                cell(1, &b, 2.0),
+                cell(0, &b, 5.0),
+            ],
+        );
+        assert_eq!(again, vec![cell(1, &a, 4.0), cell(0, &b, 5.0)]);
+        let snap = store.checkout("w", 1, 2, 16);
+        assert_eq!(Arc::as_ptr(&snap), held, "merged in place");
+        assert_eq!(snap.entries(), 5);
+        assert_eq!(store.stats().bytes, snap.bytes());
     }
 
     #[test]
@@ -595,10 +628,9 @@ mod tests {
                 .iter_entries()
                 .map(|(q, c, cost)| (q, c.clone(), cost))
                 .collect();
-            assert_eq!(
-                other.absorb(key, *fp, snap.num_queries(), snap.universe(), ledger),
-                0
-            );
+            assert!(other
+                .absorb(key, *fp, snap.num_queries(), snap.universe(), ledger)
+                .is_empty());
         }
     }
 

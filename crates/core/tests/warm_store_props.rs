@@ -103,7 +103,7 @@ proptest! {
             );
             prop_identical(name, &cold, &donor)?;
             prop_assert_eq!(donor.telemetry.warm_hits, 0);
-            let absorbed = store.absorb("w", fp, nq, cands.len(), donor_state.drain());
+            let absorbed = store.absorb("w", fp, nq, cands.len(), donor_state.drain()).len();
             prop_assert!(absorbed > 0, "{}: donor ledger absorbed", name);
 
             // Warm: seeded from the donor's published snapshot.

@@ -112,7 +112,7 @@ fn eviction_under_concurrent_absorb_keeps_stats_consistent() {
         let ledger = ledger_for(seed, 16);
         store.absorb("idem", 1, NUM_QUERIES, UNIVERSE, ledger.clone());
         let before = store.stats();
-        let added = store.absorb("idem", 1, NUM_QUERIES, UNIVERSE, ledger);
+        let added = store.absorb("idem", 1, NUM_QUERIES, UNIVERSE, ledger).len();
         let after = store.stats();
         assert_eq!(added, 0, "seed {seed}: duplicate ledger adds nothing");
         assert_eq!(before.bytes, after.bytes, "seed {seed}: bytes stable");

@@ -149,10 +149,6 @@ impl SimulatedOptimizer {
         self.workload.query(q)
     }
 
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Estimated size in bytes of one candidate (precomputed).
     #[inline]
     pub fn candidate_size_bytes(&self, id: IndexId) -> u64 {

@@ -29,8 +29,8 @@ pub mod store;
 pub mod wal;
 
 pub use record::{
-    PersistState, Record, SessionRow, SessionStatus, WarmBatch, WarmEntry, WarmTable,
-    WARM_CHUNK_BYTES,
+    warm_chunks, PersistState, Record, SessionRow, SessionStatus, WarmBatch, WarmEntry,
+    MAX_SESSION_ID, WARM_CHUNK_BYTES,
 };
 pub use store::{
     fault_site, AppendOutcome, CompactOutcome, Durability, FaultHook, Persist, PersistStats,

@@ -1,22 +1,23 @@
 //! The WAL record set and the replayed state it folds into.
 //!
 //! Records are the daemon's durable events: warm-store publications
-//! (the ledger of simulated what-if calls a settled session paid for),
-//! session lifecycle transitions (a suspension carries the session's
-//! whole checkpoint), and store-wide flushes. The persist crate stays dependency-free, so the
-//! domain types are mirrored structurally: configurations travel as raw
-//! bitset blocks, costs as `f64::to_bits`, and service-level specs and
-//! results as opaque JSON strings the service layer (de)serializes.
+//! (the cells a settled session paid for and the warm store did not yet
+//! hold), session lifecycle transitions (a suspension carries the
+//! session's whole checkpoint), and store-wide flushes. The persist crate
+//! stays dependency-free, so the domain types are mirrored structurally:
+//! configurations travel as raw bitset blocks, costs as `f64::to_bits`,
+//! and service-level specs and results as opaque JSON strings the service
+//! layer (de)serializes.
 //!
 //! [`PersistState`] is the fold of a snapshot plus a WAL tail — exactly
 //! what [`crate::Persist::open`] hands back for the service to import.
-//! [`PersistState::records`] is its inverse: the record stream a
-//! compaction writes as the next snapshot, so snapshots and the WAL share
-//! one format and one replay loop.
+//! Sessions fold into one row each; warm batches are only kept, in log
+//! order, for the service to replay into its warm store, which is the one
+//! owner of warm cells. [`PersistState::records`] is the fold's inverse,
+//! and snapshots and the WAL share one format and one replay loop.
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::wal::FRAME_HEADER;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One simulated `(query, config) → cost` cell of a warm publication.
@@ -29,8 +30,9 @@ pub struct WarmEntry {
     pub cost_bits: u64,
 }
 
-/// One warm-store publication: the deduplicated ledger a settled session
-/// contributed for `(key, fingerprint)`.
+/// One warm-store publication: the cells a settled session added to the
+/// warm table `(key, fingerprint)`, or (in a snapshot) a chunk of that
+/// table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarmBatch {
     /// Workload key (`WorkloadSpec::key()`).
@@ -47,13 +49,15 @@ pub struct WarmBatch {
 /// order; replay folds them into [`PersistState`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
-    /// A settled session's ledger was absorbed into the warm store.
+    /// A settled session's ledger added these cells to the warm store.
     WarmBatch(WarmBatch),
     /// The operator flushed the warm store (`ixtunectl store flush`).
     WarmFlush,
     /// A session was admitted. `spec_json` is the serialized `SubmitSpec`.
     SessionSubmitted { id: u64, spec_json: String },
-    /// A worker claimed the session.
+    /// A worker claimed the session. No longer written: recovery re-queues
+    /// a claimed session exactly as a queued one, so the record told it
+    /// nothing. Still decoded, because older data dirs hold it.
     SessionRunning { id: u64 },
     /// The session checkpointed and parked. `checkpoint_json` is the
     /// serialized `MctsCheckpoint` (shared, not copied, with the service's
@@ -227,8 +231,8 @@ impl Record {
 }
 
 /// Encode a `WarmBatch` payload from borrowed parts. The one place its
-/// layout lives: [`Record::encode`] and the compaction chunker, which
-/// encodes straight from a warm table's entries, both go through it.
+/// layout lives: [`Record::encode`] and [`warm_chunks`], which encodes
+/// straight from a batch's entries, both go through it.
 fn write_warm_batch(
     w: &mut Writer,
     key: &str,
@@ -257,13 +261,12 @@ fn write_warm_entry(w: &mut Writer, e: &WarmEntry) {
     w.u64_fixed(e.cost_bits);
 }
 
-/// Where a recovered session sits in its lifecycle. `Running` survives in
-/// the log when the daemon died mid-session; importers treat it as
-/// `Queued` (the session re-runs, from its checkpoint when one exists).
+/// Where a recovered session sits in its lifecycle. A session the daemon
+/// died running recovers `Queued` (it re-runs, from its checkpoint when
+/// one exists).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionStatus {
     Queued,
-    Running,
     Suspended,
     Done { result_json: String },
     Cancelled { result_json: Option<String> },
@@ -335,7 +338,6 @@ impl SessionRow {
         match &self.status {
             SessionStatus::Queued if suspended => out.push(Record::SessionResumed { id }),
             SessionStatus::Queued | SessionStatus::Suspended => {}
-            SessionStatus::Running => out.push(Record::SessionRunning { id }),
             SessionStatus::Done { result_json } => out.push(Record::SessionDone {
                 id,
                 result_json: result_json.clone(),
@@ -358,88 +360,74 @@ impl SessionRow {
 /// included) fit in this many bytes, however large the table grows.
 pub const WARM_CHUNK_BYTES: usize = 256 << 10;
 
-/// One recovered warm-store table, deduplicated per `(query, config)`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WarmTable {
-    pub num_queries: u32,
-    pub universe: u32,
-    pub entries: Vec<WarmEntry>,
-    /// Dedup index over `(query, blocks)` — replaying a batch twice (or a
-    /// compaction racing an append) must not double entries.
-    seen: HashMap<(u32, Vec<u64>), ()>,
-}
+/// Session ids stay below this bound. Replay drops a session whose
+/// logged id reaches it, so no arithmetic on a recovered id can overflow
+/// and the daemon's `u64::MAX` trace scope never names a session.
+pub const MAX_SESSION_ID: u64 = 1 << 63;
 
-impl WarmTable {
-    fn push(&mut self, e: WarmEntry) {
-        if self.seen.insert((e.query, e.blocks.clone()), ()).is_none() {
-            self.entries.push(e);
+/// The encoded `WarmBatch` records that carry `batch`, each framed within
+/// [`WARM_CHUNK_BYTES`] (a lone entry larger than that gets a frame of its
+/// own). Encoded straight from the entries; an empty batch still yields
+/// one empty record so replay recreates its table.
+pub fn warm_chunks(batch: &WarmBatch) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let encode = move |entries: &[WarmEntry]| {
+        let mut w = Writer::new();
+        write_warm_batch(
+            &mut w,
+            &batch.key,
+            batch.fingerprint,
+            batch.num_queries,
+            batch.universe,
+            entries,
+        );
+        w.into_bytes()
+    };
+    let empty_frame = FRAME_HEADER + encode(&[]).len();
+    let mut entry = Writer::new();
+    let mut rest = &batch.entries[..];
+    let mut first = true;
+    std::iter::from_fn(move || {
+        if rest.is_empty() && !first {
+            return None;
         }
-    }
-
-    /// The encoded `WarmBatch` records that rebuild this table, each
-    /// framed within [`WARM_CHUNK_BYTES`] (a lone entry larger than that
-    /// gets a frame of its own). Encoded straight from the entries; an
-    /// empty table still yields one empty batch so replay recreates it.
-    fn chunks<'a>(&'a self, key: &'a str, fingerprint: u64) -> impl Iterator<Item = Vec<u8>> + 'a {
-        let encode = move |entries: &[WarmEntry]| {
-            let mut w = Writer::new();
-            write_warm_batch(
-                &mut w,
-                key,
-                fingerprint,
-                self.num_queries,
-                self.universe,
-                entries,
-            );
-            w.into_bytes()
-        };
-        let empty_frame = FRAME_HEADER + encode(&[]).len();
-        let mut entry = Writer::new();
-        let mut rest = &self.entries[..];
-        let mut first = true;
-        std::iter::from_fn(move || {
-            if rest.is_empty() && !first {
-                return None;
+        first = false;
+        // Size the chunk with the encoder itself: take entries while the
+        // frame fits, then re-check the real payload, whose entry count
+        // may need a wider varint than the empty batch's.
+        let mut n = 0;
+        let mut size = empty_frame;
+        for e in rest {
+            entry.clear();
+            write_warm_entry(&mut entry, e);
+            if n > 0 && size + entry.len() > WARM_CHUNK_BYTES {
+                break;
             }
-            first = false;
-            // Size the chunk with the encoder itself: take entries while
-            // the frame fits, then re-check the real payload, whose entry
-            // count may need a wider varint than the empty batch's.
-            let mut n = 0;
-            let mut size = empty_frame;
-            for e in rest {
-                entry.clear();
-                write_warm_entry(&mut entry, e);
-                if n > 0 && size + entry.len() > WARM_CHUNK_BYTES {
-                    break;
-                }
-                size += entry.len();
-                n += 1;
+            size += entry.len();
+            n += 1;
+        }
+        loop {
+            let payload = encode(&rest[..n]);
+            if n <= 1 || FRAME_HEADER + payload.len() <= WARM_CHUNK_BYTES {
+                rest = &rest[n..];
+                return Some(payload);
             }
-            loop {
-                let payload = encode(&rest[..n]);
-                if n <= 1 || FRAME_HEADER + payload.len() <= WARM_CHUNK_BYTES {
-                    rest = &rest[n..];
-                    return Some(payload);
-                }
-                n -= 1;
-            }
-        })
-    }
+            n -= 1;
+        }
+    })
 }
 
-/// The fold of every durable event: what the service imports at startup
-/// and what compaction writes back out, as records, into the next
-/// snapshot generation.
+/// The fold of every durable event: what the service imports at startup.
+/// Compaction writes its sessions back out, as records, into the next
+/// snapshot generation; the warm tables there come from the warm store.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PersistState {
     /// The next session id the daemon may assign (max submitted id + 1).
     pub next_id: u64,
     /// Kept in id order: lookups binary-search it.
     sessions: Vec<SessionRow>,
-    warm: Vec<((String, u64), WarmTable)>,
-    /// Position of each warm table in `warm`.
-    warm_index: HashMap<(String, u64), usize>,
+    /// Warm batches logged since the last `WarmFlush`, in log order. Only
+    /// recovery reads them; the live fold of a running store holds none.
+    warm: Vec<WarmBatch>,
 }
 
 impl PersistState {
@@ -448,9 +436,9 @@ impl PersistState {
         &self.sessions
     }
 
-    /// Warm tables keyed by `(workload key, fingerprint)`, in first-seen
-    /// order.
-    pub fn warm(&self) -> &[((String, u64), WarmTable)] {
+    /// Warm batches logged since the last flush, in log order: replaying
+    /// them into an empty warm store repeats the absorptions it saw.
+    pub fn warm(&self) -> &[WarmBatch] {
         &self.warm
     }
 
@@ -459,22 +447,19 @@ impl PersistState {
         Some(&mut self.sessions[i])
     }
 
-    fn warm_table_mut(&mut self, key: &str, fingerprint: u64) -> &mut WarmTable {
-        let next = self.warm.len();
-        let i = *self
-            .warm_index
-            .entry((key.to_string(), fingerprint))
-            .or_insert(next);
-        if i == next {
-            self.warm
-                .push(((key.to_string(), fingerprint), WarmTable::default()));
+    /// This state's sessions without its warm batches: the live fold a
+    /// store keeps after recovery.
+    pub(crate) fn sessions_only(&self) -> Self {
+        Self {
+            next_id: self.next_id,
+            sessions: self.sessions.clone(),
+            warm: Vec::new(),
         }
-        &mut self.warm[i].1
     }
 
-    /// Total warm entries across tables.
+    /// Total warm entries across batches.
     pub fn warm_entries(&self) -> usize {
-        self.warm.iter().map(|(_, t)| t.entries.len()).sum()
+        self.warm.iter().map(|b| b.entries.len()).sum()
     }
 
     /// Fold one event in. Unknown session ids are tolerated (a compacted
@@ -482,19 +467,10 @@ impl PersistState {
     /// settled); replay must never fail on ordering.
     pub fn apply(&mut self, rec: Record) {
         match rec {
-            Record::WarmBatch(batch) => {
-                let table = self.warm_table_mut(&batch.key, batch.fingerprint);
-                if table.entries.is_empty() {
-                    table.num_queries = batch.num_queries;
-                    table.universe = batch.universe;
-                }
-                for e in batch.entries {
-                    table.push(e);
-                }
-            }
-            Record::WarmFlush => {
-                self.warm.clear();
-                self.warm_index.clear();
+            Record::WarmBatch(batch) => self.warm.push(batch),
+            Record::WarmFlush => self.warm.clear(),
+            Record::SessionSubmitted { id, .. } if id >= MAX_SESSION_ID => {
+                eprintln!("ixtune-persist: replay dropped session {id}: ids stay below 2^63");
             }
             Record::SessionSubmitted { id, spec_json } => {
                 self.next_id = self.next_id.max(id + 1);
@@ -512,11 +488,14 @@ impl PersistState {
                     );
                 }
             }
+            // Older snapshots write a resumed, running session as
+            // `Suspended` then `Running`; it recovers `Queued`, as it did.
+            // A row with a checkpoint has run a segment: its triggers are
+            // spent, as the importer assumes anyway.
             Record::SessionRunning { id } => {
-                if let Some(row) = self.session_mut(id) {
-                    if !row.status.terminal() {
-                        row.status = SessionStatus::Running;
-                    }
+                if let Some(row) = self.session_mut(id).filter(|r| !r.status.terminal()) {
+                    row.status = SessionStatus::Queued;
+                    row.resumed |= row.checkpoint_json.is_some();
                 }
             }
             Record::SessionSuspended {
@@ -560,22 +539,17 @@ impl PersistState {
     }
 
     /// The encoded record stream that rebuilds this state: folding the
-    /// decoded payloads into an empty state yields one equal to `self`.
-    /// Compaction frames it as the next generation's snapshot. Per
-    /// session, its `SessionSubmitted` plus the transitions that rebuild
-    /// its row; per warm table, `WarmBatch` chunks whose frames fit
-    /// [`WARM_CHUNK_BYTES`].
+    /// decoded payloads into an empty state yields one equal to `self`
+    /// (up to how its warm batches are chunked). Per session, its
+    /// `SessionSubmitted` plus the transitions that rebuild its row; per
+    /// warm batch, [`warm_chunks`].
     pub fn records(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
         let sessions = self
             .sessions
             .iter()
             .flat_map(SessionRow::records)
             .map(|rec| rec.encode());
-        let warm = self
-            .warm
-            .iter()
-            .flat_map(|((key, fingerprint), table)| table.chunks(key, *fingerprint));
-        sessions.chain(warm)
+        sessions.chain(self.warm.iter().flat_map(warm_chunks))
     }
 }
 
@@ -666,6 +640,14 @@ mod tests {
             st.sessions[0].checkpoint_json.is_some(),
             "resume keeps the checkpoint"
         );
+        // An older snapshot's resumed, running row.
+        st.apply(Record::SessionSuspended {
+            id: 7,
+            checkpoint_json: "{}".into(),
+            wall_clock_ms: 3.5,
+        });
+        st.apply(Record::SessionRunning { id: 7 });
+        assert_eq!(st.sessions[0].status, SessionStatus::Queued);
         st.apply(Record::SessionDone {
             id: 7,
             result_json: "{}".into(),
@@ -688,10 +670,42 @@ mod tests {
             }],
         };
         st.apply(Record::WarmBatch(batch.clone()));
-        st.apply(Record::WarmBatch(batch));
-        assert_eq!(st.warm_entries(), 1, "replayed duplicates fold away");
+        st.apply(Record::WarmBatch(batch.clone()));
+        assert_eq!(
+            st.warm(),
+            [batch.clone(), batch],
+            "batches are kept whole, in log order; the warm store dedups"
+        );
         st.apply(Record::WarmFlush);
         assert_eq!(st.warm_entries(), 0);
+    }
+
+    /// A session id at or past `MAX_SESSION_ID` is dropped with all its
+    /// transitions, so `next_id` cannot wrap onto a live id.
+    #[test]
+    fn ids_past_the_bound_are_dropped() {
+        let mut st = PersistState::default();
+        st.apply(Record::SessionSubmitted {
+            id: 0,
+            spec_json: "{}".into(),
+        });
+        for id in [MAX_SESSION_ID, u64::MAX - 1, u64::MAX] {
+            st.apply(Record::SessionSubmitted {
+                id,
+                spec_json: "{}".into(),
+            });
+            st.apply(Record::SessionDone {
+                id,
+                result_json: "{}".into(),
+            });
+        }
+        assert_eq!(st.next_id, 1);
+        assert_eq!(st.sessions().len(), 1);
+        st.apply(Record::SessionSubmitted {
+            id: MAX_SESSION_ID - 1,
+            spec_json: "{}".into(),
+        });
+        assert_eq!(st.next_id, MAX_SESSION_ID);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! walks generations newest-first: the first generation whose snapshot
 //! replays whole wins; its WAL tail is scanned, torn bytes are truncated
 //! at the first bad frame, and the surviving records are folded on top.
-//! Compaction writes the live state's records into `snap-<g+1>`
-//! (write-temp + atomic rename, with an empty `wal-<g+1>` created before
-//! the rename), switches appends to that WAL, and prunes every older
-//! generation.
+//! Compaction writes the live sessions' records and the caller's warm
+//! tables into `snap-<g+1>` (write-temp + atomic rename, with an empty
+//! `wal-<g+1>` created before the rename), switches appends to that WAL,
+//! and prunes every older generation.
 
-use crate::record::{PersistState, Record};
+use crate::record::{warm_chunks, PersistState, Record, WarmBatch};
 use crate::wal;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Seek};
@@ -162,10 +162,10 @@ struct Inner {
     records_total: u64,
     fsyncs_total: u64,
     compactions_total: u64,
-    /// The live fold of snapshot + every appended record. Compaction
-    /// serializes this under the same lock appends take, so the snapshot
-    /// it writes is exactly the WAL's content at a record boundary — no
-    /// caller-supplied state, no capture/compact race.
+    /// The live fold of the sessions in the snapshot and every appended
+    /// record. It holds no warm batches: the caller's warm store owns
+    /// those cells. Compaction serializes it under the same lock appends
+    /// take, so its sessions are exactly the WAL's at a record boundary.
     fold: PersistState,
 }
 
@@ -174,13 +174,22 @@ impl Inner {
         self.fault.as_ref().is_some_and(|h| h(site))
     }
 
-    /// Write the fold's record stream to `path` as frames, fsynced unless
-    /// durability is `Never`. Returns the bytes written.
-    fn write_snapshot(&mut self, path: &Path) -> io::Result<u64> {
+    /// Write the fold's records, then `warm`'s chunks, to `path` as
+    /// frames, fsynced unless durability is `Never`. Returns the bytes.
+    fn write_snapshot(
+        &mut self,
+        path: &Path,
+        warm: impl IntoIterator<Item = WarmBatch>,
+    ) -> io::Result<u64> {
         let mut out = BufWriter::new(File::create(path)?);
         let mut bytes = 0;
         for payload in self.fold.records() {
             bytes += wal::append_frame(&mut out, &payload)?;
+        }
+        for batch in warm {
+            for payload in warm_chunks(&batch) {
+                bytes += wal::append_frame(&mut out, &payload)?;
+            }
         }
         let file = out.into_inner().map_err(|e| e.into_error())?;
         if self.durability != Durability::Never {
@@ -360,7 +369,7 @@ impl Persist {
                 records_total: 0,
                 fsyncs_total: 0,
                 compactions_total: 0,
-                fold: state.clone(),
+                fold: state.sessions_only(),
             }),
         };
         Ok((persist, state, info))
@@ -399,7 +408,9 @@ impl Persist {
             return Err(injected(fault_site::APPEND));
         }
         let bytes = wal::append_frame(&mut inner.wal, &payload)?;
-        inner.fold.apply(rec.clone());
+        if !matches!(rec, Record::WarmBatch(_) | Record::WarmFlush) {
+            inner.fold.apply(rec.clone());
+        }
         inner.wal_bytes += bytes;
         inner.records_total += 1;
         inner.unsynced_records += 1;
@@ -442,11 +453,15 @@ impl Persist {
         Ok(())
     }
 
-    /// Write the live fold's records as the next generation's snapshot,
-    /// switch the live WAL over, and prune older generations. Atomic with
-    /// respect to appends: the snapshot captures exactly the records
-    /// written so far, and the fresh WAL receives everything after.
-    pub fn compact(&self) -> io::Result<CompactOutcome> {
+    /// Write the live sessions' records and the warm tables `warm` yields
+    /// as the next generation's snapshot, switch the live WAL over, and
+    /// prune older generations. `warm` runs under the append lock: the
+    /// snapshot captures the records written so far, the fresh WAL
+    /// receives everything after.
+    pub fn compact<I>(&self, warm: impl FnOnce() -> I) -> io::Result<CompactOutcome>
+    where
+        I: IntoIterator<Item = WarmBatch>,
+    {
         let mut inner = self.inner.lock().expect("persist lock");
         let next = inner.generation + 1;
 
@@ -456,7 +471,7 @@ impl Persist {
         // recovery skipped (corrupt, or from an older build), and its
         // records must never replay on top of this one, not even after a
         // crash right after the rename.
-        let staged = inner.write_snapshot(&tmp).and_then(|bytes| {
+        let staged = inner.write_snapshot(&tmp, warm()).and_then(|bytes| {
             let wal = inner.create_wal(&wal_path(&self.dir, next))?;
             Ok((bytes, wal))
         });
@@ -502,8 +517,8 @@ impl Persist {
         })
     }
 
-    /// A clone of the live fold (what a crash-now recovery would yield,
-    /// modulo any unsynced tail under `Durability::Never`).
+    /// A clone of the live fold: the sessions a crash-now recovery would
+    /// yield, modulo any unsynced tail under `Durability::Never`.
     pub fn state(&self) -> PersistState {
         self.inner.lock().expect("persist lock").fold.clone()
     }
@@ -576,6 +591,11 @@ mod tests {
                 result_json: "{}".into(),
             })
             .unwrap();
+            assert_eq!(
+                p.state().warm_entries(),
+                0,
+                "the live fold keeps no warm cells"
+            );
             // No clean shutdown: drop without sync (page cache keeps it).
         }
         let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
@@ -627,7 +647,7 @@ mod tests {
         for i in 0..3 {
             p.append(&submit(i)).unwrap();
         }
-        let out = p.compact().unwrap();
+        let out = p.compact(Vec::new).unwrap();
         assert_eq!(out.generation, 1);
         assert!(snap_path(&dir, 1).exists());
         assert!(wal_path(&dir, 1).exists());
@@ -650,9 +670,9 @@ mod tests {
         let dir = temp_dir("fallback");
         let (p, _, _) = Persist::open(&dir, Durability::Batch).unwrap();
         p.append(&submit(0)).unwrap();
-        p.compact().unwrap(); // gen 1
+        p.compact(Vec::new).unwrap(); // gen 1
         p.append(&submit(1)).unwrap();
-        p.compact().unwrap(); // gen 2
+        p.compact(Vec::new).unwrap(); // gen 2
         drop(p);
         // Wreck the gen-2 snapshot; recovery must fall back… but gen 1 was
         // pruned, so it lands on an empty state plus whatever WAL remains.
@@ -705,7 +725,7 @@ mod tests {
         );
 
         arm_rename.store(true, Ordering::Relaxed);
-        assert!(p.compact().is_err());
+        assert!(p.compact(Vec::new).is_err());
         arm_rename.store(false, Ordering::Relaxed);
         let stats = p.stats();
         assert_eq!(stats.generation, 0, "aborted compaction keeps generation");
@@ -713,7 +733,7 @@ mod tests {
             !snap_path(&dir, 1).exists() && !dir.join("snap-1.tmp").exists(),
             "aborted compaction leaves no snapshot or temp file"
         );
-        p.compact().unwrap();
+        p.compact(Vec::new).unwrap();
         assert_eq!(p.stats().generation, 1);
 
         // Everything recovered on reopen despite the injected turbulence.

@@ -9,7 +9,7 @@
 
 use ixtune_persist::wal::{self, FRAME_HEADER, MAX_PAYLOAD};
 use ixtune_persist::{
-    Durability, Persist, PersistState, Record, SessionStatus, WarmBatch, WarmEntry,
+    warm_chunks, Durability, Persist, PersistState, Record, SessionStatus, WarmBatch, WarmEntry,
     WARM_CHUNK_BYTES,
 };
 use proptest::prelude::*;
@@ -141,7 +141,7 @@ proptest! {
 
     /// Warm costs recovered from disk carry the exact bit patterns that
     /// were appended — the warm store's bit-identity guarantee survives
-    /// the WAL. Queries are made distinct so dedup keeps every entry.
+    /// the WAL.
     #[test]
     fn warm_costs_recover_bit_exact(
         bits in prop::collection::vec(any::<u64>(), 1..16),
@@ -164,9 +164,9 @@ proptest! {
             })).unwrap();
         }
         let (_p, state, _) = Persist::open(&dir, Durability::Batch).unwrap();
-        let table = &state.warm().iter().find(|((k, f), _)| k == "w" && *f == fingerprint)
-            .expect("warm table recovered").1;
-        let recovered: Vec<u64> = table.entries.iter().map(|e| e.cost_bits).collect();
+        let batch = state.warm().iter().find(|b| b.key == "w" && b.fingerprint == fingerprint)
+            .expect("warm batch recovered");
+        let recovered: Vec<u64> = batch.entries.iter().map(|e| e.cost_bits).collect();
         prop_assert_eq!(recovered, bits);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -248,7 +248,9 @@ proptest! {
     }
 
     /// Compacting at an arbitrary point never changes the recovered
-    /// state: snapshot + WAL tail ≡ pure WAL replay.
+    /// state: snapshot + WAL tail ≡ pure WAL replay. The warm tables the
+    /// compaction writes are the batches logged so far, as a warm store
+    /// that evicts nothing would hold them.
     #[test]
     fn compaction_point_is_invisible_to_recovery(
         records in prop::collection::vec(arb_record_in(Some(4)), 1..16),
@@ -260,12 +262,12 @@ proptest! {
             let (p, _, _) = Persist::open(&dir, Durability::Batch).unwrap();
             for (i, rec) in records.iter().enumerate() {
                 if i == at {
-                    p.compact().unwrap();
+                    p.compact(|| fold(&records, i).warm().to_vec()).unwrap();
                 }
                 p.append(rec).unwrap();
             }
             if at == records.len() {
-                p.compact().unwrap();
+                p.compact(|| fold(&records, at).warm().to_vec()).unwrap();
             }
         }
         let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
@@ -301,8 +303,9 @@ fn sessions_stay_in_id_order() {
     let ids: Vec<u64> = st.sessions().iter().map(|s| s.id).collect();
     assert_eq!(ids, vec![1, 3, 5, 9]);
     assert_eq!(st.next_id, 10);
+    let before = st.clone();
     st.apply(Record::SessionRunning { id: 3 });
-    assert_eq!(st.sessions()[1].status, SessionStatus::Running);
+    assert_eq!(st, before, "a claim record leaves a queued row queued");
 }
 
 fn submit(id: u64) -> Record {
@@ -357,7 +360,7 @@ fn compaction_over_a_skipped_generation_starts_an_empty_wal() {
     assert_eq!((info.generation, info.snapshots_skipped), (0, 1));
     assert_eq!(state.next_id, 0, "ids restart at 0");
     p.append(&submit(0)).unwrap();
-    assert_eq!(p.compact().unwrap().generation, 1);
+    assert_eq!(p.compact(Vec::new).unwrap().generation, 1);
     drop(p);
 
     let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
@@ -369,34 +372,31 @@ fn compaction_over_a_skipped_generation_starts_an_empty_wal() {
 }
 
 /// A warm table several times the chunk bound compacts into frames that
-/// each fit the bound, and reopens equal to the live fold.
+/// each fit the bound, and reopens with the live sessions and every entry
+/// of the table, in order.
 #[test]
 fn large_warm_table_compacts_into_bounded_frames() {
     let dir = scratch_dir();
     let (p, _, _) = Persist::open(&dir, Durability::Never).unwrap();
     // 18 encoded bytes per entry (two 1-byte varints, one block, the
-    // cost): 4× the bound in entries, appended in four batches.
+    // cost): 4× the bound in entries.
     let n = (4 * WARM_CHUNK_BYTES / 18 + 4) as u64;
-    for part in 0..4 {
-        p.append(&Record::WarmBatch(WarmBatch {
-            key: "w".into(),
-            fingerprint: 9,
-            num_queries: 4,
-            universe: 64,
-            entries: (part * n / 4..(part + 1) * n / 4)
-                .map(|i| WarmEntry {
-                    query: (i % 4) as u32,
-                    blocks: vec![i],
-                    cost_bits: (i as f64 * 1.5).to_bits(),
-                })
-                .collect(),
-        }))
-        .unwrap();
-    }
+    let table = WarmBatch {
+        key: "w".into(),
+        fingerprint: 9,
+        num_queries: 4,
+        universe: 64,
+        entries: (0..n)
+            .map(|i| WarmEntry {
+                query: (i % 4) as u32,
+                blocks: vec![i],
+                cost_bits: (i as f64 * 1.5).to_bits(),
+            })
+            .collect(),
+    };
     p.append(&submit(0)).unwrap();
     let live = p.state();
-    assert_eq!(live.warm_entries() as u64, n);
-    p.compact().unwrap();
+    p.compact(|| [table.clone()]).unwrap();
     drop(p);
 
     let snap = std::fs::read(dir.join("snap-1.bin")).unwrap();
@@ -416,7 +416,19 @@ fn large_warm_table_compacts_into_bounded_frames() {
     let (_p, recovered, info) = Persist::open(&dir, Durability::Never).unwrap();
     assert!(info.snapshot_loaded);
     assert_eq!(info.snapshots_skipped, 0);
-    assert_eq!(recovered, live);
+    assert_eq!(recovered.sessions(), live.sessions());
+    assert!(recovered.warm().iter().all(|b| (
+        b.key.as_str(),
+        b.fingerprint,
+        b.num_queries,
+        b.universe
+    ) == ("w", 9, 4, 64)));
+    let entries: Vec<WarmEntry> = recovered
+        .warm()
+        .iter()
+        .flat_map(|b| b.entries.iter().cloned())
+        .collect();
+    assert_eq!(entries, table.entries);
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -438,15 +450,14 @@ fn warm_chunk_that_fills_the_bound_exactly_is_cut_one_entry_early() {
         blocks: vec![i],
         cost_bits: 1,
     }));
-    let mut st = PersistState::default();
-    st.apply(Record::WarmBatch(WarmBatch {
+    let batch = WarmBatch {
         key: "w".into(),
         fingerprint: 9,
         num_queries: 4,
         universe: 64,
         entries,
-    }));
-    let payloads: Vec<Vec<u8>> = st.records().collect();
+    };
+    let payloads: Vec<Vec<u8>> = warm_chunks(&batch).collect();
     let sizes: Vec<usize> = payloads.iter().map(|p| FRAME_HEADER + p.len()).collect();
     assert_eq!(sizes.len(), 2, "{sizes:?}");
     assert!(sizes[0] <= WARM_CHUNK_BYTES, "{sizes:?}");
@@ -454,7 +465,12 @@ fn warm_chunk_that_fills_the_bound_exactly_is_cut_one_entry_early() {
     for payload in payloads {
         back.apply(Record::decode(&payload).unwrap());
     }
-    assert_eq!(back, st);
+    let entries: Vec<WarmEntry> = back
+        .warm()
+        .iter()
+        .flat_map(|b| b.entries.iter().cloned())
+        .collect();
+    assert_eq!(entries, batch.entries);
 }
 
 /// A record too large for a frame is refused before any byte reaches the

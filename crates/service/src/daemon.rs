@@ -236,7 +236,7 @@ fn dispatch(req: Request, manager: &SessionManager) -> Response {
             Ok(json) => Response::Trace(json),
             Err(e) => Response::Error(e),
         },
-        Request::StoreStats => Response::StoreStats(manager.store_stats().into()),
+        Request::StoreStats => Response::StoreStats(manager.store_stats()),
         Request::StoreFlush => Response::Flushed(manager.store_flush()),
         Request::PersistStats => Response::PersistStats(manager.persist_stats().into()),
         Request::Shutdown => {

@@ -2,10 +2,11 @@
 //! layer.
 //!
 //! The persist crate is std-only and speaks primitives; this module owns
-//! the translation in both directions — warm-store ledgers and session
-//! transitions become [`Record`]s on the way down, a recovered
-//! [`PersistState`] becomes warm-store absorptions on the way up — and
-//! mirrors every durable operation into the daemon's metrics registry
+//! the translation in both directions — the cells a settle added to the
+//! warm store, the store's tables at compaction, and session transitions
+//! become [`Record`]s on the way down, a recovered [`PersistState`]'s warm
+//! batches become warm-store absorptions on the way up — and mirrors every
+//! durable operation into the daemon's metrics registry
 //! (`ixtune_persist_*`) and trace ring (`recovery`/`compaction`/
 //! `wal-append` spans).
 //!
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 /// Trace scope for daemon-level persist spans. Session spans use the
 /// session id as their scope; `u64::MAX` can never collide with one
-/// (admission control caps live sessions far below it).
+/// (session ids stay below [`ixtune_persist::MAX_SESSION_ID`]).
 pub const DAEMON_SCOPE: u64 = u64::MAX;
 
 /// Bucket bounds for the recovery-duration histogram, in milliseconds.
@@ -243,10 +244,14 @@ impl DurableLog {
         }
     }
 
-    /// Compact when the WAL has outgrown `threshold` bytes. Called after a
-    /// session settles — off every tuning hot path. An aborted compaction
-    /// keeps the previous generation intact, so retrying is always safe.
-    pub fn maybe_compact(&self, threshold: u64) -> Option<CompactOutcome> {
+    /// Compact when the WAL has outgrown `threshold` bytes, writing the
+    /// live sessions and `warm`'s tables. Called after a session settles —
+    /// off every tuning hot path. An aborted compaction keeps the previous
+    /// generation intact, so retrying is always safe.
+    ///
+    /// `warm` holds every logged cell it has not evicted or flushed: a
+    /// settle absorbs before it logs, a flush empties it before logging.
+    pub fn maybe_compact(&self, threshold: u64, warm: &WarmStore) -> Option<CompactOutcome> {
         if self.persist.stats().wal_bytes <= threshold {
             return None;
         }
@@ -254,7 +259,13 @@ impl DurableLog {
         let max = if self.degraded() { 1 } else { IO_ATTEMPTS };
         let mut attempt = 0u32;
         loop {
-            match self.persist.compact() {
+            // Converted one table at a time: no second copy of the store.
+            let tables = || {
+                warm.export_tables().into_iter().map(|((key, fp), s)| {
+                    warm_batch(&key, fp, s.num_queries(), s.universe(), s.iter_entries())
+                })
+            };
+            match self.persist.compact(tables) {
                 Ok(out) => {
                     self.compactions_total.inc();
                     self.fsyncs_total.inc();
@@ -305,44 +316,44 @@ impl DurableLog {
     }
 }
 
-/// Build the WAL record for one settled session's warm contribution.
+/// The `WarmBatch` of `cells` for the warm table `(key, fingerprint)`.
 /// Costs are captured as exact bit patterns; replay through
 /// [`import_warm`] reconstructs values bit-identically.
-pub fn warm_batch_record(
+pub fn warm_batch<'a>(
     key: &str,
     fingerprint: u64,
     num_queries: usize,
     universe: usize,
-    ledger: &[(QueryId, IndexSet, f64)],
-) -> Record {
-    Record::WarmBatch(WarmBatch {
+    cells: impl Iterator<Item = (QueryId, &'a IndexSet, f64)>,
+) -> WarmBatch {
+    WarmBatch {
         key: key.to_string(),
         fingerprint,
         num_queries: num_queries as u32,
         universe: universe as u32,
-        entries: ledger
-            .iter()
+        entries: cells
             .map(|(q, config, cost)| WarmEntry {
                 query: q.index() as u32,
                 blocks: config.as_blocks().to_vec(),
                 cost_bits: cost.to_bits(),
             })
             .collect(),
-    })
+    }
 }
 
-/// Re-absorb recovered warm tables into the live store. Rows that fail
+/// Replay recovered warm batches into the live store, in log order: the
+/// absorptions the store saw before the restart. Rows that fail
 /// structural validation (foreign block counts, out-of-range queries) are
 /// poisoned: each is dropped individually and counted, so a partially
-/// valid table still contributes. Returns `(imported, dropped)` entry
+/// valid batch still contributes. Returns `(imported, dropped)` entry
 /// counts.
 pub fn import_warm(state: &PersistState, store: &WarmStore) -> (usize, usize) {
     let mut imported = 0;
     let mut dropped = 0;
-    for ((key, fingerprint), table) in state.warm() {
-        let num_queries = table.num_queries as usize;
-        let universe = table.universe as usize;
-        let ledger: Vec<(QueryId, IndexSet, f64)> = table
+    for batch in state.warm() {
+        let num_queries = batch.num_queries as usize;
+        let universe = batch.universe as usize;
+        let ledger: Vec<(QueryId, IndexSet, f64)> = batch
             .entries
             .iter()
             .filter_map(|e| {
@@ -356,7 +367,9 @@ pub fn import_warm(state: &PersistState, store: &WarmStore) -> (usize, usize) {
                 row
             })
             .collect();
-        imported += store.absorb(key, *fingerprint, num_queries, universe, ledger);
+        imported += store
+            .absorb(&batch.key, batch.fingerprint, num_queries, universe, ledger)
+            .len();
     }
     (imported, dropped)
 }
@@ -419,7 +432,7 @@ mod tests {
             "torn counter missing from exposition:\n{text}"
         );
         // The append path keeps working and reports through metrics too.
-        log.append(&Record::SessionRunning { id: 0 });
+        log.append(&Record::SessionResumed { id: 0 });
         assert!(registry.render().contains("ixtune_persist_records_total 1"));
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -506,7 +519,7 @@ mod tests {
         );
         // Demoted stores stop retrying: exactly one more io error per call.
         let before = plan.injected(ixtune_persist::fault_site::APPEND);
-        log.append(&Record::SessionRunning { id: 0 });
+        log.append(&Record::SessionResumed { id: 0 });
         assert_eq!(
             plan.injected(ixtune_persist::fault_site::APPEND),
             before + 1

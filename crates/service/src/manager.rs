@@ -8,15 +8,15 @@
 //! that many sessions run at once; admission control bounds the number of
 //! admitted-but-not-terminal sessions at `queue_capacity`.
 //!
-//! Every state transition that must survive a crash — submission, claim,
-//! suspension (its checkpoint included), resume, settle, warm-store
-//! publication — is appended to the write-ahead log under
-//! `ServiceConfig::data_dir` (see DESIGN.md §10);
+//! Every state transition that must survive a crash — submission,
+//! suspension (its checkpoint included), resume, settle, the warm cells a
+//! settle added, a warm-store flush — is appended to the write-ahead log
+//! under `ServiceConfig::data_dir` (see DESIGN.md §10);
 //! [`SessionManager::start`] replays it so suspended sessions reappear
 //! resumable, completed results stay queryable, and the warm store opens
 //! with every cost prior sessions paid for.
 
-use crate::durable::{import_warm, warm_batch_record, DurableLog};
+use crate::durable::{import_warm, warm_batch, DurableLog};
 use crate::proto::{
     ErrorCode, ErrorPayload, ResultPayload, SessionState, SessionSummary, StatusPayload,
 };
@@ -31,7 +31,7 @@ use ixtune_core::tuner::{Tuner, TuningContext, TuningResult};
 use ixtune_core::warm::{WarmState, WarmStore, WarmStoreStats};
 use ixtune_core::SessionFaults;
 use ixtune_obs::{MetricsRegistry, TraceRecorder};
-use ixtune_persist::{PersistState, PersistStats, Record, SessionStatus};
+use ixtune_persist::{PersistState, PersistStats, Record, SessionStatus, MAX_SESSION_ID};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -256,7 +256,13 @@ impl SessionManager {
                 ));
             }
             let id = st.next_id;
-            st.next_id += 1;
+            if id >= MAX_SESSION_ID {
+                return Err(ErrorPayload::new(
+                    ErrorCode::QueueFull,
+                    "session ids exhausted",
+                ));
+            }
+            st.next_id = id + 1;
             st.sessions.insert(
                 id,
                 SessionRec {
@@ -574,10 +580,11 @@ fn unknown_session(id: u64) -> ErrorPayload {
 }
 
 /// Rebuild the in-memory session table from recovered durable state.
-/// `Queued` and `Running` rows re-enter the queue — a `Running` row means
-/// the daemon died mid-session, so it re-runs (from its checkpoint when
-/// one exists). Rows whose spec no longer parses are dropped with a
-/// stderr note; ids are never reused, so the gap is harmless.
+/// `Queued` rows re-enter the queue — a session the daemon died running
+/// recovers `Queued`, so it re-runs (from its checkpoint when one
+/// exists). Rows whose spec no longer parses are dropped with a stderr
+/// note; ids are never reused, so the gap is harmless. Recovered ids stay
+/// below [`MAX_SESSION_ID`], so `row.id + 1` cannot overflow.
 fn import_sessions(recovered: &PersistState) -> ManagerState {
     let mut st = ManagerState {
         next_id: recovered.next_id,
@@ -596,9 +603,7 @@ fn import_sessions(recovered: &PersistState) -> ManagerState {
         };
         st.next_id = st.next_id.max(row.id + 1);
         let (state, result, error, requeue) = match &row.status {
-            SessionStatus::Queued | SessionStatus::Running => {
-                (SessionState::Queued, None, None, true)
-            }
+            SessionStatus::Queued => (SessionState::Queued, None, None, true),
             SessionStatus::Suspended => (SessionState::Suspended, None, None, false),
             SessionStatus::Done { result_json } => (
                 SessionState::Done,
@@ -703,7 +708,6 @@ fn worker_loop(
                     }
                     rec.state = SessionState::Running;
                     rec.stop = Some(stop.clone());
-                    durable.append(&Record::SessionRunning { id });
                     return Some((id, rec.spec.clone(), rec.checkpoint_json.clone(), stop));
                 }
                 None
@@ -747,12 +751,10 @@ fn worker_loop(
                 // and the calls this session does pay for are ledgered for
                 // write-back when it settles.
                 let fingerprint = p.opt.content_fingerprint();
-                let warm = Arc::new(WarmState::new(warm_store.checkout(
-                    &key,
-                    fingerprint,
-                    ixtune_optimizer::WhatIfOptimizer::num_queries(&p.opt),
-                    p.cands.len(),
-                )));
+                let num_queries = ixtune_optimizer::WhatIfOptimizer::num_queries(&p.opt);
+                let universe = p.cands.len();
+                let snapshot = warm_store.checkout(&key, fingerprint, num_queries, universe);
+                let warm = Arc::new(WarmState::new(snapshot));
                 let start = Instant::now();
                 let obs = Obs::enabled(Arc::clone(registry), Some(Arc::clone(tracer)), id);
                 let warm_run = Arc::clone(&warm);
@@ -777,17 +779,18 @@ fn worker_loop(
                 // Absorb the ledger whatever the outcome — completed,
                 // suspended, failed, or panicked segments all paid for real
                 // optimizer calls worth sharing. Costs are pure functions,
-                // so partial segments contribute correct entries. Logged
-                // only when it added something: replay re-absorbs exactly
-                // the warm capital this segment published.
-                let num_queries = ixtune_optimizer::WhatIfOptimizer::num_queries(&p.opt);
+                // so partial segments contribute correct entries. Only the
+                // cells the store did not hold yet are logged, each once,
+                // and only after the store holds them (compaction relies on
+                // that order). Dropping the session's view first lets the
+                // store merge in place when no other session holds it.
                 let ledger = warm.drain();
-                let batch =
-                    warm_batch_record(&key, fingerprint, num_queries, p.cands.len(), &ledger);
-                let added =
-                    warm_store.absorb(&key, fingerprint, num_queries, p.cands.len(), ledger);
-                if added > 0 {
-                    durable.append(&batch);
+                drop(warm);
+                let added = warm_store.absorb(&key, fingerprint, num_queries, universe, ledger);
+                if !added.is_empty() {
+                    let cells = added.iter().map(|(q, config, cost)| (*q, config, *cost));
+                    let batch = warm_batch(&key, fingerprint, num_queries, universe, cells);
+                    durable.append(&Record::WarmBatch(batch));
                 }
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
                 match outcome {
@@ -868,7 +871,7 @@ fn worker_loop(
         if settled.is_some() {
             // Settle is the one quiet moment in a session's life — compact
             // here, never on the tuning hot path.
-            durable.maybe_compact(cfg.wal_compact_bytes);
+            durable.maybe_compact(cfg.wal_compact_bytes, warm_store);
         }
     }
 }
@@ -1155,6 +1158,133 @@ mod tests {
             .collect();
         names.sort();
         names
+    }
+
+    /// Every record in `cfg`'s data dir file `name`, decoded.
+    fn logged_records(cfg: &ServiceConfig, name: &str) -> Vec<Record> {
+        let mut file = std::fs::File::open(cfg.data_dir.join(name)).unwrap();
+        ixtune_persist::wal::scan(&mut file)
+            .unwrap()
+            .payloads
+            .iter()
+            .map(|p| Record::decode(p).unwrap())
+            .collect()
+    }
+
+    /// A cold greedy session logs its submission, the cells it added and
+    /// its result: no claim record.
+    #[test]
+    fn one_greedy_session_appends_three_records() {
+        let cfg = config("ixtuned-test-three-records");
+        let mgr = SessionManager::start(cfg.clone());
+        let id = mgr.submit(spec(AlgorithmSpec::VanillaGreedy, 40)).unwrap();
+        assert_eq!(
+            mgr.wait_settled(id, Duration::from_secs(30)),
+            Some(SessionState::Done)
+        );
+        mgr.shutdown();
+        let recs = logged_records(&cfg, "wal-0.log");
+        assert!(
+            matches!(
+                recs.as_slice(),
+                [
+                    Record::SessionSubmitted { id: 0, .. },
+                    Record::WarmBatch(_),
+                    Record::SessionDone { id: 0, .. },
+                ]
+            ),
+            "{recs:?}"
+        );
+    }
+
+    /// Compaction writes the warm store's own tables, so the snapshot is
+    /// bounded by `warm_store_bytes`, and a restart rebuilds exactly the
+    /// store that was live.
+    #[test]
+    fn compaction_writes_the_bounded_warm_store() {
+        let mut cfg = config("ixtuned-test-bounded-compaction");
+        cfg.warm_store_bytes = 8 << 10;
+        cfg.wal_compact_bytes = 1;
+        let live = {
+            let mgr = SessionManager::start(cfg.clone());
+            for seed in 0..12 {
+                let mut s = SubmitSpec::new(
+                    WorkloadSpec::Synth(100 + seed),
+                    AlgorithmSpec::VanillaGreedy,
+                    3,
+                    40,
+                );
+                s.seed = 7;
+                let id = mgr.submit(s).unwrap();
+                assert_eq!(
+                    mgr.wait_settled(id, Duration::from_secs(30)),
+                    Some(SessionState::Done)
+                );
+            }
+            let live = mgr.store_stats();
+            mgr.shutdown();
+            live
+        };
+        assert!(live.evictions > 0, "the bound evicted tables: {live:?}");
+        let snap = data_dir_names(&cfg)
+            .into_iter()
+            .find(|n| n.starts_with("snap-"))
+            .expect("a compaction ran");
+        let snapshot_entries: usize = logged_records(&cfg, &snap)
+            .iter()
+            .map(|rec| match rec {
+                Record::WarmBatch(b) => b.entries.len(),
+                _ => 0,
+            })
+            .sum();
+        assert!(
+            snapshot_entries <= live.entries,
+            "snapshot holds {snapshot_entries} warm entries, the store {}",
+            live.entries
+        );
+        let mgr = SessionManager::start(cfg);
+        let back = mgr.store_stats();
+        assert_eq!((back.entries, back.bytes), (live.entries, live.bytes));
+        mgr.shutdown();
+    }
+
+    /// A logged session id near `u64::MAX` cannot wrap the id sequence:
+    /// replay drops it, session 0 keeps its result and new sessions get
+    /// fresh ids.
+    #[test]
+    fn recovered_huge_id_cannot_wrap_the_id_sequence() {
+        let cfg = config("ixtuned-test-id-wrap");
+        let first = {
+            let mgr = SessionManager::start(cfg.clone());
+            let id = mgr.submit(spec(AlgorithmSpec::VanillaGreedy, 40)).unwrap();
+            assert_eq!(
+                mgr.wait_settled(id, Duration::from_secs(30)),
+                Some(SessionState::Done)
+            );
+            let r = mgr.result(id).unwrap();
+            mgr.shutdown();
+            r
+        };
+        {
+            let (p, _, _) = ixtune_persist::Persist::open(&cfg.data_dir, cfg.durability).unwrap();
+            p.append(&Record::SessionSubmitted {
+                id: u64::MAX - 1,
+                spec_json: serde_json::to_string(&spec(AlgorithmSpec::VanillaGreedy, 10)).unwrap(),
+            })
+            .unwrap();
+        }
+        let mgr = SessionManager::start(cfg);
+        for want in [1, 2] {
+            let id = mgr.submit(spec(AlgorithmSpec::TwoPhase, 20)).unwrap();
+            assert_eq!(id, want, "ids continue after the live ones");
+            assert_eq!(
+                mgr.wait_settled(id, Duration::from_secs(30)),
+                Some(SessionState::Done)
+            );
+        }
+        assert_eq!(mgr.result(0).unwrap(), first);
+        assert_eq!(mgr.list().len(), 3);
+        mgr.shutdown();
     }
 
     #[test]

@@ -72,38 +72,9 @@ pub enum Response {
     Error(ErrorPayload),
 }
 
-/// Wire form of the warm store's aggregate counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoreStatsPayload {
-    /// Distinct `(workload, fingerprint)` snapshots held.
-    pub workloads: usize,
-    /// Total `(query, config) → cost` entries across snapshots.
-    pub entries: usize,
-    /// Distinct interned configurations across snapshots.
-    pub interned_configs: usize,
-    /// Estimated resident bytes.
-    pub bytes: usize,
-    /// Publication epoch (bumped per absorbed snapshot).
-    pub epoch: u64,
-    /// Snapshots evicted by the byte bound since daemon start.
-    pub evictions: u64,
-    /// Configured byte bound.
-    pub max_bytes: usize,
-}
-
-impl From<ixtune_core::warm::WarmStoreStats> for StoreStatsPayload {
-    fn from(s: ixtune_core::warm::WarmStoreStats) -> Self {
-        Self {
-            workloads: s.workloads,
-            entries: s.entries,
-            interned_configs: s.interned_configs,
-            bytes: s.bytes,
-            epoch: s.epoch,
-            evictions: s.evictions,
-            max_bytes: s.max_bytes,
-        }
-    }
-}
+/// Wire form of the warm store's aggregate counters: the store's own
+/// stats record, serialized field by field.
+pub type StoreStatsPayload = ixtune_core::warm::WarmStoreStats;
 
 /// Wire form of the durable store's statistics: live WAL/snapshot
 /// counters plus the outcome of the recovery the daemon performed at

@@ -341,7 +341,7 @@ fn wire_chaos_leaves_results_bit_identical() {
 #[test]
 fn fsync_faults_recover_bit_identical_after_sigkill() {
     let dir = scratch("fsync");
-    let daemon = DaemonProc::spawn(&dir, "always", "seed=42;persist.fsync=every4");
+    let daemon = DaemonProc::spawn(&dir, "always", "seed=42;persist.fsync=every3");
     let client = daemon.client();
     let id = client.submit(mcts_spec(120)).expect("submit");
     let status = client.wait_terminal(id, WAIT).expect("session settles");
@@ -358,7 +358,7 @@ fn fsync_faults_recover_bit_identical_after_sigkill() {
     );
     assert!(
         metrics.contains("ixtune_persist_degraded 0"),
-        "every-4 faults retry through, never demote:\n{}",
+        "every-3 faults retry through, never demote:\n{}",
         metrics
             .lines()
             .filter(|l| l.contains("degraded"))

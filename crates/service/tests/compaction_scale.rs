@@ -1,8 +1,11 @@
 //! Compaction at scale. 16,000 synth sessions run through one
 //! `SessionManager` with the default `wal_compact_bytes`, so the state the
 //! compactions write grows past one WAL frame's 64 MiB bound (about
-//! 71 MB of snapshot by the 17th compaction). A restart on the same data
-//! dir must still recover every session and a non-empty warm store.
+//! 71 MB of snapshot by the 17th compaction). Compaction writes the warm
+//! store's tables, so the store is bounded at 256 MiB here to keep every
+//! table; at the default 64 MiB it evicts, and the snapshot stays near
+//! 48 MB. A restart on the same data dir must still recover every session
+//! and exactly the warm store the first daemon held at shutdown.
 //!
 //! The run takes about half a minute as a release build on two cores and
 //! far longer in debug, so it is ignored by default:
@@ -26,6 +29,7 @@ fn every_session_survives_compaction_and_restart() {
     let cfg = ServiceConfig {
         max_concurrent: 2,
         queue_capacity: n as usize,
+        warm_store_bytes: 256 << 20,
         data_dir: data_dir.clone(),
         ..ServiceConfig::default()
     };
@@ -36,7 +40,7 @@ fn every_session_survives_compaction_and_restart() {
     ];
 
     let started = Instant::now();
-    let compactions = {
+    let (compactions, store_at_shutdown) = {
         let mgr = SessionManager::start(cfg.clone());
         for i in 0..n {
             let spec = SubmitSpec::new(
@@ -55,15 +59,16 @@ fn every_session_survives_compaction_and_restart() {
             );
         }
         let stats = mgr.persist_stats();
+        let store = mgr.store_stats();
         eprintln!(
             "{n} sessions in {:.1}s: generation {}, {} compactions, warm store {} entries",
             started.elapsed().as_secs_f64(),
             stats.generation,
             stats.compactions_total,
-            mgr.store_stats().entries
+            store.entries
         );
         mgr.shutdown();
-        stats.compactions_total
+        (stats.compactions_total, store)
     };
     let snapshot_bytes: u64 = std::fs::read_dir(&data_dir)
         .expect("list data dir")
@@ -79,7 +84,8 @@ fn every_session_survives_compaction_and_restart() {
         .iter()
         .filter(|s| s.state == SessionState::Done)
         .count();
-    let warm_entries = mgr.store_stats().entries;
+    let store = mgr.store_stats();
+    let warm_entries = store.entries;
     eprintln!(
         "restart: {snapshot_bytes}-byte snapshot, {recovery:?}, {} sessions ({done} done), \
          warm store {warm_entries} entries",
@@ -97,4 +103,13 @@ fn every_session_survives_compaction_and_restart() {
     assert_eq!(sessions.len() as u64, n, "every session recovered");
     assert_eq!(done as u64, n, "every recovered session is Done");
     assert!(warm_entries > 0, "the warm store comes back");
+    assert_eq!(
+        store_at_shutdown.evictions, 0,
+        "the bound keeps every table"
+    );
+    assert_eq!(
+        (warm_entries, store.bytes),
+        (store_at_shutdown.entries, store_at_shutdown.bytes),
+        "the restarted store holds exactly the store at shutdown"
+    );
 }
