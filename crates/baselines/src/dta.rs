@@ -24,25 +24,17 @@ use ixtune_core::greedy::greedy_enumerate;
 use ixtune_core::matrix::Layout;
 use ixtune_core::tuner::{Tuner, TuningContext, TuningRequest, TuningResult};
 
-/// The DTA-style baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct DtaTuner {
-    /// Number of time slices the session is divided into.
-    pub slices: usize,
-    /// Cap on the accumulated winner pool considered by the global
-    /// refresh — DTA's "table subset" style pruning keeps the refresh
-    /// tractable on large workloads.
-    pub max_pool: usize,
-}
+/// Number of time slices a session is divided into.
+const SLICES: usize = 8;
 
-impl Default for DtaTuner {
-    fn default() -> Self {
-        Self {
-            slices: 8,
-            max_pool: 400,
-        }
-    }
-}
+/// Cap on the accumulated winner pool considered by the global refresh —
+/// DTA's "table subset" style pruning keeps the refresh tractable on large
+/// workloads.
+const MAX_POOL: usize = 400;
+
+/// The DTA-style baseline.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DtaTuner;
 
 impl Tuner for DtaTuner {
     fn name(&self) -> String {
@@ -58,7 +50,7 @@ impl Tuner for DtaTuner {
         let mut order: Vec<QueryId> = (0..m).map(QueryId::from).collect();
         order.sort_by(|a, b| mw.empty_cost(*b).total_cmp(&mw.empty_cost(*a)));
 
-        let batch = m.div_ceil(self.slices.max(1)).max(1);
+        let batch = m.div_ceil(SLICES).max(1);
         let mut seen: Vec<QueryId> = Vec::new();
         let mut pool: Vec<IndexId> = Vec::new();
         let mut recommendation = IndexSet::empty(ctx.universe());
@@ -70,7 +62,7 @@ impl Tuner for DtaTuner {
                 let cands = ctx.cands.for_query(q);
                 let best = greedy_enumerate(ctx, constraints, cands, |c| mw.cost_fcfs(q, c));
                 for id in best.iter() {
-                    if pool.len() < self.max_pool && !pool.contains(&id) {
+                    if pool.len() < MAX_POOL && !pool.contains(&id) {
                         pool.push(id);
                     }
                 }
@@ -119,7 +111,7 @@ mod tests {
         let (opt, cands) = setup(1);
         let ctx = TuningContext::new(&opt, &cands);
         for budget in [0usize, 10, 200] {
-            let r = DtaTuner::default().tune(&ctx, &TuningRequest::cardinality(3, budget));
+            let r = DtaTuner.tune(&ctx, &TuningRequest::cardinality(3, budget));
             assert!(r.calls_used <= budget);
             assert!(r.config.len() <= 3);
         }
@@ -133,7 +125,7 @@ mod tests {
         let ctx = TuningContext::new(&opt, &cands);
         let limit = 3 * opt.schema().database_size_bytes();
         let req = TuningRequest::new(Constraints::with_storage(10, limit), 2_000);
-        let r = DtaTuner::default().tune(&ctx, &req);
+        let r = DtaTuner.tune(&ctx, &req);
         assert!(opt.config_size_bytes(&r.config) <= limit);
     }
 
@@ -143,7 +135,7 @@ mod tests {
         let cands = generate_default(&inst);
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
-        let r = DtaTuner::default().tune(&ctx, &TuningRequest::cardinality(10, 20_000));
+        let r = DtaTuner.tune(&ctx, &TuningRequest::cardinality(10, 20_000));
         assert!(r.improvement > 0.1, "got {}", r.improvement);
     }
 
@@ -154,7 +146,7 @@ mod tests {
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
         // Tiny budget: only the first slice runs.
-        let r = DtaTuner::default().tune(&ctx, &TuningRequest::cardinality(5, 15));
+        let r = DtaTuner.tune(&ctx, &TuningRequest::cardinality(5, 15));
         let mw = MeteredWhatIf::new(&ctx, 0);
         let max_cost = (0..ctx.num_queries())
             .map(|q| mw.empty_cost(QueryId::from(q)))

@@ -19,11 +19,11 @@ fn bench_tuners(c: &mut Criterion) {
     let tuners: Vec<Box<dyn Tuner>> = vec![
         Box::new(VanillaGreedy),
         Box::new(TwoPhaseGreedy),
-        Box::new(AutoAdminGreedy::default()),
+        Box::new(AutoAdminGreedy),
         Box::new(MctsTuner::default()),
         Box::new(DbaBandits::default()),
         Box::new(NoDba::default()),
-        Box::new(DtaTuner::default()),
+        Box::new(DtaTuner),
     ];
     for tuner in &tuners {
         group.bench_function(tuner.name(), |b| {

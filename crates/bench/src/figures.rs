@@ -54,7 +54,7 @@ fn greedy_algos() -> Vec<Algo> {
     vec![
         Algo::new(VanillaGreedy),
         Algo::new(TwoPhaseGreedy),
-        Algo::new(AutoAdminGreedy::default()),
+        Algo::new(AutoAdminGreedy),
         Algo::new(MctsTuner::default()),
     ]
 }
@@ -264,10 +264,7 @@ pub fn convergence(
 pub fn dta_comparison(kind: BenchmarkKind, with_sc: bool, fig: &str, cfg: &ExpConfig) -> String {
     let session = Session::build(kind);
     let limit = session.storage_limit_3x();
-    let algos = vec![
-        Algo::new(DtaTuner::default()),
-        Algo::new(MctsTuner::default()),
-    ];
+    let algos = vec![Algo::new(DtaTuner), Algo::new(MctsTuner::default())];
     let sc_label = if with_sc { "with SC" } else { "without SC" };
     sweep(
         &session,

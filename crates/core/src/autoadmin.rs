@@ -11,20 +11,12 @@ use ixtune_candidates::atomic::single_join_pairs;
 use ixtune_common::IndexSet;
 use std::collections::HashSet;
 
-/// AutoAdmin-style greedy with atomic-configuration budget allocation.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoAdminGreedy {
-    /// Cap on precomputed single-join atomic pairs.
-    pub max_join_pairs: usize,
-}
+/// Cap on precomputed single-join atomic pairs.
+pub(crate) const MAX_JOIN_PAIRS: usize = 2_000;
 
-impl Default for AutoAdminGreedy {
-    fn default() -> Self {
-        Self {
-            max_join_pairs: 2_000,
-        }
-    }
-}
+/// AutoAdmin-style greedy with atomic-configuration budget allocation.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AutoAdminGreedy;
 
 impl Tuner for AutoAdminGreedy {
     fn name(&self) -> String {
@@ -42,7 +34,7 @@ impl Tuner for AutoAdminGreedy {
         stop: &StopSignal,
     ) -> TuningResult {
         let atomic_pairs: HashSet<IndexSet> =
-            single_join_pairs(ctx.opt.workload(), ctx.cands, self.max_join_pairs)
+            single_join_pairs(ctx.opt.workload(), ctx.cands, MAX_JOIN_PAIRS)
                 .into_iter()
                 .collect();
         // Both phases run atomic-restricted: what-if for singletons and
@@ -72,7 +64,7 @@ mod tests {
         let cands = generate_default(&inst);
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
-        let r = AutoAdminGreedy::default().tune(&ctx, &TuningRequest::cardinality(10, 500));
+        let r = AutoAdminGreedy.tune(&ctx, &TuningRequest::cardinality(10, 500));
         let sizes = r.layout.calls_by_config_size();
         // All budgeted calls are for configurations of size ≤ 2 (singletons
         // and join pairs).
@@ -87,7 +79,7 @@ mod tests {
         let (opt, cands) = setup(21);
         let ctx = TuningContext::new(&opt, &cands);
         for (budget, k) in [(0usize, 2usize), (9, 2), (200, 4)] {
-            let r = AutoAdminGreedy::default().tune(&ctx, &TuningRequest::cardinality(k, budget));
+            let r = AutoAdminGreedy.tune(&ctx, &TuningRequest::cardinality(k, budget));
             assert!(r.calls_used <= budget);
             assert!(r.config.len() <= k);
         }
@@ -99,7 +91,7 @@ mod tests {
         let cands = generate_default(&inst);
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
-        let r = AutoAdminGreedy::default().tune(&ctx, &TuningRequest::cardinality(10, 10_000));
+        let r = AutoAdminGreedy.tune(&ctx, &TuningRequest::cardinality(10, 10_000));
         assert!(r.improvement > 0.0, "TPC-H should be improvable");
     }
 }

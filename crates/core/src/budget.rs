@@ -117,9 +117,10 @@ impl SessionTelemetry {
     }
 }
 
-/// Exact what-if call accounting. Serializable so a suspended session's
-/// consumption survives in its checkpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Exact what-if call accounting. A checkpoint does not store it: a
+/// resumed session's meter is rebuilt as the request's budget with one
+/// call used per entry of the call trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetMeter {
     budget: usize,
     used: usize,
@@ -179,7 +180,8 @@ pub struct MeteredWhatIf<'a> {
     /// Attribution for subsequent budgeted calls.
     phase: Phase,
     /// Calls issued vs served from cache, and the per-phase budget split.
-    /// Derivation counts live in the cache (they happen behind `&self`).
+    /// Derivation counts live in the cache (they happen behind `&self`);
+    /// [`telemetry`](Self::telemetry) reads them from there.
     counters: SessionTelemetry,
     /// The session's observability handle (a clone of the context's).
     obs: Obs,
@@ -241,23 +243,52 @@ impl<'a> MeteredWhatIf<'a> {
         mw
     }
 
-    /// Rebuild a client from checkpointed parts — the resume entry point.
-    /// The phase starts at [`Phase::Other`]; MCTS re-sets it per episode,
-    /// so the restored call stream is attributed identically. The publish
-    /// base starts at the restored telemetry: the pre-suspend segment
-    /// already published its counters, so only new activity flows to the
-    /// registry.
-    pub(crate) fn from_parts(
+    /// Rebuild a suspended session's client from its call trace — the
+    /// resume entry point. The cache is replayed through the optimizer
+    /// (see [`WhatIfCache::replay`]): ∅ and then every cell in call order,
+    /// none of it budgeted, timed, warm-served, ledgered or fault-injected.
+    /// The meter reads `budget` with one call used per cell, and
+    /// `counters` (the checkpoint's telemetry, derivations included)
+    /// continue where the suspended segment stopped. Errs for a trace
+    /// longer than `budget` or one [`WhatIfCache::replay`] rejects.
+    pub(crate) fn resume(
+        ctx: &TuningContext<'a>,
+        budget: usize,
+        trace: Vec<(QueryId, IndexSet)>,
+        counters: SessionTelemetry,
+    ) -> Result<Self, String> {
+        if trace.len() > budget {
+            return Err(format!(
+                "checkpoint trace holds {} calls, over the budget of {budget}",
+                trace.len()
+            ));
+        }
+        let cache = WhatIfCache::replay(
+            ctx.universe(),
+            ctx.num_queries(),
+            &trace,
+            counters.derivations,
+            |q, config| ctx.opt.what_if_cost(q, config),
+        )?;
+        let meter = BudgetMeter {
+            budget,
+            used: trace.len(),
+        };
+        Ok(Self::from_parts(ctx, cache, meter, trace, counters))
+    }
+
+    /// Assemble a client. The phase starts at [`Phase::Other`]; MCTS
+    /// re-sets it per episode, so a resumed call stream is attributed
+    /// identically. The publish base starts at `counters`: a resumed
+    /// session's earlier segments already published theirs, so only new
+    /// activity flows to the registry.
+    fn from_parts(
         ctx: &TuningContext<'a>,
         cache: WhatIfCache,
         meter: BudgetMeter,
         trace: Vec<(QueryId, IndexSet)>,
         counters: SessionTelemetry,
     ) -> Self {
-        let published = SessionTelemetry {
-            derivations: cache.derivations(),
-            ..counters
-        };
         let faults = ctx.faults().clone();
         let fault_cursor = faults.plan().cursor(site::WHATIF_ERROR);
         Self {
@@ -271,14 +302,8 @@ impl<'a> MeteredWhatIf<'a> {
             warm: ctx.warm().cloned(),
             faults,
             fault_cursor,
-            published,
+            published: counters,
         }
-    }
-
-    /// Raw telemetry counters *without* the cache's derivation count —
-    /// what a checkpoint stores (derivations are restored with the cache).
-    pub(crate) fn counters(&self) -> SessionTelemetry {
-        self.counters
     }
 
     /// Attribute subsequent budgeted calls to `phase`. Returns the

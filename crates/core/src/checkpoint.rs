@@ -1,33 +1,37 @@
 //! Versioned on-disk snapshots of suspended MCTS sessions.
 //!
-//! A checkpoint captures *everything* the episode loop reads between
-//! episodes: the search tree (exact arena numbering), the what-if cache
-//! (exact stored order, so derived costs answer bit-identically), the
-//! budget meter, the layout trace, the telemetry counters, the RNG state
-//! (raw xoshiro256** words), the priors vector, the best-explored
-//! configuration, the convergence trace, the idle-streak counter, and the
-//! AMAF table when RAVE updates are configured. Suspension happens only at
-//! episode boundaries, so no mid-episode state exists to capture; resuming
-//! replays the remaining episodes exactly as the uninterrupted run would
-//! have executed them.
+//! A checkpoint captures everything the episode loop reads between
+//! episodes, each fact once: the search tree (exact arena numbering; a
+//! node's configuration follows from the links that reach it), the
+//! layout trace, the telemetry counters, the RNG state (raw xoshiro256**
+//! words), the priors vector, the best-explored configuration, the
+//! convergence trace, the idle-streak counter, and the AMAF table when
+//! RAVE updates are configured. The what-if cache and the budget meter
+//! are not stored: resume rebuilds the cache by replaying the trace's
+//! cells through the optimizer in call order, and the meter as the
+//! request's budget with one call used per cell. Suspension happens only
+//! at episode boundaries, so no mid-episode state exists to capture;
+//! resuming replays the remaining episodes exactly as the uninterrupted
+//! run would have executed them.
 //!
 //! The format is line-oriented JSON (one document) with an explicit
-//! [`SNAPSHOT_VERSION`]; readers reject other versions rather than guess.
-//! `f64` values survive the JSON round trip bit-exactly (see the vendored
-//! `serde_json` docs) — the one excluded value is NaN, which the cache
-//! snapshot never emits (NaN cells mean "unknown" and are skipped).
+//! [`SNAPSHOT_VERSION`]; readers reject versions they do not know rather
+//! than guess. [`MctsCheckpoint::from_json`] also reads version 1, which
+//! stored the cache image, the meter and every node's configuration
+//! besides: it ignores those copies and takes the derivation count from
+//! the image. `f64` values survive the JSON round trip bit-exactly (see
+//! the vendored `serde_json` docs).
 
-use crate::budget::{BudgetMeter, SessionTelemetry};
-use crate::derived::CacheSnapshot;
+use crate::budget::SessionTelemetry;
 use crate::mcts::policy::AmafTable;
 use crate::mcts::tree::TreeSnapshot;
 use crate::tuner::TuningRequest;
 use ixtune_common::{IndexSet, QueryId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Current checkpoint format version. Bump on any incompatible change to
 /// [`MctsCheckpoint`] or the snapshot types it embeds.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Serialized state of a suspended MCTS tuning session.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -46,15 +50,11 @@ pub struct MctsCheckpoint {
     pub priors: Vec<f64>,
     /// Search tree with exact arena numbering.
     pub tree: TreeSnapshot,
-    /// What-if cache in exact stored order.
-    pub cache: CacheSnapshot,
-    /// Budget consumption at suspension.
-    pub meter: BudgetMeter,
     /// Chronological budget-consuming calls (the layout under
-    /// construction).
+    /// construction). Resume replays them into the what-if cache, and
+    /// their count is the budget used.
     pub trace: Vec<(QueryId, IndexSet)>,
-    /// Telemetry counters *excluding* cache derivations (those are
-    /// restored with the cache).
+    /// Telemetry counters at suspension, derivations included.
     pub counters: SessionTelemetry,
     /// Best evaluated configuration and its estimated cost.
     pub best: Option<(IndexSet, f64)>,
@@ -73,10 +73,26 @@ impl MctsCheckpoint {
         serde_json::to_string(self).expect("checkpoint serialization is infallible")
     }
 
-    /// Parse a checkpoint from JSON. Structural validation (tree links,
-    /// cache ordering, workload shape) happens in `MctsTuner::resume`.
+    /// Parse a checkpoint from JSON. A version-1 document is read as the
+    /// current version: its derivation count moves from the cache image
+    /// into `counters`, and its other copies are ignored. Structural
+    /// validation (tree links, trace cells, workload shape) happens in
+    /// `MctsTuner::resume`.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("malformed checkpoint: {e}"))
+        let doc =
+            serde_json::value_from_str(s).map_err(|e| format!("malformed checkpoint: {e}"))?;
+        let mut ckpt =
+            MctsCheckpoint::from_value(&doc).map_err(|e| format!("malformed checkpoint: {e}"))?;
+        if ckpt.version == 1 {
+            let derivations = doc
+                .get("cache")
+                .and_then(|c| c.get("derivations"))
+                .and_then(Value::as_u64)
+                .ok_or("malformed checkpoint: version 1 without a derivation count")?;
+            ckpt.counters.derivations = derivations as usize;
+            ckpt.version = SNAPSHOT_VERSION;
+        }
+        Ok(ckpt)
     }
 }
 
@@ -108,7 +124,7 @@ mod tests {
     fn json_roundtrip_is_lossless() {
         let ckpt = capture(3, 120, 60);
         assert_eq!(ckpt.version, SNAPSHOT_VERSION);
-        assert!(ckpt.meter.used() >= 60, "suspended after the trigger");
+        assert!(ckpt.trace.len() >= 60, "suspended after the trigger");
         let json = ckpt.to_json();
         assert!(!json.contains('\n'), "one line for line-delimited files");
         let back = MctsCheckpoint::from_json(&json).unwrap();
@@ -116,8 +132,7 @@ mod tests {
         // field order and every f64 bit pattern survive.
         assert_eq!(back.to_json(), json);
         assert_eq!(back.tree, ckpt.tree);
-        assert_eq!(back.cache, ckpt.cache);
-        assert_eq!(back.meter, ckpt.meter);
+        assert_eq!(back.trace, ckpt.trace);
         assert_eq!(back.counters, ckpt.counters);
         assert_eq!(back.rng, ckpt.rng);
     }
@@ -155,11 +170,13 @@ mod tests {
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
         let ckpt = capture(3, 120, 60);
-        let n = ckpt.cache.universe();
+        let n = ckpt.priors.len();
+        // A larger universe, so the foreign tree's actions reach past this
+        // one's (a tree stores actions, not the universe they range over).
         let foreign = (4..)
             .map(|seed| capture(seed, 120, 60))
-            .find(|c| c.cache.universe() != n)
-            .expect("some synth instance has a different candidate count");
+            .find(|c| c.priors.len() > n)
+            .expect("some synth instance has more candidates");
 
         let tuner = MctsTuner::default();
         let never = StopSignal::never();
@@ -173,12 +190,48 @@ mod tests {
         bad.trace = foreign.trace.clone();
         assert!(tuner.resume(&ctx, &bad, &never).is_err(), "foreign trace");
         let mut bad = ckpt.clone();
-        bad.amaf = Some(AmafTable::new(foreign.cache.universe(), 50.0));
+        bad.amaf = Some(AmafTable::new(foreign.priors.len(), 50.0));
         assert!(tuner.resume(&ctx, &bad, &never).is_err(), "foreign AMAF");
         let mut bad = ckpt.clone();
         bad.priors.pop();
         assert!(tuner.resume(&ctx, &bad, &never).is_err(), "short priors");
 
         assert!(tuner.resume(&ctx, &ckpt, &never).is_ok());
+    }
+
+    #[test]
+    fn resume_rejects_traces_no_session_could_have_made() {
+        let inst = synth::instance(5);
+        let cands = generate_default(&inst);
+        let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+        let ctx = TuningContext::new(&opt, &cands);
+        let ckpt = capture(5, 100, 50);
+        let tuner = MctsTuner::default();
+        let never = StopSignal::never();
+        assert!(tuner.resume(&ctx, &ckpt, &never).is_ok());
+
+        let mut bad = ckpt.clone();
+        let first = bad.trace[0].clone();
+        bad.trace.push(first);
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "repeated cell");
+        let mut bad = ckpt.clone();
+        bad.req.budget = bad.trace.len() - 1;
+        assert!(tuner.resume(&ctx, &bad, &never).is_err(), "over budget");
+    }
+
+    #[test]
+    fn version_1_documents_read_their_derivation_count_from_the_cache_image() {
+        let ckpt = capture(3, 120, 60);
+        let v2 = ckpt.to_json();
+        let v1 = v2.replacen("\"version\":2", "\"version\":1", 1).replacen(
+            "\"trace\"",
+            "\"cache\":{\"derivations\":41},\"trace\"",
+            1,
+        );
+        let back = MctsCheckpoint::from_json(&v1).unwrap();
+        assert_eq!(back.version, SNAPSHOT_VERSION);
+        assert_eq!(back.counters.derivations, 41);
+        let no_image = v2.replacen("\"version\":2", "\"version\":1", 1);
+        assert!(MctsCheckpoint::from_json(&no_image).is_err());
     }
 }

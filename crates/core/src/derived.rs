@@ -28,7 +28,6 @@
 //! [`freeze`]: WhatIfCache::freeze
 
 use ixtune_common::{ConfigInterner, IdCostMap, IndexId, IndexSet, QueryId};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Per-session what-if cache with derivation.
@@ -441,121 +440,41 @@ impl WhatIfCache {
         best
     }
 
-    /// Serializable image of the cache for checkpoint/resume.
-    ///
-    /// Multi-index entries are captured in *stored order* (ascending cost,
-    /// ties in insertion order). Restoring replays that order verbatim, so
-    /// the rebuilt cache visits entries in exactly the same sequence — a
-    /// re-insertion through [`put`](Self::put) would instead place a new
-    /// equal-cost entry *before* its ties (`partition_point` on `< cost`)
-    /// and silently perturb derived costs.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let rows = (0..self.num_queries())
-            .map(|qi| CacheRowSnapshot {
-                // NaN cells mean "unknown" and would not survive JSON (it
-                // has no NaN); store only the known cells.
-                singletons: self.singleton[qi]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| !v.is_nan())
-                    .map(|(i, &v)| (i as u32, v))
-                    .collect(),
-                multi: self.multi[qi].clone(),
-            })
+    /// Rebuild a session's cache from its call trace: price ∅ for each of
+    /// `num_queries` queries, then each `(q, C)` cell of `trace` in call
+    /// order, through `price`. Inserting the cells in the order the
+    /// session called them reproduces its stored order, ties included, so
+    /// the rebuilt cache answers every `get`/`derived` probe
+    /// bit-identically. The result is unfrozen; `derivations` restores
+    /// the telemetry counter. A cell outside the workload, an empty cell
+    /// or a repeated one was never a budgeted call, so it is an error
+    /// (and is never priced).
+    pub(crate) fn replay(
+        universe: usize,
+        num_queries: usize,
+        trace: &[(QueryId, IndexSet)],
+        derivations: usize,
+        price: impl Fn(QueryId, &IndexSet) -> f64,
+    ) -> Result<Self, String> {
+        let empty = IndexSet::empty(universe);
+        let empty_costs = (0..num_queries)
+            .map(|q| price(QueryId::from(q), &empty))
             .collect();
-        CacheSnapshot {
-            universe: self.universe,
-            empty: self.empty.clone(),
-            rows,
-            derivations: self.derivations(),
-        }
-    }
-
-    /// Rebuild a cache from a [`snapshot`](Self::snapshot). The result is
-    /// unfrozen (a fresh write phase) and answers every `get`/`derived`
-    /// probe bit-identically to the snapshotted cache.
-    pub fn from_snapshot(s: &CacheSnapshot) -> Result<Self, String> {
-        let mut cache = WhatIfCache::new(s.universe, s.empty.clone());
-        if s.rows.len() != cache.num_queries() {
-            return Err(format!(
-                "cache snapshot has {} rows for {} queries",
-                s.rows.len(),
-                cache.num_queries()
-            ));
-        }
-        let mut stored = 0usize;
-        for (qi, row) in s.rows.iter().enumerate() {
-            for &(id, cost) in &row.singletons {
-                let cell = cache.singleton[qi]
-                    .get_mut(id as usize)
-                    .ok_or_else(|| format!("singleton id {id} outside universe {}", s.universe))?;
-                if !cell.is_nan() {
-                    return Err(format!("duplicate singleton {id} for query {qi}"));
-                }
-                *cell = cost;
-                cache.singleton_any.insert(IndexId::from(id as usize));
-                stored += 1;
+        let mut cache = WhatIfCache::new(universe, empty_costs);
+        for (i, (q, config)) in trace.iter().enumerate() {
+            if q.index() >= num_queries || config.universe() != universe {
+                return Err(format!("trace cell {i} is not a cell of this workload"));
             }
-            let mut prev = f64::NEG_INFINITY;
-            for (pos, (set, cost)) in row.multi.iter().enumerate() {
-                if set.universe() != s.universe || set.len() < 2 {
-                    return Err(format!("malformed multi entry for query {qi}"));
-                }
-                if *cost < prev {
-                    return Err(format!("multi entries out of cost order for query {qi}"));
-                }
-                prev = *cost;
-                let key = cache.interner.intern(set);
-                if cache.exact[qi].insert(key, *cost).is_some() {
-                    return Err(format!("duplicate multi entry for query {qi}"));
-                }
-                cache.multi[qi].push((set.clone(), *cost));
-                cache.max_multi_size[qi] = cache.max_multi_size[qi].max(set.len());
-                let postings = &mut cache.postings[qi];
-                if postings.is_empty() {
-                    postings.resize(s.universe, Vec::new());
-                }
-                // Positions are appended in ascending order, so every
-                // postings list comes out sorted without shifting.
-                for id in set.iter() {
-                    postings[id.index()].push(pos as u32);
-                }
-                stored += 1;
+            if config.is_empty() || cache.get(*q, config).is_some() {
+                return Err(format!(
+                    "trace cell {i} is empty or repeats an earlier cell"
+                ));
             }
+            cache.put_new(*q, config, price(*q, config));
         }
-        cache.stored = stored;
-        cache.derivations = AtomicUsize::new(s.derivations);
+        cache.derivations = AtomicUsize::new(derivations);
         Ok(cache)
     }
-}
-
-/// On-disk image of a [`WhatIfCache`] (see [`WhatIfCache::snapshot`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CacheSnapshot {
-    universe: usize,
-    empty: Vec<f64>,
-    rows: Vec<CacheRowSnapshot>,
-    derivations: usize,
-}
-
-impl CacheSnapshot {
-    /// Candidate universe the snapshotted cache ranges over.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Number of workload queries in the snapshotted cache.
-    pub fn num_queries(&self) -> usize {
-        self.empty.len()
-    }
-}
-
-/// One query's cached entries: known singleton cells and multi-index
-/// entries in stored (ascending-cost) order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct CacheRowSnapshot {
-    singletons: Vec<(u32, f64)>,
-    multi: Vec<(IndexSet, f64)>,
 }
 
 #[cfg(test)]
@@ -724,26 +643,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_preserves_answers_bit_for_bit() {
+    fn replay_reproduces_answers_bit_for_bit() {
         let m = 11usize;
         let empties: Vec<f64> = (0..m).map(|q| 100.0 + q as f64).collect();
         let mut c = WhatIfCache::new(6, empties);
-        // Include cost ties so stored order (not re-insertion order) is
-        // what the restore must reproduce, plus out-of-order inserts.
+        // Include cost ties so call order (not cost order) is what the
+        // replay must reproduce, plus out-of-order inserts.
+        let mut trace = Vec::new();
         for q in 0..m {
             let qid = QueryId::from(q);
-            c.put(qid, &set(6, &[(q % 6) as u32]), 10.0 + q as f64);
-            c.put(qid, &set(6, &[0, 1]), 50.0);
-            c.put(qid, &set(6, &[2, 3]), 50.0);
-            c.put(qid, &set(6, &[1, 4, 5]), 42.0 + q as f64);
+            for (cfg, cost) in [
+                (set(6, &[(q % 6) as u32]), 10.0 + q as f64),
+                (set(6, &[0, 1]), 50.0),
+                (set(6, &[2, 3]), 50.0),
+                (set(6, &[1, 4, 5]), 42.0 + q as f64),
+            ] {
+                c.put(qid, &cfg, cost);
+                trace.push((qid, cfg));
+            }
         }
         c.add_derivations(17);
-
-        let snap = c.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: CacheSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap, "snapshot survives JSON");
-        let r = WhatIfCache::from_snapshot(&back).unwrap();
+        let price = |q: QueryId, cfg: &IndexSet| c.get(q, cfg).unwrap();
+        let r = WhatIfCache::replay(6, m, &trace, c.derivations(), price).unwrap();
 
         assert_eq!(r.stored_results(), c.stored_results());
         assert_eq!(r.derivations(), c.derivations());
@@ -751,6 +672,7 @@ mod tests {
         for q in 0..m {
             let qid = QueryId::from(q);
             assert_eq!(r.empty_cost(qid).to_bits(), c.empty_cost(qid).to_bits());
+            assert_eq!(r.multi_entries(qid), c.multi_entries(qid), "q={q}");
             for cfg in [
                 set(6, &[0, 1, 2, 3]),
                 set(6, &[1, 4, 5]),
@@ -778,41 +700,27 @@ mod tests {
     }
 
     #[test]
-    fn from_snapshot_rejects_corruption() {
-        let mut c = cache();
-        c.put(QueryId::new(0), &set(4, &[0]), 20.0);
-        c.put(QueryId::new(0), &set(4, &[0, 1]), 30.0);
-        let snap = c.snapshot();
-        assert!(
-            WhatIfCache::from_snapshot(&snap).is_ok(),
-            "baseline restores"
-        );
-
-        // Universe mismatch between the header and a stored multi entry.
-        let mut bad = snap.clone();
-        bad.universe = 5;
-        assert!(WhatIfCache::from_snapshot(&bad).is_err());
-
-        // Singleton id outside the universe.
-        let mut bad = snap.clone();
-        bad.rows[0].singletons[0].0 = 99;
-        assert!(WhatIfCache::from_snapshot(&bad).is_err());
-
-        // Duplicate singleton entry.
-        let mut bad = snap.clone();
-        let dup = bad.rows[0].singletons[0];
-        bad.rows[0].singletons.push(dup);
-        assert!(WhatIfCache::from_snapshot(&bad).is_err());
-
-        // Multi entries must stay in non-decreasing cost order.
-        let mut bad = snap.clone();
-        bad.rows[0].multi.push((set(4, &[2, 3]), 1.0));
-        assert!(WhatIfCache::from_snapshot(&bad).is_err());
-
-        // Row count must match the workload size.
-        let mut bad = snap.clone();
-        bad.rows.pop();
-        assert!(WhatIfCache::from_snapshot(&bad).is_err());
+    fn replay_rejects_cells_no_budgeted_call_made() {
+        let price = |_: QueryId, cfg: &IndexSet| 100.0 - cfg.len() as f64;
+        let q = QueryId::new(0);
+        let ok = [(q, set(4, &[0])), (q, set(4, &[0, 1]))];
+        assert!(WhatIfCache::replay(4, 2, &ok, 0, price).is_ok(), "baseline");
+        let bad = [
+            // ∅ is priced up front, never called.
+            vec![(q, IndexSet::empty(4))],
+            // A cell is called at most once; the second would hit the cache.
+            vec![(q, set(4, &[0, 1])), (q, set(4, &[0, 1]))],
+            vec![(q, set(4, &[2])), (q, set(4, &[2]))],
+            // Query and universe must belong to the workload.
+            vec![(QueryId::new(2), set(4, &[0]))],
+            vec![(q, set(5, &[0]))],
+        ];
+        for trace in bad {
+            assert!(
+                WhatIfCache::replay(4, 2, &trace, 0, price).is_err(),
+                "{trace:?}"
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use autoadmin::AutoAdminGreedy;
 pub use budget::{BudgetMeter, MeteredWhatIf, Phase, SessionTelemetry};
 pub use checkpoint::{MctsCheckpoint, SNAPSHOT_VERSION};
 pub use derivation_state::DerivationState;
-pub use derived::{CacheSnapshot, WhatIfCache};
+pub use derived::WhatIfCache;
 pub use greedy::{greedy_enumerate, VanillaGreedy};
 pub use matrix::Layout;
 pub use mcts::extract::Extraction;

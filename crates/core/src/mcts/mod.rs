@@ -18,7 +18,6 @@ pub mod tree;
 
 use crate::budget::{MeteredWhatIf, Phase};
 use crate::checkpoint::{MctsCheckpoint, SNAPSHOT_VERSION};
-use crate::derived::WhatIfCache;
 use crate::matrix::Layout;
 use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
@@ -491,7 +490,7 @@ impl MctsTuner {
                         t0,
                         "capture",
                         "checkpoint",
-                        vec![("calls_used".into(), ckpt.meter.used().to_string())],
+                        vec![("calls_used".into(), ckpt.trace.len().to_string())],
                     );
                 }
                 mw.publish_obs();
@@ -530,9 +529,12 @@ impl MctsTuner {
     /// Resume a session from a checkpoint captured by
     /// [`run_resumable`](Self::run_resumable). The restored search replays
     /// from the exact episode boundary where it was suspended: same RNG
-    /// stream, same tree arena, same cache contents and budget consumption
-    /// — so its final result is bit-identical to an uninterrupted run
-    /// (modulo wall-clock, which the caller stamps).
+    /// stream, same tree arena, and the same cache contents and budget
+    /// consumption, rebuilt from the call trace — so its final result is
+    /// bit-identical to an uninterrupted run (modulo wall-clock, which the
+    /// caller stamps). A checkpoint no session could have written (a
+    /// trace over budget or with a repeated cell, a tree whose links do
+    /// not form one, state over another universe) is an `Err`.
     pub fn resume(
         &self,
         ctx: &TuningContext<'_>,
@@ -552,33 +554,13 @@ impl MctsTuner {
                 self.name()
             ));
         }
-        if ckpt.cache.universe() != ctx.universe() || ckpt.cache.num_queries() != ctx.num_queries()
-        {
-            return Err(format!(
-                "checkpoint workload shape ({} candidates × {} queries) does not match \
-                 the context ({} × {})",
-                ckpt.cache.universe(),
-                ckpt.cache.num_queries(),
-                ctx.universe(),
-                ctx.num_queries()
-            ));
-        }
-        // Everything else the checkpoint carries must range over the same
-        // candidates and queries: the episode loop indexes the cache's
-        // singleton rows and the AMAF table by candidate id.
+        // Everything the checkpoint carries must range over this context's
+        // candidates: the episode loop indexes the priors and the AMAF
+        // table by candidate id. Trace cells are checked by the replay.
         let n = ctx.universe();
         if ckpt.best.as_ref().is_some_and(|(c, _)| c.universe() != n) {
             return Err(format!(
                 "checkpoint best configuration does not range over {n} candidates"
-            ));
-        }
-        if let Some(i) = ckpt
-            .trace
-            .iter()
-            .position(|(q, c)| c.universe() != n || q.index() >= ctx.num_queries())
-        {
-            return Err(format!(
-                "checkpoint trace entry {i} is not a cell of this workload"
             ));
         }
         if ckpt.priors.len() != n || ckpt.amaf.as_ref().is_some_and(|t| !t.spans(n)) {
@@ -586,10 +568,10 @@ impl MctsTuner {
                 "checkpoint priors or AMAF table do not cover {n} candidates"
             ));
         }
-        let cache = WhatIfCache::from_snapshot(&ckpt.cache)?;
-        let tree = Tree::from_snapshot(&ckpt.tree, n)?;
-        let mw =
-            MeteredWhatIf::from_parts(ctx, cache, ckpt.meter, ckpt.trace.clone(), ckpt.counters);
+        let tree =
+            Tree::from_snapshot(&ckpt.tree, n).map_err(|e| format!("checkpoint tree: {e}"))?;
+        let mw = MeteredWhatIf::resume(ctx, ckpt.req.budget, ckpt.trace.clone(), ckpt.counters)
+            .map_err(|e| format!("checkpoint: {e}"))?;
         let state = MctsState {
             rng: StdRng::from_state([ckpt.rng.0, ckpt.rng.1, ckpt.rng.2, ckpt.rng.3]),
             priors: ckpt.priors.clone(),
@@ -616,10 +598,8 @@ impl MctsTuner {
             rng: (s[0], s[1], s[2], s[3]),
             priors: state.priors.clone(),
             tree: state.tree.snapshot(),
-            cache: mw.cache().snapshot(),
-            meter: *mw.meter(),
             trace: mw.trace().to_vec(),
-            counters: mw.counters(),
+            counters: mw.telemetry(),
             best: state.best.clone(),
             conv: state.conv.clone(),
             idle_streak: state.idle_streak,

@@ -123,12 +123,12 @@ impl Tree {
     }
 
     /// Serializable image for checkpoint/resume. Nodes are captured in
-    /// arena order, children/actions in sorted `IndexId` order; restoring
-    /// reproduces the arena *indices* exactly, so a resumed search that
-    /// expands the same actions assigns the same node numbers as the
-    /// uninterrupted run (the determinism invariant depends on it — node
-    /// ids never feed tie-breaks, but cheap paranoia here keeps the
-    /// restored tree byte-comparable).
+    /// arena order, children/actions in sorted `IndexId` order. A node's
+    /// configuration is not stored: it is its parent's plus the action on
+    /// the link between them, so [`from_snapshot`](Self::from_snapshot)
+    /// rebuilds it. Restoring reproduces the arena *indices* exactly, so a
+    /// resumed search that expands the same actions assigns the same node
+    /// numbers as the uninterrupted run.
     pub fn snapshot(&self) -> TreeSnapshot {
         let nodes = self
             .nodes
@@ -141,7 +141,6 @@ impl Tree {
                     n.actions.iter().map(|(&a, &s)| (a, s)).collect();
                 actions.sort_unstable_by_key(|&(a, _)| a);
                 NodeSnapshot {
-                    config: n.config.clone(),
                     visited: n.visited,
                     n_visits: n.n_visits,
                     children,
@@ -154,39 +153,65 @@ impl Tree {
 
     /// Rebuild a tree over `universe` candidates from a
     /// [`snapshot`](Self::snapshot), preserving the arena node numbering.
+    /// Every node but the root must be the child of exactly one earlier
+    /// node, through an action inside the universe and outside that
+    /// parent's configuration; configurations are rebuilt from those
+    /// links in arena order. Anything else is an error, so every restored
+    /// tree is finite and its depths equal its configuration sizes.
     pub fn from_snapshot(s: &TreeSnapshot, universe: usize) -> Result<Tree, String> {
-        if s.nodes.is_empty() {
+        let len = s.nodes.len();
+        if len == 0 {
             return Err("tree snapshot has no root".to_string());
         }
-        if !s.nodes[Tree::ROOT].config.is_empty() {
-            return Err("tree snapshot root is not the empty configuration".to_string());
-        }
-        let len = s.nodes.len();
-        let nodes = s
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                if n.config.universe() != universe {
+        let mut parent: Vec<Option<(usize, IndexId)>> = vec![None; len];
+        for (i, n) in s.nodes.iter().enumerate() {
+            let mut prev: Option<IndexId> = None;
+            for &(a, c) in &n.children {
+                if a.index() >= universe || prev.is_some_and(|p| p >= a) {
                     return Err(format!(
-                        "node {i} ranges over {} candidates, not {universe}",
-                        n.config.universe()
+                        "node {i} links through action {a} (not a distinct candidate of {universe})"
                     ));
                 }
-                for &(_, c) in &n.children {
-                    if c >= len {
-                        return Err(format!("node {i} links to out-of-range child {c}"));
-                    }
+                prev = Some(a);
+                if c >= len {
+                    return Err(format!("node {i} links to out-of-range child {c}"));
                 }
-                Ok(Node {
-                    config: n.config.clone(),
-                    visited: n.visited,
-                    n_visits: n.n_visits,
-                    children: n.children.iter().copied().collect(),
-                    actions: n.actions.iter().copied().collect(),
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+                if c <= i {
+                    return Err(format!("node {i} links back to earlier node {c}"));
+                }
+                if parent[c].replace((i, a)).is_some() {
+                    return Err(format!("node {c} has two parents"));
+                }
+            }
+            if let Some(&(a, _)) = n.actions.iter().find(|(a, _)| a.index() >= universe) {
+                return Err(format!(
+                    "node {i} has statistics for action {a} outside {universe} candidates"
+                ));
+            }
+        }
+        let mut nodes: Vec<Node> = Vec::with_capacity(len);
+        for (i, n) in s.nodes.iter().enumerate() {
+            let config = match parent[i] {
+                None if i == Tree::ROOT => IndexSet::empty(universe),
+                None => return Err(format!("node {i} has no parent")),
+                Some((p, a)) => {
+                    let base = &nodes[p].config;
+                    if base.contains(a) {
+                        return Err(format!(
+                            "node {p} links through action {a} already in its configuration"
+                        ));
+                    }
+                    base.with(a)
+                }
+            };
+            nodes.push(Node {
+                config,
+                visited: n.visited,
+                n_visits: n.n_visits,
+                children: n.children.iter().copied().collect(),
+                actions: n.actions.iter().copied().collect(),
+            });
+        }
         Ok(Tree { nodes })
     }
 }
@@ -210,7 +235,6 @@ impl TreeSnapshot {
 
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct NodeSnapshot {
-    config: IndexSet,
     visited: bool,
     n_visits: u32,
     children: Vec<(IndexId, usize)>,
@@ -307,10 +331,60 @@ mod tests {
         t.get_or_create_child(Tree::ROOT, id(1));
         let mut snap = t.snapshot();
         assert!(Tree::from_snapshot(&snap, 4).is_ok());
-        assert!(Tree::from_snapshot(&snap, 5).is_err());
+        assert!(
+            Tree::from_snapshot(&snap, 1).is_err(),
+            "action 1 lies outside a 1-candidate universe"
+        );
         snap.nodes[0].children[0].1 = 99;
         assert!(Tree::from_snapshot(&snap, 4).is_err());
         snap.nodes.clear();
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+    }
+
+    /// A chain root -{1}-> a -{2}-> b, snapshotted.
+    fn chain() -> TreeSnapshot {
+        let mut t = Tree::new(4);
+        let a = t.get_or_create_child(Tree::ROOT, id(1));
+        t.get_or_create_child(a, id(2));
+        t.snapshot()
+    }
+
+    #[test]
+    fn from_snapshot_rejects_links_back_to_earlier_nodes() {
+        // The root linking to itself would make selection walk forever.
+        let mut snap = chain();
+        snap.nodes[0].children[0].1 = 0;
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+        // So would a deeper node linking back up the chain.
+        let mut snap = chain();
+        snap.nodes[2].children.push((id(3), 1));
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+    }
+
+    #[test]
+    fn from_snapshot_rejects_a_node_with_two_parents() {
+        let mut snap = chain();
+        snap.nodes[0].children.push((id(2), 2));
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+        // Two actions of one node reaching the same child count twice too.
+        let mut snap = chain();
+        snap.nodes[1].children.push((id(3), 2));
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+    }
+
+    #[test]
+    fn from_snapshot_rejects_orphans_and_impossible_actions() {
+        // Node 2 loses its only in-link.
+        let mut snap = chain();
+        snap.nodes[1].children.clear();
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+        // Node 1 (configuration {1}) may not extend itself by index 1.
+        let mut snap = chain();
+        snap.nodes[1].children[0].0 = id(1);
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+        // Action statistics must name candidates of the universe.
+        let mut snap = chain();
+        snap.nodes[0].actions.push((id(9), ActionStats::default()));
         assert!(Tree::from_snapshot(&snap, 4).is_err());
     }
 

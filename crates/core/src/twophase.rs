@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn phase1_cancel_salvages_algorithm1_over_derived_costs() {
-        use crate::autoadmin::AutoAdminGreedy;
+        use crate::autoadmin::{AutoAdminGreedy, MAX_JOIN_PAIRS};
         use crate::greedy::greedy_enumerate;
         use crate::stop::StopReason;
         use ixtune_candidates::atomic::single_join_pairs;
@@ -207,9 +207,9 @@ mod tests {
         let cands = generate_default(&inst);
         let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
         let ctx = TuningContext::new(&opt, &cands);
-        let autoadmin = AutoAdminGreedy::default();
+        let autoadmin = AutoAdminGreedy;
         let pairs: HashSet<IndexSet> =
-            single_join_pairs(ctx.opt.workload(), ctx.cands, autoadmin.max_join_pairs)
+            single_join_pairs(ctx.opt.workload(), ctx.cands, MAX_JOIN_PAIRS)
                 .into_iter()
                 .collect();
         let tuners: [(&dyn Tuner, FrozenEval<'_>); 2] = [

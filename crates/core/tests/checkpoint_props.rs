@@ -12,6 +12,12 @@
 //! 2. **Prompt cancellation** — a cancelled tuner returns best-so-far
 //!    within one enumeration step / episode, with a `Cancelled` stop
 //!    reason and without overshooting the budget it had already spent.
+//!
+//! The version-1 fixture is a checkpoint an earlier build wrote for
+//! `synth:7`, MCTS, K 3, B 300, seed 9, suspended after 50 calls. Besides
+//! the facts version 2 keeps, it stores copies (a cache image, a meter,
+//! node configurations); it must resume to the uninterrupted result, and
+//! edited copies must not change that.
 
 use ixtune_candidates::{generate_default, CandidateSet};
 use ixtune_core::checkpoint::MctsCheckpoint;
@@ -67,7 +73,7 @@ fn run_with_suspensions(
                 let restored = MctsCheckpoint::from_json(&ckpt.to_json()).expect("roundtrip");
                 // Push the next suspension point past the calls already
                 // spent so the session always makes progress.
-                let next = restored.meter.used() + pause.max(1);
+                let next = restored.trace.len() + pause.max(1);
                 let stop = StopSignal::armed().suspend_after_calls(next);
                 outcome = tuner
                     .resume(ctx, &restored, &stop)
@@ -153,7 +159,7 @@ proptest! {
         let tuners: Vec<Box<dyn Tuner>> = vec![
             Box::new(VanillaGreedy),
             Box::new(TwoPhaseGreedy),
-            Box::new(AutoAdminGreedy::default()),
+            Box::new(AutoAdminGreedy),
         ];
         let req = TuningRequest::cardinality(k, 100_000);
         for tuner in &tuners {
@@ -193,7 +199,7 @@ fn pre_cancelled_signal_stops_before_any_search() {
     for tuner in [
         Box::new(VanillaGreedy) as Box<dyn Tuner>,
         Box::new(TwoPhaseGreedy),
-        Box::new(AutoAdminGreedy::default()),
+        Box::new(AutoAdminGreedy),
     ] {
         let r = tuner.tune_with_stop(&ctx, &req, &stop);
         assert_eq!(
@@ -241,5 +247,47 @@ fn cancel_beats_suspend_when_both_requested() {
             assert_eq!(r.stop_reason, Some(StopReason::Cancelled));
         }
         MctsOutcome::Suspended(_) => panic!("cancel must win over suspend"),
+    }
+}
+
+const V1_SYNTH7: &str = include_str!("fixtures/mcts_v1_synth7.json");
+
+/// Resume the version-1 fixture's JSON and compare the result with an
+/// uninterrupted run of its request.
+fn resume_v1(json: &str) -> Result<(), TestCaseError> {
+    let (opt, cands) = context(7);
+    let ctx = TuningContext::new(&opt, &cands);
+    let ckpt = MctsCheckpoint::from_json(json).expect("version 1 parses");
+    let tuner = MctsTuner::default();
+    let uninterrupted = tuner.tune(&ctx, &ckpt.req);
+    match tuner.resume(&ctx, &ckpt, &StopSignal::never()) {
+        Ok(MctsOutcome::Finished(resumed, _)) => {
+            prop_assert!(resumed.calls_used <= ckpt.req.budget);
+            prop_assert_eq!(resumed.calls_used, resumed.layout.cells().len());
+            prop_identical(&uninterrupted, &resumed)
+        }
+        Ok(MctsOutcome::Suspended(_)) => panic!("suspended with no trigger armed"),
+        Err(e) => panic!("version 1 checkpoint refused: {e}"),
+    }
+}
+
+#[test]
+fn version_1_checkpoint_resumes_to_the_uninterrupted_result() {
+    assert!(V1_SYNTH7.starts_with("{\"version\":1,"));
+    resume_v1(V1_SYNTH7).unwrap();
+}
+
+/// The meter a version-1 checkpoint stores is a copy of the request's
+/// budget and the trace's length. Neither a larger budget nor a smaller
+/// count of calls used may outrank the facts it copied.
+#[test]
+fn version_1_meter_never_outranks_the_budget_or_the_trace() {
+    let meter = "\"meter\":{\"budget\":300,\"used\":50}";
+    assert!(V1_SYNTH7.contains(meter));
+    for edited in [
+        "\"meter\":{\"budget\":5000,\"used\":50}",
+        "\"meter\":{\"budget\":300,\"used\":10}",
+    ] {
+        resume_v1(&V1_SYNTH7.replace(meter, edited)).unwrap();
     }
 }

@@ -73,7 +73,7 @@ proptest! {
         let tuners: Vec<Box<dyn Tuner>> = vec![
             Box::new(VanillaGreedy),
             Box::new(TwoPhaseGreedy),
-            Box::new(AutoAdminGreedy::default()),
+            Box::new(AutoAdminGreedy),
         ];
         let base = TuningRequest::cardinality(k, budget);
         for tuner in &tuners {

@@ -28,7 +28,7 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
     vec![
         ("vanilla", Box::new(VanillaGreedy)),
         ("two-phase", Box::new(TwoPhaseGreedy)),
-        ("autoadmin", Box::new(AutoAdminGreedy::default())),
+        ("autoadmin", Box::new(AutoAdminGreedy)),
         ("mcts", Box::new(MctsTuner::default())),
     ]
 }

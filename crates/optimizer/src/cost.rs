@@ -494,7 +494,8 @@ impl CostModel {
     }
 
     /// What-if cost of `q` with a visitor-style `avail` — the
-    /// allocation-free path used by `SimulatedOptimizer::what_if_cost`.
+    /// allocation-free walk `SimulatedOptimizer::interpreted_what_if_cost`
+    /// uses.
     pub fn query_cost_with(&self, schema: &Schema, q: &Query, avail: &SlotIndexVisitor<'_>) -> f64 {
         let comps = self.components(q);
 

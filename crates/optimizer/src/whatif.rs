@@ -46,9 +46,6 @@ pub struct SimulatedOptimizer {
     schema: Schema,
     workload: Workload,
     candidates: Vec<IndexDef>,
-    /// `per_query_slot[q][slot]` = candidate ids whose table matches the
-    /// slot's table (precomputed so each what-if call is a cheap filter).
-    per_query_slot: Vec<Vec<Vec<IndexId>>>,
     /// Precomputed per-candidate sizes — storage-constraint checks sit in
     /// per-candidate inner loops and must not recompute column widths.
     cand_sizes: Vec<u64>,
@@ -65,6 +62,8 @@ impl SimulatedOptimizer {
     /// by `ixtune-candidates`).
     pub fn new(instance: BenchmarkInstance, candidates: Vec<IndexDef>, model: CostModel) -> Self {
         let BenchmarkInstance { schema, workload } = instance;
+        // `per_query_slot[q][slot]` = candidate ids whose table matches the
+        // slot's table: the compiled kernel's per-slot postings.
         let per_query_slot: Vec<Vec<Vec<IndexId>>> = workload
             .queries
             .iter()
@@ -89,7 +88,6 @@ impl SimulatedOptimizer {
             schema,
             workload,
             candidates,
-            per_query_slot,
             cand_sizes,
             model,
             latency: LatencyModel::default(),
@@ -108,14 +106,15 @@ impl SimulatedOptimizer {
     /// pinned against. Does **not** count as a served call.
     pub fn interpreted_what_if_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
         let query = self.workload.query(q);
-        let slots = &self.per_query_slot[q.index()];
-        // Visitor form: walk the precomputed slot postings directly instead
-        // of materializing a `Vec<&IndexDef>` per slot per call.
+        // Each slot sees the members of `config` on its table, in ascending
+        // id order: the order the kernel's per-slot postings list them.
         self.model
             .query_cost_with(&self.schema, query, &|slot, sink| {
-                for id in &slots[slot.index()] {
-                    if config.contains(*id) {
-                        sink(&self.candidates[id.index()]);
+                let table = query.scans[slot.index()];
+                for id in config.iter() {
+                    let idx = &self.candidates[id.index()];
+                    if idx.table == table {
+                        sink(idx);
                     }
                 }
             })

@@ -626,6 +626,13 @@ fn import_sessions(recovered: &PersistState) -> ManagerState {
         if requeue {
             st.queue.push_back(row.id);
         }
+        // A row's own clock is its last suspension's; a settled session's
+        // full time is the one its result carries.
+        let wall_clock_ms = result
+            .as_ref()
+            .map_or(row.wall_clock_ms, |r: &ResultPayload| {
+                r.telemetry.wall_clock_ms
+            });
         st.sessions.insert(
             row.id,
             SessionRec {
@@ -634,7 +641,7 @@ fn import_sessions(recovered: &PersistState) -> ManagerState {
                 stop: None,
                 result,
                 error,
-                wall_clock_ms: row.wall_clock_ms,
+                wall_clock_ms,
                 progress: None,
                 checkpoint_json: row.checkpoint_json.clone(),
                 // A checkpoint means at least one segment already ran: the
@@ -930,9 +937,9 @@ fn run_session(
         AlgorithmSpec::TwoPhase => {
             Settled::Finished(ixtune_core::TwoPhaseGreedy.tune_with_stop(&ctx, &req, stop))
         }
-        AlgorithmSpec::AutoAdmin => Settled::Finished(
-            ixtune_core::AutoAdminGreedy::default().tune_with_stop(&ctx, &req, stop),
-        ),
+        AlgorithmSpec::AutoAdmin => {
+            Settled::Finished(ixtune_core::AutoAdminGreedy.tune_with_stop(&ctx, &req, stop))
+        }
     }
 }
 
@@ -1124,13 +1131,24 @@ mod tests {
             );
             let r = mgr.result(id).unwrap();
             assert_eq!(r.telemetry.warm_hits, 0, "store starts cold");
+            assert!(r.telemetry.wall_clock_ms > 0.0);
+            assert_eq!(
+                mgr.status(id).unwrap().wall_clock_ms.to_bits(),
+                r.telemetry.wall_clock_ms.to_bits()
+            );
             mgr.shutdown();
             r
         };
         // Same data dir, no wipe: the second daemon replays the first's log.
         let mgr = SessionManager::start(cfg);
         let back = mgr.result(0).unwrap();
-        assert_eq!(mgr.status(0).unwrap().state, SessionState::Done);
+        let status = mgr.status(0).unwrap();
+        assert_eq!(status.state, SessionState::Done);
+        assert_eq!(
+            status.wall_clock_ms.to_bits(),
+            first.telemetry.wall_clock_ms.to_bits(),
+            "status keeps the session's wall clock across a restart"
+        );
         assert_eq!(back.improvement.to_bits(), first.improvement.to_bits());
         assert_eq!(back.layout_fingerprint, first.layout_fingerprint);
         // The very first session after restart is fully warm-served.

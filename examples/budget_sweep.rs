@@ -32,10 +32,10 @@ fn main() {
     let tuners: Vec<Box<dyn Tuner>> = vec![
         Box::new(VanillaGreedy),
         Box::new(TwoPhaseGreedy),
-        Box::new(AutoAdminGreedy::default()),
+        Box::new(AutoAdminGreedy),
         Box::new(DbaBandits::default()),
         Box::new(NoDba::default()),
-        Box::new(DtaTuner::default()),
+        Box::new(DtaTuner),
         Box::new(MctsTuner::default()),
     ];
 

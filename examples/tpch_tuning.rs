@@ -31,7 +31,7 @@ fn main() {
     for budget in [50usize, 100, 200, 500, 1000] {
         let req = TuningRequest::cardinality(10, budget).with_seed(1);
         let mcts = MctsTuner::default().tune(&ctx, &req);
-        let greedy = AutoAdminGreedy::default().tune(&ctx, &req);
+        let greedy = AutoAdminGreedy.tune(&ctx, &req);
         println!(
             "{budget:>8} | {:>20.1}% ({:>4} calls) | {:>20.1}% ({:>4} calls)",
             mcts.improvement_pct(),

@@ -75,10 +75,10 @@ fn tuner_by_name(name: &str) -> Option<Box<dyn Tuner>> {
         "mcts" => Some(Box::new(MctsTuner::default())),
         "vanilla" => Some(Box::new(VanillaGreedy)),
         "two-phase" | "twophase" => Some(Box::new(TwoPhaseGreedy)),
-        "autoadmin" => Some(Box::new(AutoAdminGreedy::default())),
+        "autoadmin" => Some(Box::new(AutoAdminGreedy)),
         "bandits" => Some(Box::new(DbaBandits::default())),
         "nodba" => Some(Box::new(NoDba::default())),
-        "dta" => Some(Box::new(DtaTuner::default())),
+        "dta" => Some(Box::new(DtaTuner)),
         _ => None,
     }
 }

@@ -19,11 +19,11 @@ fn all_tuners() -> Vec<Box<dyn Tuner>> {
     vec![
         Box::new(VanillaGreedy),
         Box::new(TwoPhaseGreedy),
-        Box::new(AutoAdminGreedy::default()),
+        Box::new(AutoAdminGreedy),
         Box::new(MctsTuner::default()),
         Box::new(DbaBandits::default()),
         Box::new(NoDba::default()),
-        Box::new(DtaTuner::default()),
+        Box::new(DtaTuner),
     ]
 }
 

@@ -131,7 +131,7 @@ fn figure5_autoadmin_only_fills_atomic_rows() {
     let cands = generate_default(&inst);
     let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
     let ctx = TuningContext::new(&opt, &cands);
-    let r = AutoAdminGreedy::default().tune(&ctx, &TuningRequest::cardinality(2, 1_000));
+    let r = AutoAdminGreedy.tune(&ctx, &TuningRequest::cardinality(2, 1_000));
     assert!(
         r.layout.calls_by_config_size().keys().all(|&s| s <= 2),
         "Figure 5(d): atomic configurations only"
