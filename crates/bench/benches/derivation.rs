@@ -307,7 +307,9 @@ fn bench_warm_sessions(c: &mut Criterion) {
 
 /// Whole MCTS sessions: `episodes-serial` runs cold on one session
 /// thread, `episodes-warm` is the same session seeded from a prior
-/// identical run's snapshot.
+/// identical run's snapshot, and `episodes-b{1000,4000}` are the scaling
+/// pair `scripts/bench_guard.sh` bounds (TPC-DS, K 10): 4x the budget must
+/// cost at most 8x the time.
 fn bench_mcts_episodes(c: &mut Criterion) {
     let mut group = c.benchmark_group("mcts");
     group.sample_size(10);
@@ -329,6 +331,14 @@ fn bench_mcts_episodes(c: &mut Criterion) {
             black_box(tuner.tune(&warm_ctx, &req.with_session_threads(1)))
         })
     });
+    for budget in [1_000usize, 4_000] {
+        let req = ixtune_core::TuningRequest::cardinality(10, budget)
+            .with_seed(5)
+            .with_session_threads(1);
+        group.bench_function(format!("episodes-b{budget}"), |b| {
+            b.iter(|| black_box(tuner.tune(&ctx, &req)))
+        });
+    }
     group.finish();
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic, seeded fault-injection plane.
 //!
-//! A [`FaultPlan`] is compiled once from a spec string (CLI `--fault-spec`
-//! or `IXTUNE_FAULT_SPEC`) and threaded through the daemon. Each named
+//! A [`FaultPlan`] is compiled once from a spec string (`ixtuned
+//! --fault-spec`) and threaded through the daemon. Each named
 //! *injection site* carries one trigger:
 //!
 //! * `p<float>`  — fire with probability `p` per call, decided by a pure
@@ -200,7 +200,7 @@ impl FaultPlan {
     }
 
     /// Compile a spec string. The empty string (and all-whitespace)
-    /// compiles to the inert plan, so `IXTUNE_FAULT_SPEC=""` is a no-op.
+    /// compiles to the inert plan, so `--fault-spec ""` is a no-op.
     pub fn parse(spec: &str) -> Result<Self, String> {
         if spec.trim().is_empty() {
             return Ok(Self::none());

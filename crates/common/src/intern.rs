@@ -8,7 +8,7 @@
 //! [`ConfigInterner`] maps `IndexSet → u32` with stable insertion-ordered
 //! ids — and key their per-query rows by the integer instead
 //! ([`IdCostMap`], an open-addressed `u32 → f64` table). A lookup then
-//! costs one cheap FNV pass over the blocks (to find the id) plus a couple
+//! costs one cheap hash pass over the blocks (to find the id) plus a couple
 //! of array probes, and repeated lookups of the *same* interned id skip
 //! the bitset entirely.
 //!
@@ -18,10 +18,17 @@
 
 use crate::bitset::IndexSet;
 
-/// FNV-1a over the configuration's blocks — much cheaper than SipHash for
-/// the short, fixed-length block arrays configurations compile to, and
-/// deterministic across processes (ids are *not*, they are insertion
-/// ordered; only the hash layout relies on this).
+/// FNV-1a over the configuration's blocks, finished with murmur3's
+/// `fmix64` — much cheaper than SipHash for the short, fixed-length block
+/// arrays configurations compile to, and deterministic across processes
+/// (ids are *not*, they are insertion ordered; only the hash layout relies
+/// on this).
+///
+/// The finalizer is what makes the table's mask usable. A multiply carries
+/// bits only upward, so FNV's low bits depend only on the low bits of each
+/// block: without `fmix64`, configurations that differ only in candidates
+/// at or above bit `k` of their blocks share a slot in a table of `2^k`
+/// slots, and linear probing degrades into a scan.
 #[inline]
 fn hash_blocks(blocks: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -29,7 +36,11 @@ fn hash_blocks(blocks: &[u64]) -> u64 {
         h ^= b;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Sentinel marking an empty open-addressed slot.
@@ -153,9 +164,14 @@ impl IdCostMap {
         self.len == 0
     }
 
+    /// Home slot of `id`: Fibonacci hashing spreads consecutive interner
+    /// ids. Masking keeps only the product's low bits, which depend only
+    /// on the id's low bits. Unlike for a configuration hash, that is
+    /// fine: interner ids are dense insertion-ordered integers, and an odd
+    /// multiplier permutes the residues modulo the table size, so ids that
+    /// differ below the table size never share a home slot.
     #[inline]
     fn slot_of(&self, id: u32) -> usize {
-        // Fibonacci hashing spreads consecutive interner ids.
         (id.wrapping_mul(0x9e37_79b9) as usize) & self.mask
     }
 
@@ -263,6 +279,24 @@ mod tests {
             assert_eq!(it.get(s), Some(i as u32), "i={i}");
         }
         assert_eq!(it.get(&set(600, &[599])), None);
+    }
+
+    /// Configurations that differ only in high block bits must still
+    /// spread over the low bits a table slot keeps. 768 single-member
+    /// sets, each member at bit 16 or above of one of 16 blocks: FNV-1a
+    /// alone gives them all one slot of 1,024.
+    #[test]
+    fn hash_spreads_high_block_bits_over_the_slot_mask() {
+        let universe = 1024u32;
+        let slots: std::collections::HashSet<u64> = (0..universe / 64)
+            .flat_map(|block| (16..64).map(move |bit| block * 64 + bit))
+            .map(|member| hash_blocks(set(universe as usize, &[member]).as_blocks()) & 0x3ff)
+            .collect();
+        assert!(
+            slots.len() >= 384,
+            "{} distinct slots of 1,024",
+            slots.len()
+        );
     }
 
     #[test]

@@ -194,9 +194,6 @@ pub struct MeteredWhatIf<'a> {
     /// client's own miss stream, so injection is deterministic under any
     /// thread interleaving. Inert (one branch) without a fault plan.
     fault_cursor: FaultCursor,
-    /// Telemetry as of the last [`publish_obs`](Self::publish_obs) — the
-    /// delta base, so registry counters never double-count.
-    published: SessionTelemetry,
 }
 
 /// Price `(q, config)`: the warm snapshot's answer when it has one
@@ -236,11 +233,7 @@ impl<'a> MeteredWhatIf<'a> {
             ..SessionTelemetry::default()
         };
         let cache = WhatIfCache::new(ctx.universe(), empty_costs);
-        let mut mw = Self::from_parts(ctx, cache, BudgetMeter::new(budget), Vec::new(), counters);
-        // A fresh client publishes everything it counts, `warm_seeded`
-        // included; only a resumed one starts from its restored counters.
-        mw.published = SessionTelemetry::default();
-        mw
+        Self::from_parts(ctx, cache, BudgetMeter::new(budget), Vec::new(), counters)
     }
 
     /// Rebuild a suspended session's client from its call trace — the
@@ -279,9 +272,7 @@ impl<'a> MeteredWhatIf<'a> {
 
     /// Assemble a client. The phase starts at [`Phase::Other`]; MCTS
     /// re-sets it per episode, so a resumed call stream is attributed
-    /// identically. The publish base starts at `counters`: a resumed
-    /// session's earlier segments already published theirs, so only new
-    /// activity flows to the registry.
+    /// identically.
     fn from_parts(
         ctx: &TuningContext<'a>,
         cache: WhatIfCache,
@@ -302,7 +293,6 @@ impl<'a> MeteredWhatIf<'a> {
             warm: ctx.warm().cloned(),
             faults,
             fault_cursor,
-            published: counters,
         }
     }
 
@@ -414,7 +404,7 @@ impl<'a> MeteredWhatIf<'a> {
         Some(cost)
     }
 
-    /// The observability handle this client mirrors into.
+    /// The observability handle this client times calls into.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -435,18 +425,6 @@ impl<'a> MeteredWhatIf<'a> {
             return StopReason::Degraded;
         }
         StopReason::from_interrupt(interrupt, self.meter.exhausted())
-    }
-
-    /// Mirror telemetry growth since the last publish into the metrics
-    /// registry. Called at step/episode boundaries and at session end; a
-    /// no-op when observability is disabled.
-    pub fn publish_obs(&mut self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let cur = self.telemetry();
-        self.obs.publish_deltas(&self.published, &cur);
-        self.published = cur;
     }
 
     /// `cost(q, C)` under FCFS budget allocation: the what-if cost while

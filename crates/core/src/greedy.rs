@@ -195,7 +195,6 @@ pub(crate) fn greedy_enumerate_metered(
                     remaining.swap_remove(pos);
                     state.commit_values(id, &winner_buf, cost);
                     end_step_span(&obs, step_t0, state, id, used_kernel);
-                    mw.publish_obs();
                     publish_step(stop, mw, state, base_total);
                 }
                 _ => break,
@@ -206,7 +205,6 @@ pub(crate) fn greedy_enumerate_metered(
                     let id = remaining.swap_remove(pos);
                     state.commit_staged(id, cost);
                     end_step_span(&obs, step_t0, state, id, used_kernel);
-                    mw.publish_obs();
                     publish_step(stop, mw, state, base_total);
                 }
                 _ => break,
@@ -298,7 +296,6 @@ impl Tuner for VanillaGreedy {
             threads,
             stop,
         );
-        mw.publish_obs();
         let used = mw.meter().used();
         let reason = mw.stop_reason(interrupt);
         let mut telemetry = mw.telemetry();

@@ -355,7 +355,6 @@ impl MctsTuner {
                     vec![("used".into(), mw.meter().used().to_string())],
                 );
             }
-            mw.publish_obs();
             if !progressed {
                 break;
             }
@@ -407,7 +406,6 @@ impl MctsTuner {
                     vec![("budget".into(), bp.to_string())],
                 );
             }
-            mw.publish_obs();
             priors
         } else {
             vec![0.0; ctx.universe()]
@@ -456,7 +454,6 @@ impl MctsTuner {
                 vec![("chosen".into(), config.len().to_string())],
             );
         }
-        mw.publish_obs();
         let used = mw.meter().used();
         let reason = mw.stop_reason(interrupt);
         let mut telemetry = mw.telemetry();
@@ -493,7 +490,6 @@ impl MctsTuner {
                         vec![("calls_used".into(), ckpt.trace.len().to_string())],
                     );
                 }
-                mw.publish_obs();
                 MctsOutcome::Suspended(Box::new(ckpt))
             }
             interrupt => {

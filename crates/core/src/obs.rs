@@ -2,30 +2,22 @@
 //!
 //! [`Obs`] is a cheaply-cloneable handle that is either *disabled* (the
 //! default — a `None` inside, every operation an inlined no-op, no clock
-//! reads, no allocation) or *enabled*, in which case it carries a bundle
-//! of instruments pre-registered against a shared
-//! [`MetricsRegistry`] plus an optional [`TraceRecorder`], scoped to one
+//! reads, no allocation) or *enabled*, in which case it carries the
+//! what-if latency histograms, pre-registered against a shared
+//! [`MetricsRegistry`], plus an optional [`TraceRecorder`], scoped to one
 //! session id.
 //!
-//! Two reporting styles coexist, chosen for robustness:
-//!
-//! * **Mirrored counters.** The call/hit/derivation counters that already
-//!   live in [`SessionTelemetry`] are *published as deltas* at step and
-//!   episode boundaries
-//!   ([`MeteredWhatIf::publish_obs`](crate::budget::MeteredWhatIf::publish_obs)),
-//!   so the registry can never drift from the legacy counters — they are
-//!   derived from them. This is what the registry≡telemetry property test
-//!   pins down.
-//! * **Hot-path instrument.** The what-if latency histograms are observed
-//!   inline, once per budgeted optimizer invocation, because the latency
-//!   distribution they carry does not exist in the telemetry bag at all.
+//! The handle holds no counter. Call, hit and derivation counts live in
+//! [`SessionTelemetry`](crate::budget::SessionTelemetry), their one
+//! record; the service sums them over its session table when it renders
+//! a scrape. What the handle records inline is what exists nowhere else:
+//! the latency of each budgeted optimizer invocation, and spans.
 //!
 //! Observability must never perturb results: nothing here feeds back into
 //! search decisions, and the disabled path does no work — the bit-identity
 //! property test in `crates/core/tests/obs_props.rs` checks both.
 
-use crate::budget::SessionTelemetry;
-use ixtune_obs::{Counter, Histogram, MetricsRegistry, TraceRecorder};
+use ixtune_obs::{Histogram, MetricsRegistry, TraceRecorder};
 use std::sync::Arc;
 
 /// Bucket bounds (seconds) for real what-if wall-clock latency.
@@ -38,19 +30,9 @@ const SIM_LATENCY_BOUNDS: [f64; 8] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0];
 struct ObsShared {
     scope: u64,
     tracer: Option<Arc<TraceRecorder>>,
-    /// `ixtune_whatif_calls_total{phase=…}`, indexed in [`PHASE_LABELS`]
-    /// order (priors, selection, rollout, other).
-    whatif_calls: [Arc<Counter>; 4],
-    cache_hits: Arc<Counter>,
-    derivations: Arc<Counter>,
-    parallel_scans: Arc<Counter>,
-    warm_hits: Arc<Counter>,
-    warm_seeded: Arc<Counter>,
     whatif_latency: Arc<Histogram>,
     whatif_sim_latency: Arc<Histogram>,
 }
-
-const PHASE_LABELS: [&str; 4] = ["priors", "selection", "rollout", "other"];
 
 /// Observability handle: disabled by default, enabled per session by the
 /// service (or by tests). Clones share the same instruments.
@@ -73,42 +55,9 @@ impl Obs {
         tracer: Option<Arc<TraceRecorder>>,
         scope: u64,
     ) -> Self {
-        let whatif_calls = PHASE_LABELS.map(|p| {
-            registry.counter(
-                "ixtune_whatif_calls_total",
-                "Budget-consuming what-if optimizer calls",
-                &[("phase", p)],
-            )
-        });
         let shared = ObsShared {
             scope,
             tracer,
-            whatif_calls,
-            cache_hits: registry.counter(
-                "ixtune_cache_hits_total",
-                "What-if requests answered from the cache (free)",
-                &[],
-            ),
-            derivations: registry.counter(
-                "ixtune_derivations_total",
-                "Cost evaluations answered by Eq. 1 derivation",
-                &[],
-            ),
-            parallel_scans: registry.counter(
-                "ixtune_parallel_scans_total",
-                "Frozen-cache parallel candidate scans",
-                &[],
-            ),
-            warm_hits: registry.counter(
-                "ixtune_warm_hits_total",
-                "Budgeted what-if calls answered from the warm cost store",
-                &[],
-            ),
-            warm_seeded: registry.counter(
-                "ixtune_warm_seeded_total",
-                "Warm store entries sessions were seeded with at admission",
-                &[],
-            ),
             whatif_latency: registry.histogram(
                 "ixtune_whatif_latency_seconds",
                 "Observed wall-clock latency of what-if calls",
@@ -146,32 +95,6 @@ impl Obs {
             s.whatif_latency.observe(real_s);
             s.whatif_sim_latency.observe(sim_s);
         }
-    }
-
-    /// Mirror the telemetry counters that grew between `prev` and `cur`
-    /// into the registry. Saturating per field, so a caller that publishes
-    /// out of order can never make a counter go backwards.
-    pub fn publish_deltas(&self, prev: &SessionTelemetry, cur: &SessionTelemetry) {
-        let Some(s) = &self.shared else { return };
-        let d = |a: usize, b: usize| b.saturating_sub(a) as u64;
-        let per_phase = [
-            (prev.priors_calls, cur.priors_calls),
-            (prev.selection_calls, cur.selection_calls),
-            (prev.rollout_calls, cur.rollout_calls),
-            (prev.other_calls, cur.other_calls),
-        ];
-        for (i, (p, c)) in per_phase.into_iter().enumerate() {
-            let delta = d(p, c);
-            if delta > 0 {
-                s.whatif_calls[i].add(delta);
-            }
-        }
-        s.cache_hits.add(d(prev.cache_hits, cur.cache_hits));
-        s.derivations.add(d(prev.derivations, cur.derivations));
-        s.parallel_scans
-            .add(d(prev.parallel_scans, cur.parallel_scans));
-        s.warm_hits.add(d(prev.warm_hits, cur.warm_hits));
-        s.warm_seeded.add(d(prev.warm_seeded, cur.warm_seeded));
     }
 
     /// Start a span: returns the start timestamp when tracing is enabled,
@@ -230,48 +153,6 @@ mod tests {
         assert_eq!(obs.scope(), 0);
         assert_eq!(obs.span_start(), None);
         obs.observe_whatif_latency(0.1, 1.0);
-        obs.publish_deltas(&SessionTelemetry::default(), &SessionTelemetry::default());
-    }
-
-    #[test]
-    fn publish_deltas_mirrors_counter_growth() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let obs = Obs::enabled(Arc::clone(&registry), None, 1);
-        let prev = SessionTelemetry::default();
-        let cur = SessionTelemetry {
-            what_if_calls: 10,
-            cache_hits: 4,
-            derivations: 7,
-            priors_calls: 2,
-            selection_calls: 3,
-            rollout_calls: 1,
-            other_calls: 4,
-            parallel_scans: 2,
-            ..SessionTelemetry::default()
-        };
-        obs.publish_deltas(&prev, &cur);
-        obs.publish_deltas(&cur, &cur); // idempotent on no growth
-        let phases: u64 = PHASE_LABELS
-            .iter()
-            .map(|p| {
-                registry
-                    .counter_value("ixtune_whatif_calls_total", &[("phase", p)])
-                    .unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(phases, 10);
-        assert_eq!(
-            registry.counter_value("ixtune_cache_hits_total", &[]),
-            Some(4)
-        );
-        assert_eq!(
-            registry.counter_value("ixtune_derivations_total", &[]),
-            Some(7)
-        );
-        assert_eq!(
-            registry.counter_value("ixtune_parallel_scans_total", &[]),
-            Some(2)
-        );
     }
 
     #[test]

@@ -80,7 +80,6 @@ pub(crate) fn two_phase(
         interrupt = i2;
         config
     };
-    mw.publish_obs();
     let used = mw.meter().used();
     let reason = mw.stop_reason(interrupt);
     let mut telemetry = mw.telemetry();

@@ -33,6 +33,15 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Raise the counter to `total` unless it already reads more: how a
+    /// scrape renders a running total its owner keeps. One atomic
+    /// `fetch_max`, so racing scrapes cannot add the same growth twice
+    /// and the series never goes backwards.
+    #[inline]
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
 }
 
 /// A gauge: a value that can go up and down. Stored as `f64` bits so it
@@ -335,6 +344,9 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(reg.counter_value("x_total", &[]), Some(5));
+        c.raise_to(9);
+        c.raise_to(7);
+        assert_eq!(c.get(), 9, "raise_to never lowers a counter");
         let g = reg.gauge("depth", "help", &[("kind", "queue")]);
         g.set(3.0);
         assert_eq!(g.get(), 3.0);

@@ -5,7 +5,7 @@
 //! columns (cloned into a fresh `Vec`), driver rankings (collected and
 //! sorted per component), per-slot filter/column sets, and the arithmetic
 //! inputs of every access-path formula. [`CompiledWorkload`] hoists all of
-//! that to workload-prepare time: each query becomes a [`CompiledQuery`]
+//! that to workload-prepare time: each query becomes a `CompiledQuery`
 //! holding dense per-`(slot, candidate)` access tables and frozen
 //! left-deep plan shapes whose only configuration-dependent inputs are
 //! "which candidate ids are present". A what-if call is then an argmin
@@ -17,8 +17,8 @@
 //! cache, snapshot and telemetry layer). This holds by construction:
 //!
 //! * every per-index access cost is produced by the same function the
-//!   interpreted fold calls ([`CostModel::index_access_cost`],
-//!   [`CostModel::inl_per_probe`], [`CostModel::heap_scan_cost`]) — at
+//!   interpreted fold calls (`CostModel::index_access_cost`,
+//!   `CostModel::inl_per_probe`, `CostModel::heap_scan_cost`) — at
 //!   compile time instead of call time, on the same inputs;
 //! * all folds preserve the interpreted reduction order and comparison:
 //!   access argmins fold candidate costs in per-slot posting order with a

@@ -92,8 +92,8 @@ impl FromStr for Durability {
     }
 }
 
-/// What recovery found and did. Mirrored into observability by the
-/// service layer.
+/// What recovery found and did. The service traces it and renders
+/// `torn_tail` as a scrape counter.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryInfo {
     /// Generation recovery settled on.
@@ -114,18 +114,16 @@ pub struct RecoveryInfo {
     pub duration_ms: f64,
 }
 
-/// Outcome of a single append, for metrics.
+/// Outcome of a single append, for the caller's trace span.
 #[derive(Clone, Copy, Debug)]
 pub struct AppendOutcome {
     /// Bytes this append added (frame header + payload).
     pub bytes: u64,
     /// Whether this append fsynced.
     pub synced: bool,
-    /// Live WAL size after the append.
-    pub wal_bytes: u64,
 }
 
-/// Outcome of a compaction, for metrics.
+/// Outcome of a compaction, for the caller's trace span.
 #[derive(Clone, Copy, Debug)]
 pub struct CompactOutcome {
     /// The new (post-compaction) generation.
@@ -136,7 +134,12 @@ pub struct CompactOutcome {
     pub pruned_files: u64,
 }
 
-/// A point-in-time view of the store, for `ixtunectl persist`.
+/// A point-in-time view of the store, for `ixtunectl persist` and the
+/// daemon's `ixtune_persist_*` scrape series. `fsyncs_total` counts the
+/// syncs of WAL appends and flushes and, at each compaction, of the
+/// snapshot and the new WAL (none under [`Durability::Never`]); the
+/// directory sync after the rename and the sync of a torn tail truncated
+/// at recovery are not counted.
 #[derive(Clone, Debug)]
 pub struct PersistStats {
     pub generation: u64,
@@ -431,11 +434,7 @@ impl Persist {
             inner.unsynced_records = 0;
             inner.unsynced_bytes = 0;
         }
-        Ok(AppendOutcome {
-            bytes,
-            synced,
-            wal_bytes: inner.wal_bytes,
-        })
+        Ok(AppendOutcome { bytes, synced })
     }
 
     /// Flush any unsynced batch to stable storage.

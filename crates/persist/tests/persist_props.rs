@@ -191,7 +191,8 @@ proptest! {
         {
             let (p, _, _) = Persist::open(&dir, Durability::Always).unwrap();
             for rec in &records {
-                ends.push(p.append(rec).unwrap().wal_bytes);
+                p.append(rec).unwrap();
+                ends.push(p.stats().wal_bytes);
             }
         }
         let total = *ends.last().unwrap();
@@ -223,7 +224,8 @@ proptest! {
         {
             let (p, _, _) = Persist::open(&dir, Durability::Always).unwrap();
             for rec in &records {
-                ends.push(p.append(rec).unwrap().wal_bytes);
+                p.append(rec).unwrap();
+                ends.push(p.stats().wal_bytes);
             }
         }
         let wal = dir.join("wal-0.log");

@@ -9,8 +9,7 @@
 //!         [--prepared-capacity N] [--fault-spec SPEC]
 //! ```
 //!
-//! `--fault-spec` (or the `IXTUNE_FAULT_SPEC` environment variable; the
-//! flag wins) arms the deterministic fault-injection plane, e.g.
+//! `--fault-spec` arms the deterministic fault-injection plane, e.g.
 //! `seed=42;whatif.error=p0.05;wire.drop=every7` — see DESIGN.md §11.
 //!
 //! `--data-dir` is the daemon's durable root: restarting on the same
@@ -24,9 +23,6 @@ use std::process::exit;
 fn main() {
     let mut bind = "127.0.0.1:7311".to_string();
     let mut cfg = ServiceConfig::default();
-    if let Ok(spec) = std::env::var("IXTUNE_FAULT_SPEC") {
-        cfg.fault_spec = spec;
-    }
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {

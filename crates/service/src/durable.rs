@@ -5,10 +5,16 @@
 //! the translation in both directions — the cells a settle added to the
 //! warm store, the store's tables at compaction, and session transitions
 //! become [`Record`]s on the way down, a recovered [`PersistState`]'s warm
-//! batches become warm-store absorptions on the way up — and mirrors every
-//! durable operation into the daemon's metrics registry
-//! (`ixtune_persist_*`) and trace ring (`recovery`/`compaction`/
-//! `wal-append` spans).
+//! batches become warm-store absorptions on the way up — and traces every
+//! durable operation into the daemon's trace ring (`recovery`/
+//! `compaction`/`wal-append` spans).
+//!
+//! The store counts its own records, fsyncs and compactions
+//! ([`DurableLog::stats`]); the manager's scrape renders the
+//! `ixtune_persist_*` series from those counts and from
+//! [`DurableLog::degraded`]. This module registers only what no owner
+//! keeps: failed operations (`ixtune_persist_io_errors_total`) and the
+//! recovery-duration histogram.
 //!
 //! Durability failures (disk full, permission lost) are surfaced as a
 //! counter and stderr line but never take the daemon down: tuning keeps
@@ -17,7 +23,7 @@
 use ixtune_common::fault::FaultPlan;
 use ixtune_common::{IndexSet, QueryId};
 use ixtune_core::warm::WarmStore;
-use ixtune_obs::{Counter, Gauge, MetricsRegistry, TraceRecorder};
+use ixtune_obs::{Counter, MetricsRegistry, TraceRecorder};
 use ixtune_persist::{
     CompactOutcome, Durability, Persist, PersistState, PersistStats, Record, WarmBatch, WarmEntry,
 };
@@ -56,20 +62,14 @@ fn backoff(seed: u64, attempt: u32) -> Duration {
 pub struct DurableLog {
     persist: Persist,
     tracer: Arc<TraceRecorder>,
-    records_total: Arc<Counter>,
-    fsyncs_total: Arc<Counter>,
-    torn_tails_total: Arc<Counter>,
     io_errors_total: Arc<Counter>,
-    compactions_total: Arc<Counter>,
-    wal_bytes: Arc<Gauge>,
-    degraded_gauge: Arc<Gauge>,
     demoted: AtomicBool,
     backoff_seed: u64,
 }
 
 impl DurableLog {
-    /// Open (or create) the store under `data_dir`, recover, and publish
-    /// the recovery metrics/span. Returns the recovered state for the
+    /// Open (or create) the store under `data_dir`, recover, and record
+    /// the recovery duration and span. Returns the recovered state for the
     /// manager to import.
     pub fn open(
         data_dir: &Path,
@@ -85,39 +85,9 @@ impl DurableLog {
             persist.set_fault_hook(Arc::new(move |site| plan.fire(site)));
         }
 
-        let records_total = registry.counter(
-            "ixtune_persist_records_total",
-            "WAL records appended since daemon start",
-            &[],
-        );
-        let fsyncs_total = registry.counter(
-            "ixtune_persist_fsyncs_total",
-            "fsync calls issued by the persist layer",
-            &[],
-        );
-        let torn_tails_total = registry.counter(
-            "ixtune_persist_torn_tails_total",
-            "Torn WAL tails truncated during recovery",
-            &[],
-        );
         let io_errors_total = registry.counter(
             "ixtune_persist_io_errors_total",
             "Durability operations that failed (state kept in memory only)",
-            &[],
-        );
-        let compactions_total = registry.counter(
-            "ixtune_persist_compactions_total",
-            "Snapshot compactions since daemon start",
-            &[],
-        );
-        let wal_bytes = registry.gauge(
-            "ixtune_persist_wal_bytes",
-            "Live write-ahead log size in bytes",
-            &[],
-        );
-        let degraded_gauge = registry.gauge(
-            "ixtune_persist_degraded",
-            "1 once persistent IO failure demoted durability to in-memory only",
             &[],
         );
         registry
@@ -128,10 +98,6 @@ impl DurableLog {
                 &RECOVERY_BOUNDS,
             )
             .observe(info.duration_ms);
-        if info.torn_tail {
-            torn_tails_total.inc();
-        }
-        wal_bytes.set(persist.stats().wal_bytes as f64);
         tracer.complete(
             "recovery",
             "persist",
@@ -151,13 +117,7 @@ impl DurableLog {
             Self {
                 persist,
                 tracer: Arc::clone(tracer),
-                records_total,
-                fsyncs_total,
-                torn_tails_total,
                 io_errors_total,
-                compactions_total,
-                wal_bytes,
-                degraded_gauge,
                 demoted: AtomicBool::new(false),
                 backoff_seed: faults.seed(),
             },
@@ -180,7 +140,6 @@ impl DurableLog {
             return;
         }
         self.persist.set_durability(Durability::Never);
-        self.degraded_gauge.set(1.0);
         let t0 = self.tracer.now_us();
         self.tracer.complete(
             "persist-degraded",
@@ -192,12 +151,12 @@ impl DurableLog {
         eprintln!("ixtuned: persistence degraded to in-memory only: {err}");
     }
 
-    /// Append one record, mirroring the outcome into metrics and a
-    /// `wal-append` span. Errors are counted, retried with deterministic
-    /// backoff, and finally absorbed by the degradation ladder — never
-    /// propagated. A record refused as too large for a frame is only
-    /// counted. A retry after a failed *fsync* may re-append the record;
-    /// replay folds are idempotent so duplicates are harmless.
+    /// Append one record, tracing the outcome as a `wal-append` span.
+    /// Errors are counted, retried with deterministic backoff, and finally
+    /// absorbed by the degradation ladder — never propagated. A record
+    /// refused as too large for a frame is only counted. A retry after a
+    /// failed *fsync* may re-append the record; replay folds are
+    /// idempotent so duplicates are harmless.
     pub fn append(&self, rec: &Record) {
         let t0 = self.tracer.now_us();
         let max = if self.degraded() { 1 } else { IO_ATTEMPTS };
@@ -205,11 +164,6 @@ impl DurableLog {
         loop {
             match self.persist.append(rec) {
                 Ok(out) => {
-                    self.records_total.inc();
-                    if out.synced {
-                        self.fsyncs_total.inc();
-                    }
-                    self.wal_bytes.set(out.wal_bytes as f64);
                     self.tracer.complete(
                         "wal-append",
                         "persist",
@@ -267,9 +221,6 @@ impl DurableLog {
             };
             match self.persist.compact(tables) {
                 Ok(out) => {
-                    self.compactions_total.inc();
-                    self.fsyncs_total.inc();
-                    self.wal_bytes.set(0.0);
                     self.tracer.complete(
                         "compaction",
                         "persist",
@@ -305,14 +256,10 @@ impl DurableLog {
         }
     }
 
-    /// Point-in-time store statistics for `ixtunectl persist`.
+    /// Point-in-time store statistics: `ixtunectl persist` and the
+    /// scrape's `ixtune_persist_*` series both read them.
     pub fn stats(&self) -> PersistStats {
         self.persist.stats()
-    }
-
-    /// Torn tails observed (recovery); test/assertion convenience.
-    pub fn torn_tails(&self) -> u64 {
-        self.torn_tails_total.get()
     }
 }
 
@@ -400,9 +347,11 @@ mod tests {
         (log, state, registry)
     }
 
-    /// A crash mid-append leaves a torn WAL tail; reopening must bump
-    /// `ixtune_persist_torn_tails_total` (visible to operators through the
-    /// exposition) while recovering the valid prefix.
+    /// A crash mid-append leaves a torn WAL tail; reopening must report
+    /// it in the recovery stats the scrape renders as
+    /// `ixtune_persist_torn_tails_total` (the manager's
+    /// `scrape_reports_a_torn_tail_and_counts_appends` checks the series)
+    /// while recovering the valid prefix.
     #[test]
     fn torn_tail_bumps_the_recovery_counter() {
         let dir = scratch("torn");
@@ -412,7 +361,10 @@ mod tests {
                 id: 0,
                 spec_json: "{}".into(),
             });
-            assert_eq!(log.torn_tails(), 0, "clean open reports no tears");
+            assert!(
+                !log.stats().recovery.torn_tail,
+                "clean open reports no tears"
+            );
         }
         // Simulate a crash mid-frame: half a header after the good record.
         use std::io::Write;
@@ -423,17 +375,12 @@ mod tests {
         f.write_all(&[0xde, 0xad, 0xbe]).unwrap();
         drop(f);
 
-        let (log, state, registry) = open(&dir);
-        assert_eq!(log.torn_tails(), 1);
+        let (log, state, _) = open(&dir);
+        assert!(log.stats().recovery.torn_tail);
         assert_eq!(state.sessions().len(), 1, "valid prefix survives the tear");
-        let text = registry.render();
-        assert!(
-            text.contains("ixtune_persist_torn_tails_total 1"),
-            "torn counter missing from exposition:\n{text}"
-        );
-        // The append path keeps working and reports through metrics too.
+        // The append path keeps working and counts the new record.
         log.append(&Record::SessionResumed { id: 0 });
-        assert!(registry.render().contains("ixtune_persist_records_total 1"));
+        assert_eq!(log.stats().records_total, 1);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -477,7 +424,8 @@ mod tests {
     }
 
     /// A record too large for a frame is refused and counted, without
-    /// retries and without demoting a healthy disk.
+    /// retries and without demoting a healthy disk (the manager's
+    /// `scrape_counts_a_refused_record_as_an_io_error` checks the series).
     #[test]
     fn oversized_record_is_counted_not_demoted() {
         let dir = scratch("oversized");
@@ -488,15 +436,19 @@ mod tests {
         });
         assert!(!log.degraded());
         assert_eq!(log.stats().durability, Durability::Always);
-        let text = registry.render();
-        assert!(text.contains("ixtune_persist_io_errors_total 1"), "{text}");
-        assert!(text.contains("ixtune_persist_records_total 0"), "{text}");
+        assert_eq!(
+            registry.counter_value("ixtune_persist_io_errors_total", &[]),
+            Some(1)
+        );
+        assert_eq!(log.stats().records_total, 0);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// Under a fault plan that fails every append, the retry ladder runs
     /// out and demotes durability to in-memory only — once. The daemon
-    /// keeps serving; the degraded gauge flips to 1.
+    /// keeps serving; `degraded()`, which the scrape renders as the
+    /// `ixtune_persist_degraded` gauge, flips (the manager's
+    /// `scrape_raises_the_degraded_gauge` checks the series).
     #[test]
     fn persistent_append_failure_engages_the_degradation_ladder() {
         let dir = scratch("ladder");
@@ -512,11 +464,6 @@ mod tests {
         });
         assert!(log.degraded(), "three failed attempts demote the store");
         assert_eq!(log.stats().durability, Durability::Never);
-        let text = registry.render();
-        assert!(
-            text.contains("ixtune_persist_degraded 1"),
-            "degraded gauge missing from exposition:\n{text}"
-        );
         // Demoted stores stop retrying: exactly one more io error per call.
         let before = plan.injected(ixtune_persist::fault_site::APPEND);
         log.append(&Record::SessionResumed { id: 0 });

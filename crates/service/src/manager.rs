@@ -29,7 +29,7 @@ use ixtune_core::obs::Obs;
 use ixtune_core::stop::{Progress, StopReason, StopSignal};
 use ixtune_core::tuner::{Tuner, TuningContext, TuningResult};
 use ixtune_core::warm::{WarmState, WarmStore, WarmStoreStats};
-use ixtune_core::SessionFaults;
+use ixtune_core::{SessionFaults, SessionTelemetry};
 use ixtune_obs::{MetricsRegistry, TraceRecorder};
 use ixtune_persist::{PersistState, PersistStats, Record, SessionStatus, MAX_SESSION_ID};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -49,8 +49,10 @@ struct SessionRec {
     /// Accumulated across run segments (suspend/resume keeps every
     /// segment's time).
     wall_clock_ms: f64,
-    /// Last progress published before the signal was cleared, so the
-    /// status of a suspended session still reports its counters.
+    /// Progress kept once the signal is cleared, so a parked session's
+    /// status still reports its counters: a suspended session's checkpoint
+    /// counters (restored from the checkpoint at recovery too), else the
+    /// last progress the run published.
     progress: Option<Progress>,
     /// Serialized checkpoint of a suspended session, cleared on every
     /// terminal state. One buffer, shared with the WAL record and the
@@ -59,6 +61,25 @@ struct SessionRec {
     /// Set when the client asked to resume: the deterministic triggers
     /// from the original spec are spent and must not re-fire.
     resumed: bool,
+}
+
+impl SessionRec {
+    /// The telemetry and best improvement `status` reports: the result's
+    /// once settled, else the running tuner's live progress, else the
+    /// parked progress. The scrape sums the same telemetry, so the two can
+    /// never disagree.
+    fn reported(&self) -> (SessionTelemetry, f64) {
+        if let Some(r) = &self.result {
+            return (r.telemetry, r.improvement);
+        }
+        self.stop
+            .as_ref()
+            .and_then(StopSignal::progress)
+            .or(self.progress)
+            .map_or((SessionTelemetry::default(), 0.0), |p| {
+                (p.telemetry, p.best_improvement)
+            })
+    }
 }
 
 #[derive(Default)]
@@ -194,11 +215,6 @@ impl SessionManager {
     /// The daemon's compiled fault plan (inert when no spec was given).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// The daemon-wide metrics registry (tests scrape it directly).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// Point-in-time statistics of the durable store (generation, WAL
@@ -380,18 +396,7 @@ impl SessionManager {
     pub fn status(&self, id: u64) -> Result<StatusPayload, ErrorPayload> {
         self.state.with(|st| {
             let rec = st.sessions.get(&id).ok_or_else(|| unknown_session(id))?;
-            // Streamed telemetry: the live progress published by the
-            // running tuner, or the final result's counters once done.
-            let progress = rec
-                .stop
-                .as_ref()
-                .and_then(|s| s.progress())
-                .or(rec.progress);
-            let (telemetry, best) = match (&rec.result, progress) {
-                (Some(r), _) => (r.telemetry, r.improvement),
-                (None, Some(p)) => (p.telemetry, p.best_improvement),
-                (None, None) => (Default::default(), 0.0),
-            };
+            let (telemetry, best) = rec.reported();
             Ok(StatusPayload {
                 id,
                 state: rec.state,
@@ -417,32 +422,126 @@ impl SessionManager {
         })
     }
 
-    /// Render the Prometheus text exposition. Queue depth, per-state
-    /// session counts, the warm store gauges and the fault-injection
-    /// counts are computed at scrape time; everything else accumulates
-    /// live.
+    /// Render the Prometheus text exposition. Every series with an owner
+    /// is read from it here (DESIGN.md §7): session states and counters
+    /// from the session table (the counters sum the telemetry `status`
+    /// reports), the `ixtune_persist_*` series from the durable log, the
+    /// warm gauges from the store and the fault counts from the plan. A
+    /// counter only ever rises to its owner's total
+    /// ([`Counter::raise_to`](ixtune_obs::Counter::raise_to)).
     pub fn metrics(&self) -> String {
-        let (depth, counts) = self.state.with(|st| {
+        let (depth, counts, t) = self.state.with(|st| {
             let mut counts = [0usize; SESSION_STATES.len()];
+            let mut totals = SessionTelemetry::default();
             for rec in st.sessions.values() {
                 counts[state_index(rec.state)] += 1;
+                totals.accumulate(&rec.reported().0);
             }
-            (st.queue.len(), counts)
+            (st.queue.len(), counts, totals)
         });
-        self.registry
-            .gauge("ixtune_queue_depth", "Sessions waiting for a worker", &[])
-            .set(depth as f64);
+        let (warm, persist) = (self.warm.stats(), self.durable.stats());
+        let counter = |name: &str, help: &str, labels: &[(&str, &str)], total: u64| {
+            self.registry.counter(name, help, labels).raise_to(total);
+        };
+        let gauge = |name: &str, help: &str, labels: &[(&str, &str)], value: f64| {
+            self.registry.gauge(name, help, labels).set(value);
+        };
+
         for (i, (_, label)) in SESSION_STATES.iter().enumerate() {
-            self.registry
-                .gauge(
-                    "ixtune_sessions",
-                    "Known sessions by lifecycle state",
-                    &[("state", label)],
-                )
-                .set(counts[i] as f64);
+            gauge(
+                "ixtune_sessions",
+                "Known sessions by lifecycle state",
+                &[("state", label)],
+                counts[i] as f64,
+            );
         }
-        let warm = self.warm.stats();
-        let warm_gauges: [(&str, &str, f64); 5] = [
+        for (phase, n) in [
+            ("priors", t.priors_calls),
+            ("selection", t.selection_calls),
+            ("rollout", t.rollout_calls),
+            ("other", t.other_calls),
+        ] {
+            counter(
+                "ixtune_whatif_calls_total",
+                "Budget-consuming what-if optimizer calls",
+                &[("phase", phase)],
+                n as u64,
+            );
+        }
+        for (fault_site, injected) in self.faults.sites() {
+            counter(
+                "ixtune_fault_injected_total",
+                "Faults injected by the seeded fault plan, by site",
+                &[("site", fault_site)],
+                injected,
+            );
+        }
+        let counters: [(&str, &str, u64); 9] = [
+            (
+                "ixtune_cache_hits_total",
+                "What-if requests answered from the cache (free)",
+                t.cache_hits as u64,
+            ),
+            (
+                "ixtune_derivations_total",
+                "Cost evaluations answered by Eq. 1 derivation",
+                t.derivations as u64,
+            ),
+            (
+                "ixtune_parallel_scans_total",
+                "Frozen-cache parallel candidate scans",
+                t.parallel_scans as u64,
+            ),
+            (
+                "ixtune_warm_hits_total",
+                "Budgeted what-if calls answered from the warm cost store",
+                t.warm_hits as u64,
+            ),
+            (
+                "ixtune_warm_seeded_total",
+                "Warm store entries sessions were seeded with at admission",
+                t.warm_seeded as u64,
+            ),
+            (
+                "ixtune_persist_records_total",
+                "WAL records appended since daemon start",
+                persist.records_total,
+            ),
+            (
+                "ixtune_persist_fsyncs_total",
+                "fsync calls issued by the persist layer",
+                persist.fsyncs_total,
+            ),
+            (
+                "ixtune_persist_compactions_total",
+                "Snapshot compactions since daemon start",
+                persist.compactions_total,
+            ),
+            (
+                "ixtune_persist_torn_tails_total",
+                "Torn WAL tails truncated during recovery",
+                u64::from(persist.recovery.torn_tail),
+            ),
+        ];
+        for (name, help, total) in counters {
+            counter(name, help, &[], total);
+        }
+        let gauges: [(&str, &str, f64); 9] = [
+            (
+                "ixtune_queue_depth",
+                "Sessions waiting for a worker",
+                depth as f64,
+            ),
+            (
+                "ixtune_persist_wal_bytes",
+                "Live write-ahead log size in bytes",
+                persist.wal_bytes as f64,
+            ),
+            (
+                "ixtune_persist_degraded",
+                "1 once persistent IO failure demoted durability to in-memory only",
+                f64::from(u8::from(self.durable.degraded())),
+            ),
             (
                 "ixtune_warm_store_bytes",
                 "Estimated resident bytes of the warm cost store",
@@ -468,30 +567,14 @@ impl SessionManager {
                 "Warm store snapshots evicted by the byte bound",
                 warm.evictions as f64,
             ),
-        ];
-        self.registry
-            .gauge(
+            (
                 "ixtune_warm_interned_configs",
                 "Distinct interned configurations across warm store snapshots",
-                &[],
-            )
-            .set(warm.interned_configs as f64);
-        for (name, help, value) in warm_gauges {
-            self.registry.gauge(name, help, &[]).set(value);
-        }
-        // Fault-plan injection counts live on the plan (lock-free atomics
-        // on the injection path); published here as scrape-time deltas so
-        // the counter monotonicity contract holds.
-        for (fault_site, injected) in self.faults.sites() {
-            let counter = self.registry.counter(
-                "ixtune_fault_injected_total",
-                "Faults injected by the seeded fault plan, by site",
-                &[("site", fault_site)],
-            );
-            let seen = counter.get();
-            if injected > seen {
-                counter.add(injected - seen);
-            }
+                warm.interned_configs as f64,
+            ),
+        ];
+        for (name, help, value) in gauges {
+            gauge(name, help, &[], value);
         }
         self.registry.render()
     }
@@ -642,7 +725,11 @@ fn import_sessions(recovered: &PersistState) -> ManagerState {
                 result,
                 error,
                 wall_clock_ms,
-                progress: None,
+                progress: row
+                    .checkpoint_json
+                    .as_deref()
+                    .and_then(|j| MctsCheckpoint::from_json(j).ok())
+                    .map(|c| parked_progress(&c)),
                 checkpoint_json: row.checkpoint_json.clone(),
                 // A checkpoint means at least one segment already ran: the
                 // spec's one-shot triggers are spent and must not re-fire.
@@ -855,10 +942,11 @@ fn worker_loop(
                         }
                     });
                 }
-                Settled::Suspended(json) => {
+                Settled::Suspended(json, parked) => {
                     // The checkpoint rides in the fsync'd transition record,
                     // so suspension is atomic with it.
                     rec.state = SessionState::Suspended;
+                    rec.progress = Some(parked);
                     durable.append(&Record::SessionSuspended {
                         id,
                         checkpoint_json: Arc::clone(&json),
@@ -885,8 +973,8 @@ fn worker_loop(
 
 enum Settled {
     Finished(TuningResult),
-    /// Parked, with its serialized checkpoint.
-    Suspended(Arc<str>),
+    /// Parked, with its serialized checkpoint and the progress it parks.
+    Suspended(Arc<str>, Progress),
     Failed(String),
 }
 
@@ -928,7 +1016,9 @@ fn run_session(
             };
             match outcome {
                 MctsOutcome::Finished(result, _) => Settled::Finished(result),
-                MctsOutcome::Suspended(ckpt) => Settled::Suspended(ckpt.to_json().into()),
+                MctsOutcome::Suspended(ckpt) => {
+                    Settled::Suspended(ckpt.to_json().into(), parked_progress(&ckpt))
+                }
             }
         }
         AlgorithmSpec::VanillaGreedy => {
@@ -940,6 +1030,17 @@ fn run_session(
         AlgorithmSpec::AutoAdmin => {
             Settled::Finished(ixtune_core::AutoAdminGreedy.tune_with_stop(&ctx, &req, stop))
         }
+    }
+}
+
+/// The progress a suspended session parks: its checkpoint's counters and
+/// the best improvement it last published (the tail of its convergence
+/// trace). Suspension and recovery both read it from the checkpoint, so
+/// `status` reports the same before and after a restart.
+fn parked_progress(ckpt: &MctsCheckpoint) -> Progress {
+    Progress {
+        telemetry: ckpt.counters,
+        best_improvement: ckpt.conv.last().copied().unwrap_or(0.0),
     }
 }
 
@@ -957,6 +1058,7 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::spec::{AlgorithmSpec, WorkloadSpec};
+    use ixtune_persist::Durability;
 
     fn config(dir: &str) -> ServiceConfig {
         let data_dir = std::env::temp_dir().join(dir);
@@ -1305,10 +1407,12 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// A suspended session survives a restart, and its status (and so the
+    /// scrape) reports the counters its checkpoint parked, not zero.
     #[test]
     fn restart_keeps_suspended_session_resumable() {
         let cfg = config("ixtuned-test-restart-suspended");
-        {
+        let parked = {
             let mgr = SessionManager::start(cfg.clone());
             let mut s = spec(AlgorithmSpec::Mcts, 400);
             s.pause_after_calls = Some(50);
@@ -1317,12 +1421,22 @@ mod tests {
                 mgr.wait_settled(id, Duration::from_secs(60)),
                 Some(SessionState::Suspended)
             );
+            let parked = mgr.status(id).unwrap();
             mgr.shutdown();
-        }
+            parked
+        };
+        assert_eq!(parked.telemetry.what_if_calls, 50);
         // The checkpoint lives in the WAL: no file beside it.
         assert_eq!(data_dir_names(&cfg), vec!["wal-0.log"]);
         let mgr = SessionManager::start(cfg.clone());
-        assert_eq!(mgr.status(0).unwrap().state, SessionState::Suspended);
+        let recovered = mgr.status(0).unwrap();
+        assert_eq!(recovered.state, SessionState::Suspended);
+        assert_eq!(recovered.telemetry, parked.telemetry);
+        assert_eq!(recovered.best_improvement, parked.best_improvement);
+        let text = mgr.metrics();
+        for (series, want) in SESSION_SERIES.iter().zip(session_series(&parked.telemetry)) {
+            assert_eq!(scraped(&text, series), want, "{series}");
+        }
         mgr.resume(0).unwrap();
         assert_eq!(
             mgr.wait_settled(0, Duration::from_secs(60)),
@@ -1378,6 +1492,244 @@ mod tests {
             mgr.wait_settled(id, Duration::from_secs(30)),
             Some(SessionState::Done)
         );
+        mgr.shutdown();
+    }
+
+    /// The value of the scraped series `series` (name plus labels).
+    fn scraped(text: &str, series: &str) -> u64 {
+        let prefix = format!("{series} ");
+        text.lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("{series} missing from the scrape:\n{text}"))
+            .parse()
+            .unwrap()
+    }
+
+    /// The scrape's session series, in the order `session_series` lists
+    /// the matching telemetry fields.
+    const SESSION_SERIES: [&str; 9] = [
+        "ixtune_whatif_calls_total{phase=\"priors\"}",
+        "ixtune_whatif_calls_total{phase=\"selection\"}",
+        "ixtune_whatif_calls_total{phase=\"rollout\"}",
+        "ixtune_whatif_calls_total{phase=\"other\"}",
+        "ixtune_cache_hits_total",
+        "ixtune_derivations_total",
+        "ixtune_parallel_scans_total",
+        "ixtune_warm_hits_total",
+        "ixtune_warm_seeded_total",
+    ];
+
+    fn session_series(t: &SessionTelemetry) -> [u64; 9] {
+        [
+            t.priors_calls,
+            t.selection_calls,
+            t.rollout_calls,
+            t.other_calls,
+            t.cache_hits,
+            t.derivations,
+            t.parallel_scans,
+            t.warm_hits,
+            t.warm_seeded,
+        ]
+        .map(|n| n as u64)
+    }
+
+    /// Every session series in the scrape is the sum of the telemetry
+    /// `status` reports, over all four served algorithms, a paused and
+    /// resumed MCTS session and a cancelled one. The status sum never
+    /// falls, sampled across every transition, and a scrape taken after a
+    /// sample reports at least that sum.
+    #[test]
+    fn scrape_sums_status_telemetry_over_every_session() {
+        let mut cfg = config("ixtuned-test-scrape-sums");
+        cfg.queue_capacity = 8;
+        let mgr = SessionManager::start(cfg);
+        let sample = |ids: &[u64], floor: &mut [u64; 9]| {
+            let mut sum = SessionTelemetry::default();
+            for &id in ids {
+                sum.accumulate(&mgr.status(id).unwrap().telemetry);
+            }
+            let now = session_series(&sum);
+            let text = mgr.metrics();
+            for (i, series) in SESSION_SERIES.iter().enumerate() {
+                assert!(
+                    now[i] >= floor[i],
+                    "status sum of {series} fell: {} -> {}",
+                    floor[i],
+                    now[i]
+                );
+                assert!(scraped(&text, series) >= now[i], "{series} below status");
+            }
+            *floor = now;
+        };
+        let mut floor = [0u64; 9];
+
+        let mut ids = Vec::new();
+        for algo in [
+            AlgorithmSpec::VanillaGreedy,
+            AlgorithmSpec::TwoPhase,
+            AlgorithmSpec::AutoAdmin,
+        ] {
+            ids.push(mgr.submit(spec(algo, 40)).unwrap());
+        }
+        let mut paused = spec(AlgorithmSpec::Mcts, 300);
+        paused.pause_after_calls = Some(50);
+        let paused = mgr.submit(paused).unwrap();
+        ids.push(paused);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while mgr.status(paused).unwrap().state != SessionState::Suspended {
+            assert!(Instant::now() < deadline, "paused session never parked");
+            sample(&ids, &mut floor);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        sample(&ids, &mut floor);
+        assert_eq!(mgr.status(paused).unwrap().telemetry.what_if_calls, 50);
+        mgr.resume(paused).unwrap();
+        sample(&ids, &mut floor);
+
+        let long = mgr.submit(spec(AlgorithmSpec::Mcts, 1_000_000)).unwrap();
+        ids.push(long);
+        while mgr.status(long).unwrap().telemetry.what_if_calls == 0 {
+            assert!(Instant::now() < deadline, "long session never ran");
+            sample(&ids, &mut floor);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        mgr.cancel(long).unwrap();
+        while !ids
+            .iter()
+            .all(|&id| mgr.status(id).unwrap().state.terminal())
+        {
+            assert!(Instant::now() < deadline, "sessions never settled");
+            sample(&ids, &mut floor);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for &id in &ids {
+            let want = if id == long {
+                SessionState::Cancelled
+            } else {
+                SessionState::Done
+            };
+            assert_eq!(mgr.status(id).unwrap().state, want, "session {id}");
+        }
+        sample(&ids, &mut floor);
+        let text = mgr.metrics();
+        assert_eq!(SESSION_SERIES.map(|series| scraped(&text, series)), floor);
+        assert!(floor[0] > 0 && floor[3] > 0, "{floor:?}");
+        mgr.shutdown();
+    }
+
+    /// The scraped persist series are the store's own counts: under
+    /// `Never` compaction syncs nothing, so the scrape reports 0 fsyncs;
+    /// under `Always` it reports one per append and two per compaction.
+    #[test]
+    fn scraped_persist_series_equal_the_store_stats() {
+        for durability in [Durability::Never, Durability::Always] {
+            let mut cfg = config(&format!("ixtuned-test-scrape-fsyncs-{durability:?}"));
+            cfg.durability = durability;
+            cfg.wal_compact_bytes = 1;
+            let mgr = SessionManager::start(cfg);
+            for _ in 0..2 {
+                let id = mgr.submit(spec(AlgorithmSpec::VanillaGreedy, 40)).unwrap();
+                assert_eq!(
+                    mgr.wait_settled(id, Duration::from_secs(30)),
+                    Some(SessionState::Done)
+                );
+                // The settle compacts after its session is observable.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while mgr.persist_stats().wal_bytes > 0 {
+                    assert!(Instant::now() < deadline, "{:?}", mgr.persist_stats());
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+            let text = mgr.metrics();
+            let stats = mgr.persist_stats();
+            assert_eq!(stats.compactions_total, 2);
+            assert_eq!(
+                stats.fsyncs_total,
+                match durability {
+                    Durability::Never => 0,
+                    _ => stats.records_total + 2 * stats.compactions_total,
+                }
+            );
+            for (series, want) in [
+                ("ixtune_persist_fsyncs_total", stats.fsyncs_total),
+                ("ixtune_persist_records_total", stats.records_total),
+                ("ixtune_persist_compactions_total", stats.compactions_total),
+                ("ixtune_persist_wal_bytes", stats.wal_bytes),
+                ("ixtune_persist_degraded", 0),
+            ] {
+                assert_eq!(scraped(&text, series), want, "{durability:?}: {series}");
+            }
+            mgr.shutdown();
+        }
+    }
+
+    /// A torn WAL tail found at start shows in the scrape, and so does
+    /// every record appended after it.
+    #[test]
+    fn scrape_reports_a_torn_tail_and_counts_appends() {
+        let cfg = config("ixtuned-test-scrape-torn");
+        {
+            let mgr = SessionManager::start(cfg.clone());
+            let text = mgr.metrics();
+            assert_eq!(scraped(&text, "ixtune_persist_torn_tails_total"), 0);
+            let id = mgr.submit(spec(AlgorithmSpec::VanillaGreedy, 40)).unwrap();
+            mgr.wait_settled(id, Duration::from_secs(30));
+            mgr.shutdown();
+        }
+        // A crash mid-frame: half a header after the good records.
+        use std::io::Write;
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(cfg.data_dir.join("wal-0.log"))
+            .unwrap()
+            .write_all(&[0xde, 0xad, 0xbe])
+            .unwrap();
+        let mgr = SessionManager::start(cfg);
+        let text = mgr.metrics();
+        assert_eq!(scraped(&text, "ixtune_persist_torn_tails_total"), 1);
+        assert_eq!(scraped(&text, "ixtune_persist_records_total"), 0);
+        mgr.store_flush();
+        assert_eq!(scraped(&mgr.metrics(), "ixtune_persist_records_total"), 1);
+        mgr.shutdown();
+    }
+
+    /// A record too large for a frame shows in the scrape as one IO
+    /// error, no record, and a healthy store.
+    #[test]
+    fn scrape_counts_a_refused_record_as_an_io_error() {
+        let mgr = SessionManager::start(config("ixtuned-test-scrape-oversized"));
+        mgr.durable.append(&Record::SessionFailed {
+            id: 0,
+            error: "x".repeat(ixtune_persist::wal::MAX_PAYLOAD as usize),
+        });
+        let text = mgr.metrics();
+        assert_eq!(scraped(&text, "ixtune_persist_io_errors_total"), 1);
+        assert_eq!(scraped(&text, "ixtune_persist_records_total"), 0);
+        assert_eq!(scraped(&text, "ixtune_persist_degraded"), 0);
+        mgr.shutdown();
+    }
+
+    /// Appends that keep failing demote the store, and the scrape raises
+    /// the degraded gauge beside the three failed attempts.
+    #[test]
+    fn scrape_raises_the_degraded_gauge() {
+        let mut cfg = config("ixtuned-test-scrape-degraded");
+        cfg.fault_spec = "seed=7;persist.append=p1".into();
+        let mgr = SessionManager::start(cfg);
+        assert_eq!(scraped(&mgr.metrics(), "ixtune_persist_degraded"), 0);
+        mgr.store_flush();
+        let text = mgr.metrics();
+        assert_eq!(scraped(&text, "ixtune_persist_degraded"), 1);
+        assert_eq!(scraped(&text, "ixtune_persist_io_errors_total"), 3);
+        assert_eq!(
+            scraped(
+                &text,
+                "ixtune_fault_injected_total{site=\"persist.append\"}"
+            ),
+            3
+        );
+        assert_eq!(scraped(&text, "ixtune_persist_records_total"), 0);
         mgr.shutdown();
     }
 

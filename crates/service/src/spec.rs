@@ -205,9 +205,9 @@ pub struct ServiceConfig {
     /// entries beyond this are dropped (sessions already holding an `Arc`
     /// finish unaffected).
     pub prepared_capacity: usize,
-    /// Seeded fault-injection spec (`--fault-spec` /
-    /// `IXTUNE_FAULT_SPEC`), e.g. `seed=42;whatif.error=p0.05`. Empty
-    /// disables injection entirely — the hot paths see one inert branch.
+    /// Seeded fault-injection spec (`--fault-spec`), e.g.
+    /// `seed=42;whatif.error=p0.05`. Empty disables injection entirely —
+    /// the hot paths see one inert branch.
     pub fault_spec: String,
 }
 

@@ -96,9 +96,27 @@ impl DaemonProc {
         self.child.wait().expect("reap killed daemon");
     }
 
+    /// Under wire chaos the reply to a shutdown the daemon acted on can be
+    /// dropped or cut, and every retry then finds the port closed; the
+    /// daemon exiting cleanly (status 0, as it does after a shutdown it
+    /// acted on) is the acknowledgement. A daemon that died any other way
+    /// fails the test.
     fn shutdown(mut self, client: &Client) {
-        retrying(|| client.shutdown()).expect("shutdown request lands");
-        self.child.wait().expect("daemon exits");
+        let deadline = Instant::now() + WAIT;
+        while let Err(e) = client.shutdown() {
+            assert_clean_error(&e);
+            if let Some(status) = self.child.try_wait().expect("poll daemon") {
+                assert!(status.success(), "daemon died before shutdown: {status}");
+                return;
+            }
+            assert!(Instant::now() < deadline, "shutdown never landed: {e}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let status = self.child.wait().expect("daemon exits");
+        assert!(
+            status.success(),
+            "daemon exits cleanly after shutdown: {status}"
+        );
     }
 }
 

@@ -13,6 +13,12 @@
 # noise-contaminated estimate of what the code can still do, so a
 # loaded host does not fail the guard spuriously while a real slowdown
 # (which lifts the floor, not just the tail) still does.
+#
+# A scaling leg needs no snapshot: the floor of an MCTS session at 4x the
+# budget (`mcts/episodes-b4000`) must stay within 8x that of
+# `mcts/episodes-b1000`. Per-episode cost is about flat in the budget, so
+# the ratio sits near 4; a configuration hash whose table slots ignored
+# high candidate ids made it 15-23.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,13 +108,23 @@ for name in durable:
     if ratio > 1 + tolerance:
         failures.append(name)
 
+# The scaling leg: a ratio of two floors measured in the same process.
+low, high, bound = "mcts/episodes-b1000", "mcts/episodes-b4000", 8.0
+if low not in measured or high not in measured:
+    sys.exit(f"scaling leg missing: {low} and {high} must both be measured")
+ratio = measured[high] / measured[low]
+verdict = "OK" if ratio <= bound else "REGRESSION"
+print(f"{verdict:>10}  {high} / {low}: {ratio:.2f} (bound {bound:g})")
+if ratio > bound:
+    failures.append(f"{high} / {low}")
+
 if failures:
     sys.exit(
-        f"hot path regressed beyond {tolerance:.0%} vs {sys.argv[2]}: "
-        + ", ".join(failures)
+        f"hot path regressed (floors beyond {tolerance:.0%} vs {sys.argv[2]}, "
+        f"or MCTS scaling beyond {bound:g}x): " + ", ".join(failures)
     )
 print(
     f"bench guard passed ({len(guarded)} series + {len(durable)} durability "
-    f"legs within {tolerance:.0%})"
+    f"legs within {tolerance:.0%}, MCTS scaling {ratio:.2f} <= {bound:g})"
 )
 EOF
