@@ -309,7 +309,9 @@ fn bench_warm_sessions(c: &mut Criterion) {
 /// thread, `episodes-warm` is the same session seeded from a prior
 /// identical run's snapshot, and `episodes-b{1000,4000}` are the scaling
 /// pair `scripts/bench_guard.sh` bounds (TPC-DS, K 10): 4x the budget must
-/// cost at most 8x the time.
+/// cost at most 8x the time. `episodes-realm` is a Real-M session (K 10,
+/// B 2,000): 317 queries over 7,767 candidates, where every per-episode
+/// walk over the queries or the candidate universe costs the most.
 fn bench_mcts_episodes(c: &mut Criterion) {
     let mut group = c.benchmark_group("mcts");
     group.sample_size(10);
@@ -339,6 +341,15 @@ fn bench_mcts_episodes(c: &mut Criterion) {
             b.iter(|| black_box(tuner.tune(&ctx, &req)))
         });
     }
+
+    let realm = Session::build(BenchmarkKind::RealM);
+    let realm_ctx = TuningContext::new(&realm.opt, &realm.cands);
+    let req = ixtune_core::TuningRequest::cardinality(10, 2_000)
+        .with_seed(5)
+        .with_session_threads(1);
+    group.bench_function("episodes-realm", |b| {
+        b.iter(|| black_box(tuner.tune(&realm_ctx, &req)))
+    });
     group.finish();
 }
 

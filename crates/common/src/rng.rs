@@ -28,6 +28,17 @@ pub fn derive(seed: u64, stream: &str) -> StdRng {
     StdRng::seed_from_u64(seed ^ h)
 }
 
+/// The weight [`weighted_choice`] gives `w`: `w` itself when finite and
+/// positive, else `0.0`.
+#[inline]
+pub fn sampling_weight(w: f64) -> f64 {
+    if w.is_finite() && w > 0.0 {
+        w
+    } else {
+        0.0
+    }
+}
+
 /// Weighted sampling: pick an element index with probability proportional to
 /// `weights[i]`. Non-finite or negative weights are treated as zero; if all
 /// weights are zero the choice is uniform. Returns `None` on empty input.
@@ -38,20 +49,19 @@ pub fn weighted_choice<R: rand::Rng>(rng: &mut R, weights: &[f64]) -> Option<usi
     if weights.is_empty() {
         return None;
     }
-    let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-    let total: f64 = weights.iter().copied().map(clean).sum();
+    let total: f64 = weights.iter().copied().map(sampling_weight).sum();
     if total <= 0.0 {
         return Some(rng.random_range(0..weights.len()));
     }
     let mut target = rng.random::<f64>() * total;
     for (i, &w) in weights.iter().enumerate() {
-        target -= clean(w);
+        target -= sampling_weight(w);
         if target <= 0.0 {
             return Some(i);
         }
     }
     // Floating-point slack: fall back to the last positive-weight element.
-    weights.iter().rposition(|&w| clean(w) > 0.0)
+    weights.iter().rposition(|&w| sampling_weight(w) > 0.0)
 }
 
 #[cfg(test)]

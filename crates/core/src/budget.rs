@@ -237,10 +237,13 @@ impl<'a> MeteredWhatIf<'a> {
     }
 
     /// Rebuild a suspended session's client from its call trace — the
-    /// resume entry point. The cache is replayed through the optimizer
-    /// (see [`WhatIfCache::replay`]): ∅ and then every cell in call order,
-    /// none of it budgeted, timed, warm-served, ledgered or fault-injected.
-    /// The meter reads `budget` with one call used per cell, and
+    /// resume entry point. The cache is replayed (see
+    /// [`WhatIfCache::replay`]): ∅ and then every cell in call order, each
+    /// priced from the context's warm snapshot when it holds the cell and
+    /// through the optimizer otherwise. None of it is budgeted, timed,
+    /// ledgered, fault-injected or counted: the snapshot's key includes
+    /// the optimizer's content fingerprint, so either source gives the
+    /// same bits. The meter reads `budget` with one call used per cell, and
     /// `counters` (the checkpoint's telemetry, derivations included)
     /// continue where the suspended segment stopped. Errs for a trace
     /// longer than `budget` or one [`WhatIfCache::replay`] rejects.
@@ -256,12 +259,16 @@ impl<'a> MeteredWhatIf<'a> {
                 trace.len()
             ));
         }
+        let warm = ctx.warm();
         let cache = WhatIfCache::replay(
             ctx.universe(),
             ctx.num_queries(),
             &trace,
             counters.derivations,
-            |q, config| ctx.opt.what_if_cost(q, config),
+            |q, config| {
+                warm.and_then(|w| w.lookup(q, config))
+                    .unwrap_or_else(|| ctx.opt.what_if_cost(q, config))
+            },
         )?;
         let meter = BudgetMeter {
             budget,
@@ -686,6 +693,46 @@ mod tests {
         assert_eq!(t.cache_hits, 1);
         assert_eq!(t.warm_hits, 1);
         assert_eq!(t.warm_seeded, 1);
+        assert_eq!(mw.meter().used(), 2);
+    }
+
+    #[test]
+    fn resume_replays_warm_cells_from_the_snapshot() {
+        use crate::warm::WarmStore;
+
+        let (opt, cands) = setup(3);
+        let (m, n) = (opt.num_queries(), opt.num_candidates());
+        assert!(n >= 2, "need candidates");
+        let q = QueryId::new(0);
+        let c0 = IndexSet::singleton(n, IndexId::new(0));
+        let c1 = IndexSet::singleton(n, IndexId::new(1));
+        // The snapshot holds a marker no optimizer call returns for
+        // (q, {1}), and nothing for (q, {0}).
+        let marker = opt.what_if_cost(q, &c1) + 0.5;
+        let store = WarmStore::new(1 << 20);
+        store.absorb("w", 0, m, n, vec![(q, c1.clone(), marker)]);
+        let warm = Arc::new(WarmState::new(store.checkout("w", 0, m, n)));
+        let ctx = TuningContext::new(&opt, &cands).with_warm(Arc::clone(&warm));
+        let counters = SessionTelemetry {
+            what_if_calls: 2,
+            other_calls: 2,
+            ..SessionTelemetry::default()
+        };
+        let trace = vec![(q, c0.clone()), (q, c1.clone())];
+        let mw = MeteredWhatIf::resume(&ctx, 5, trace, counters).unwrap();
+
+        assert_eq!(
+            mw.cache().get(q, &c1),
+            Some(marker),
+            "served by the snapshot"
+        );
+        assert_eq!(
+            mw.cache().get(q, &c0),
+            Some(opt.what_if_cost(q, &c0)),
+            "a miss is priced by the optimizer"
+        );
+        assert_eq!(warm.ledger_len(), 0, "the replay ledgers nothing");
+        assert_eq!(mw.telemetry(), counters, "and counts nothing");
         assert_eq!(mw.meter().used(), 2);
     }
 

@@ -7,12 +7,14 @@
 //! words), the priors vector, the best-explored configuration, the
 //! convergence trace, the idle-streak counter, and the AMAF table when
 //! RAVE updates are configured. The what-if cache and the budget meter
-//! are not stored: resume rebuilds the cache by replaying the trace's
-//! cells through the optimizer in call order, and the meter as the
-//! request's budget with one call used per cell. Suspension happens only
-//! at episode boundaries, so no mid-episode state exists to capture;
-//! resuming replays the remaining episodes exactly as the uninterrupted
-//! run would have executed them.
+//! are not stored: resume rebuilds the cache from the trace's cells in
+//! call order, each read from the session's warm snapshot when it holds
+//! the cell and priced by the optimizer otherwise (both give the same
+//! bits: the snapshot is keyed by the optimizer's content fingerprint),
+//! and the meter as the request's budget with one call used per cell.
+//! Suspension happens only at episode boundaries, so no mid-episode
+//! state exists to capture; resuming replays the remaining episodes
+//! exactly as the uninterrupted run would have executed them.
 //!
 //! The format is line-oriented JSON (one document) with an explicit
 //! [`SNAPSHOT_VERSION`]; readers reject versions they do not know rather

@@ -52,6 +52,10 @@ pub struct WhatIfCache {
     /// `queries × universe` headers up front dominates cache construction
     /// on large workloads.
     postings: Vec<Vec<Vec<u32>>>,
+    /// Per query, the candidates whose postings list is non-empty (the
+    /// members of some multi entry), in first-insert order: an insert
+    /// shifts only these lists, not all `universe` of them.
+    posted: Vec<Vec<u32>>,
     /// Exact multi-entry lookup per query, keyed by the interned id of the
     /// configuration (see `interner`) — an integer open-addressed probe
     /// instead of hashing a block bitset per lookup. Singletons have their
@@ -92,6 +96,7 @@ impl Clone for WhatIfCache {
             singleton: self.singleton.clone(),
             multi: self.multi.clone(),
             postings: self.postings.clone(),
+            posted: self.posted.clone(),
             exact: self.exact.clone(),
             max_multi_size: self.max_multi_size.clone(),
             interner: self.interner.clone(),
@@ -116,6 +121,7 @@ impl WhatIfCache {
             singleton: vec![vec![f64::NAN; universe]; m],
             multi: vec![Vec::new(); m],
             postings: vec![Vec::new(); m],
+            posted: vec![Vec::new(); m],
             exact: vec![IdCostMap::new(); m],
             max_multi_size: vec![0; m],
             interner: ConfigInterner::new(),
@@ -233,10 +239,14 @@ impl WhatIfCache {
             }
             // Maintain the inverted postings: positions at or past the
             // insertion point shift by one (lists stay sorted), then the
-            // new position joins each member's list. Puts are bounded by
-            // the budget; probes are not — so this is the cheap side.
+            // new position joins each member's list. Only the lists of
+            // candidates some entry contains hold positions, so only those
+            // shift. Puts are bounded by the budget; probes are not — so
+            // this is the cheap side.
             let p = pos as u32;
-            for slot in postings.iter_mut() {
+            let posted = &mut self.posted[qi];
+            for &i in posted.iter() {
+                let slot = &mut postings[i as usize];
                 let from = slot.partition_point(|&v| v < p);
                 for v in &mut slot[from..] {
                     *v += 1;
@@ -244,6 +254,9 @@ impl WhatIfCache {
             }
             for id in config.iter() {
                 let slot = &mut postings[id.index()];
+                if slot.is_empty() {
+                    posted.push(id.index() as u32);
+                }
                 let at = slot.partition_point(|&v| v < p);
                 slot.insert(at, p);
             }
@@ -320,32 +333,94 @@ impl WhatIfCache {
 
     /// Derived cost `d(q, C)` per Eq. 1 (general subsets).
     pub fn derived(&self, q: QueryId, config: &IndexSet) -> f64 {
-        let qi = q.index();
         // Exact hit is both the tightest bound and the common case.
         if let Some(c) = self.get(q, config) {
             return c;
         }
         self.add_derivations(1);
+        self.derive_row(q.index(), config, config.iter())
+    }
+
+    /// Eq. 1 for row `qi` without the exact-hit probe or the counter:
+    /// `c(q, ∅)`, then the known singleton costs of `members` (the ids of
+    /// `config`, ascending), then the stored multi entries inside
+    /// `config`.
+    fn derive_row(
+        &self,
+        qi: usize,
+        config: &IndexSet,
+        members: impl Iterator<Item = IndexId>,
+    ) -> f64 {
         let mut best = self.empty[qi];
-        // Singleton fast path: members of `config` with known costs.
         let singleton = &self.singleton[qi];
-        for id in config.iter() {
+        let mut size = 0;
+        for id in members {
+            size += 1;
             let v = singleton[id.index()];
             if !v.is_nan() && v < best {
                 best = v;
             }
         }
-        // Multi-index entries: sorted ascending, so stop once entries can no
-        // longer improve.
-        for (set, cost) in &self.multi[qi] {
-            if *cost >= best {
-                break;
-            }
-            if set.is_subset(config) {
-                best = *cost;
+        // Multi entries hold two or more ids, so none fits in a smaller
+        // configuration. They are sorted ascending, so stop once entries
+        // can no longer improve.
+        if size >= 2 {
+            for (set, cost) in &self.multi[qi] {
+                if *cost >= best {
+                    break;
+                }
+                if set.is_subset(config) {
+                    best = *cost;
+                }
             }
         }
         best
+    }
+
+    /// `d(q, C)` for every query, in query order, into `out`: bit for bit
+    /// the values and the derivation count of one [`derived`](Self::derived)
+    /// call per query, as one pass (see `for_each_derived`).
+    pub fn derived_per_query(&self, config: &IndexSet, out: &mut Vec<f64>) {
+        out.clear();
+        self.for_each_derived(config, |c| out.push(c));
+    }
+
+    /// `d(q, C)` for every query, in query order, handed to `f`. The
+    /// configuration's size, members and interned id are resolved once
+    /// instead of once per query (the id only if some row stores entries
+    /// that large), a miss runs `derived`'s row kernel, and the counter is
+    /// bumped once by the count `derived` would have added.
+    fn for_each_derived(&self, config: &IndexSet, mut f: impl FnMut(f64)) {
+        let len = config.len();
+        if len == 0 {
+            self.empty.iter().copied().for_each(f);
+            return;
+        }
+        let members = config.to_vec();
+        let mut interned: Option<Option<u32>> = None;
+        let mut derivations = 0;
+        for qi in 0..self.num_queries() {
+            let hit = if len == 1 {
+                let v = self.singleton[qi][members[0].index()];
+                (!v.is_nan()).then_some(v)
+            } else if len > self.max_multi_size[qi] {
+                None
+            } else {
+                interned
+                    .get_or_insert_with(|| self.interner.get(config))
+                    .and_then(|id| self.exact[qi].get(id))
+            };
+            f(match hit {
+                Some(c) => c,
+                None => {
+                    derivations += 1;
+                    self.derive_row(qi, config, members.iter().copied())
+                }
+            });
+        }
+        if derivations > 0 {
+            self.add_derivations(derivations);
+        }
     }
 
     /// Derived cost restricted to singleton subsets (Eq. 2) — the variant
@@ -366,9 +441,10 @@ impl WhatIfCache {
 
     /// Workload-level derived cost `d(W, C) = Σ_q d(q, C)`.
     pub fn derived_workload(&self, config: &IndexSet) -> f64 {
-        (0..self.num_queries())
-            .map(|i| self.derived(QueryId::from(i), config))
-            .sum()
+        // `Iterator::sum`'s start: `-0.0 + x == x` for every `x`.
+        let mut total = -0.0;
+        self.for_each_derived(config, |c| total += c);
+        total
     }
 
     /// Number of cached what-if results (excluding the free ∅ entries).

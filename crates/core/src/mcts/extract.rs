@@ -105,7 +105,7 @@ fn tree_walk(
         let best = n
             .actions
             .iter()
-            .filter(|(a, _)| filter.admits(ctx, **a))
+            .filter(|(a, _)| filter.admits(ctx, *a))
             .max_by(|(a1, s1), (a2, s2)| {
                 let (x, y) = if by_value {
                     (s1.q, s2.q)
@@ -116,7 +116,7 @@ fn tree_walk(
             })
             .map(|(a, _)| *a);
         let Some(action) = best else { break };
-        let Some(&child) = n.children.get(&action) else {
+        let Some(child) = n.child(action) else {
             break;
         };
         node = child;

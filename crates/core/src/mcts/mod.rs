@@ -25,7 +25,7 @@ use extract::Extraction;
 use ixtune_common::rng::{derive, weighted_choice};
 use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use policy::SelectionPolicy;
+use policy::{Priors, SelectBuffers, SelectionPolicy};
 use rand::rngs::StdRng;
 use rollout::RolloutPolicy;
 use tree::Tree;
@@ -112,7 +112,8 @@ impl MctsTuner {
     /// `EvaluateCostWithBudget` (Algorithm 3): estimate `cost(W, C)` with a
     /// single budgeted what-if call against a query sampled proportionally
     /// to its derived cost. Returns `None` once the budget is exhausted.
-    /// `derived` is a reusable scratch buffer owned by the episode loop.
+    /// `derived` is a reusable scratch buffer owned by the episode loop,
+    /// filled by one derivation pass over the queries.
     fn evaluate_with_budget(
         &self,
         mw: &mut MeteredWhatIf<'_>,
@@ -120,9 +121,7 @@ impl MctsTuner {
         rng: &mut StdRng,
         derived: &mut Vec<f64>,
     ) -> Option<f64> {
-        let m = mw.num_queries();
-        derived.clear();
-        derived.extend((0..m).map(|q| mw.derived(QueryId::from(q), config)));
+        mw.cache().derived_per_query(config, derived);
         let pick = weighted_choice(rng, derived)?;
         let q = QueryId::from(pick);
         let exact = mw.what_if(q, config)?;
@@ -145,7 +144,7 @@ impl MctsTuner {
         constraints: &Constraints,
         mw: &mut MeteredWhatIf<'_>,
         tree: &mut Tree,
-        priors: &[f64],
+        priors: &Priors,
         amaf: &mut Option<policy::AmafTable>,
         best: &mut Option<(IndexSet, f64)>,
         rng: &mut StdRng,
@@ -154,32 +153,34 @@ impl MctsTuner {
         // --- Selection / expansion (SampleConfiguration) ---
         let mut path: Vec<(usize, IndexId)> = Vec::new();
         let mut node = Tree::ROOT;
-        let actions = &mut buffers.actions;
         let (config, via_rollout) = loop {
             let n = tree.node(node);
             let is_leaf = n.children.is_empty();
             let terminal = n.config.len() >= constraints.k;
             if is_leaf && !n.visited && node != Tree::ROOT {
                 // Unvisited leaf: simulate via rollout.
-                let completed =
-                    self.rollout
-                        .rollout(ctx, constraints, &self.selection, priors, &n.config, rng);
+                let completed = self.rollout.rollout(
+                    ctx,
+                    constraints,
+                    &self.selection,
+                    priors.values(),
+                    &n.config,
+                    rng,
+                );
                 break (completed, true);
             }
             if terminal {
                 break (n.config.clone(), false);
             }
             let filter = constraints.extension_filter(ctx, &n.config);
-            actions.clear();
-            actions.extend(
-                n.config
-                    .complement_iter()
-                    .filter(|&a| filter.admits(ctx, a)),
-            );
-            let Some(action) = self
-                .selection
-                .select(n, actions, priors, amaf.as_ref(), rng)
-            else {
+            let Some(action) = self.selection.select(
+                n,
+                |a| filter.admits(ctx, a),
+                priors,
+                amaf.as_ref(),
+                rng,
+                &mut buffers.select,
+            ) else {
                 break (n.config.clone(), false);
             };
             let child = tree.get_or_create_child(node, action);
@@ -223,8 +224,8 @@ impl MctsTuner {
 struct EpisodeBuffers {
     /// Per-query derived costs for `EvaluateCostWithBudget`.
     derived: Vec<f64>,
-    /// Admissible action set for tree selection.
-    actions: Vec<IndexId>,
+    /// Tree selection's action and weight lists.
+    select: SelectBuffers,
 }
 
 /// The full mutable state of one MCTS search between episodes. Everything
@@ -234,7 +235,7 @@ struct EpisodeBuffers {
 /// episodes).
 pub(crate) struct MctsState {
     rng: StdRng,
-    priors: Vec<f64>,
+    priors: Priors,
     tree: Tree,
     amaf: Option<policy::AmafTable>,
     best: Option<(IndexSet, f64)>,
@@ -416,7 +417,7 @@ impl MctsTuner {
         };
         MctsState {
             rng,
-            priors,
+            priors: Priors::new(priors),
             tree: Tree::new(ctx.universe()),
             amaf,
             best: None,
@@ -570,7 +571,7 @@ impl MctsTuner {
             .map_err(|e| format!("checkpoint: {e}"))?;
         let state = MctsState {
             rng: StdRng::from_state([ckpt.rng.0, ckpt.rng.1, ckpt.rng.2, ckpt.rng.3]),
-            priors: ckpt.priors.clone(),
+            priors: Priors::new(ckpt.priors.clone()),
             tree,
             amaf: ckpt.amaf.clone(),
             best: ckpt.best.clone(),
@@ -592,7 +593,7 @@ impl MctsTuner {
             algorithm: self.name(),
             req: *req,
             rng: (s[0], s[1], s[2], s[3]),
-            priors: state.priors.clone(),
+            priors: state.priors.values().to_vec(),
             tree: state.tree.snapshot(),
             trace: mw.trace().to_vec(),
             counters: mw.telemetry(),

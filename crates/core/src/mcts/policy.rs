@@ -7,13 +7,18 @@
 //!   variant (Eq. 6): sample an action with probability proportional to
 //!   its estimated value, seeding unvisited actions with the singleton
 //!   prior η(W, {a}) computed by Algorithm 4.
+//!
+//! The actions admissible at a node are the candidates outside its
+//! configuration that the caller's filter admits, in ascending order.
+//! Without RAVE, the ε-greedy draw weighs only the positive-weight ones
+//! (see [`SelectionPolicy::select`]); every other policy builds the whole
+//! list, in one pass into [`SelectBuffers`].
 
 use crate::mcts::tree::Node;
-use ixtune_common::rng::weighted_choice;
+use ixtune_common::rng::{sampling_weight, weighted_choice};
 use ixtune_common::IndexId;
 use rand::prelude::IndexedRandom;
-use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which action selection policy MCTS uses.
@@ -32,6 +37,85 @@ pub enum SelectionPolicy {
     /// a uniformly random other action otherwise. Included as the §6.1
     /// strawman the paper's variant improves on.
     ClassicEpsilon { epsilon: f64 },
+}
+
+/// The singleton priors η(W, {I_i}) of Algorithm 4, indexed by candidate,
+/// with the ascending list of candidates whose prior is a positive
+/// sampling weight. The list is derived from the values, so a checkpoint
+/// stores only the values.
+#[derive(Debug, Default)]
+pub struct Priors {
+    values: Vec<f64>,
+    positive: Vec<IndexId>,
+}
+
+impl Priors {
+    pub fn new(values: Vec<f64>) -> Self {
+        let positive = (0..values.len())
+            .filter(|&i| sampling_weight(values[i]) > 0.0)
+            .map(IndexId::from)
+            .collect();
+        Self { values, positive }
+    }
+
+    /// The prior of every candidate (empty when the policy uses none).
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Value estimate of an action the node has not taken: its prior,
+    /// clamped at 0 (0 for a candidate without one).
+    fn value(&self, a: IndexId) -> f64 {
+        self.values.get(a.index()).copied().unwrap_or(0.0).max(0.0)
+    }
+}
+
+/// Reusable buffers of tree selection, hoisted into the episode loop so a
+/// selection step allocates nothing. Cleared before every use.
+#[derive(Default)]
+pub struct SelectBuffers {
+    /// Admissible actions, ascending (full-list policies).
+    actions: Vec<IndexId>,
+    /// Their value estimates (Boltzmann turns them into weights in place).
+    values: Vec<f64>,
+    /// Their visit counts `n(s, a)` at the node.
+    local_n: Vec<u32>,
+    /// UCT's unvisited actions, or classic ε's non-best actions.
+    picks: Vec<IndexId>,
+    /// The positive-weight (action, weight) pairs of an ε-greedy draw.
+    draw: Vec<(IndexId, f64)>,
+}
+
+impl SelectBuffers {
+    /// One ascending pass over the admissible actions: each action's
+    /// value (observed `Q̂` when the node took it, else its prior; RAVE
+    /// blends in AMAF) and visit count, merged with the node's sorted
+    /// statistics as it goes.
+    fn fill(
+        &mut self,
+        node: &Node,
+        admits: &impl Fn(IndexId) -> bool,
+        priors: &Priors,
+        amaf: Option<&AmafTable>,
+    ) {
+        self.actions.clear();
+        self.values.clear();
+        self.local_n.clear();
+        let mut observed = node.actions.iter().peekable();
+        for a in node.config.complement_iter().filter(|&a| admits(a)) {
+            while observed.next_if(|&&(b, _)| b < a).is_some() {}
+            let (mut value, n) = match observed.peek() {
+                Some(&&(b, stats)) if b == a => (stats.q.max(0.0), stats.n),
+                _ => (priors.value(a), 0),
+            };
+            if let Some(table) = amaf {
+                value = table.blended(a, n, value);
+            }
+            self.actions.push(a);
+            self.values.push(value);
+            self.local_n.push(n);
+        }
+    }
 }
 
 impl SelectionPolicy {
@@ -57,54 +141,60 @@ impl SelectionPolicy {
         !matches!(self, SelectionPolicy::Uct { .. })
     }
 
-    /// Select an action among `actions` at `node`. `priors[i]` is the
-    /// singleton prior η(W, {I_i}) for candidate `I_i` (ignored by UCT).
-    /// When an [`AmafTable`] is supplied (RAVE updates), per-action value
+    /// Select an action at `node` among the admissible ones: candidates
+    /// outside its configuration that `admits` accepts. `priors` seeds
+    /// actions the node has not taken (ignored by UCT). When an
+    /// [`AmafTable`] is supplied (RAVE updates), per-action value
     /// estimates are blended with the all-moves-as-first statistics.
-    /// Returns `None` when `actions` is empty.
-    pub fn select(
+    /// Returns `None` when no action is admissible.
+    ///
+    /// Without RAVE, the ε-greedy draw runs over the ascending merge of
+    /// the positive-prior candidates and the node's observed actions,
+    /// keeping the admissible ones of positive weight. That is
+    /// [`weighted_choice`] over the whole admissible list, action for
+    /// action and RNG draw for draw: a zero weight neither changes the
+    /// running total nor can end the scan. Its two exceptions are kept:
+    /// when every weight is zero the action is uniform over the
+    /// admissible count, and a draw of exactly 0.0 returns the first
+    /// admissible action whatever its weight.
+    pub fn select<R: Rng>(
         &self,
         node: &Node,
-        actions: &[IndexId],
-        priors: &[f64],
+        admits: impl Fn(IndexId) -> bool,
+        priors: &Priors,
         amaf: Option<&AmafTable>,
-        rng: &mut StdRng,
+        rng: &mut R,
+        buf: &mut SelectBuffers,
     ) -> Option<IndexId> {
+        if *self == SelectionPolicy::EpsilonGreedyPrior && amaf.is_none() {
+            return epsilon_greedy(node, &admits, priors, rng, &mut buf.draw);
+        }
+        buf.fill(node, &admits, priors, amaf);
+        let SelectBuffers {
+            actions,
+            values,
+            local_n,
+            picks,
+            ..
+        } = buf;
         if actions.is_empty() {
             return None;
-        }
-        // Value estimates: priors, overwritten by local observations (the
-        // actions map is small, so overwrite beats per-action hashing),
-        // then optionally RAVE-blended.
-        let mut values: Vec<f64> = actions
-            .iter()
-            .map(|&a| priors.get(a.index()).copied().unwrap_or(0.0).max(0.0))
-            .collect();
-        let mut local_n: Vec<u32> = vec![0; actions.len()];
-        for (&a, stats) in &node.actions {
-            if let Ok(pos) = actions.binary_search(&a) {
-                values[pos] = stats.q.max(0.0);
-                local_n[pos] = stats.n;
-            }
-        }
-        if let Some(table) = amaf {
-            for (i, &a) in actions.iter().enumerate() {
-                values[i] = table.blended(a, local_n[i], values[i]);
-            }
         }
 
         match *self {
             SelectionPolicy::Uct { lambda } => {
                 // Unvisited actions first (infinite UCB score) — unless
                 // RAVE already has an estimate for them.
-                let unvisited: Vec<IndexId> = actions
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, &a)| local_n[*i] == 0 && amaf.is_none_or(|t| t.visits(a) == 0))
-                    .map(|(_, &a)| a)
-                    .collect();
-                if !unvisited.is_empty() {
-                    return unvisited.choose(rng).copied();
+                picks.clear();
+                picks.extend(
+                    actions
+                        .iter()
+                        .zip(local_n.iter())
+                        .filter(|&(&a, &n)| n == 0 && amaf.is_none_or(|t| t.visits(a) == 0))
+                        .map(|(&a, _)| a),
+                );
+                if !picks.is_empty() {
+                    return picks.choose(rng).copied();
                 }
                 let total = node.n_visits.max(1) as f64;
                 actions
@@ -117,15 +207,16 @@ impl SelectionPolicy {
                     .max_by(|x, y| x.1.total_cmp(&y.1))
                     .map(|(a, _)| a)
             }
-            SelectionPolicy::EpsilonGreedyPrior => {
-                weighted_choice(rng, &values).map(|i| actions[i])
-            }
+            // With RAVE: the blended values of the whole list.
+            SelectionPolicy::EpsilonGreedyPrior => weighted_choice(rng, values).map(|i| actions[i]),
             SelectionPolicy::Boltzmann { tau } => {
                 let tau = tau.max(1e-6);
                 // Softmax with max-shift for numeric stability.
                 let peak = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let weights: Vec<f64> = values.iter().map(|v| ((v - peak) / tau).exp()).collect();
-                weighted_choice(rng, &weights).map(|i| actions[i])
+                for v in values.iter_mut() {
+                    *v = ((*v - peak) / tau).exp();
+                }
+                weighted_choice(rng, values).map(|i| actions[i])
             }
             SelectionPolicy::ClassicEpsilon { epsilon } => {
                 let explore = rng.random::<f64>() < epsilon;
@@ -137,17 +228,83 @@ impl SelectionPolicy {
                 if !explore || actions.len() == 1 {
                     Some(actions[best_pos])
                 } else {
-                    let others: Vec<IndexId> = actions
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != best_pos)
-                        .map(|(_, &a)| a)
-                        .collect();
-                    others.choose(rng).copied()
+                    picks.clear();
+                    picks.extend(
+                        actions
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| *i != best_pos)
+                            .map(|(_, &a)| a),
+                    );
+                    picks.choose(rng).copied()
                 }
             }
         }
     }
+}
+
+/// The ε-greedy draw of [`SelectionPolicy::select`] without RAVE: the
+/// arithmetic of [`weighted_choice`] over the admissible actions of
+/// positive weight, collected into `draw` by an ascending merge of the
+/// positive-prior candidates and the node's observed actions (an observed
+/// action weighs its `Q̂`, any other its prior).
+fn epsilon_greedy<R: Rng>(
+    node: &Node,
+    admits: &impl Fn(IndexId) -> bool,
+    priors: &Priors,
+    rng: &mut R,
+    draw: &mut Vec<(IndexId, f64)>,
+) -> Option<IndexId> {
+    draw.clear();
+    let mut prior = priors.positive.iter().copied().peekable();
+    let mut observed = node.actions.iter().peekable();
+    loop {
+        let (a, value) = match (prior.peek().copied(), observed.peek().copied()) {
+            (None, None) => break,
+            (Some(a), Some(&(b, _))) if a < b => {
+                prior.next();
+                (a, priors.value(a))
+            }
+            (p, Some(&(b, stats))) => {
+                if p == Some(b) {
+                    prior.next();
+                }
+                observed.next();
+                (b, stats.q.max(0.0))
+            }
+            (Some(a), None) => {
+                prior.next();
+                (a, priors.value(a))
+            }
+        };
+        let w = sampling_weight(value);
+        if w > 0.0 && !node.config.contains(a) && admits(a) {
+            draw.push((a, w));
+        }
+    }
+    let admissible = || node.config.complement_iter().filter(|&a| admits(a));
+    let total: f64 = draw.iter().map(|&(_, w)| w).sum();
+    if total <= 0.0 {
+        // Every weight is zero: uniform over the admissible actions.
+        let count = admissible().count();
+        if count == 0 {
+            return None;
+        }
+        return admissible().nth(rng.random_range(0..count));
+    }
+    let mut target = rng.random::<f64>() * total;
+    if target <= 0.0 {
+        // The full scan stops at its first element, whatever its weight.
+        return admissible().next();
+    }
+    for &(a, w) in draw.iter() {
+        target -= w;
+        if target <= 0.0 {
+            return Some(a);
+        }
+    }
+    // Floating-point slack: the last positive-weight action.
+    draw.last().map(|&(a, _)| a)
 }
 
 /// All-moves-as-first statistics for RAVE (Gelly & Silver \[33\], pointed at
@@ -210,21 +367,46 @@ mod tests {
     use super::*;
     use crate::mcts::tree::Tree;
     use ixtune_common::rng::seeded;
+    use rand::rngs::StdRng;
 
     fn id(i: u32) -> IndexId {
         IndexId::new(i)
+    }
+
+    /// `policy.select` at `node` with candidates 0, 1 and 2 admissible
+    /// (unless in its configuration).
+    fn select_any(
+        policy: SelectionPolicy,
+        node: &Node,
+        priors: &[f64],
+        amaf: Option<&AmafTable>,
+        rng: &mut StdRng,
+    ) -> Option<IndexId> {
+        let priors = Priors::new(priors.to_vec());
+        let mut buf = SelectBuffers::default();
+        policy.select(node, |a| a.index() < 3, &priors, amaf, rng, &mut buf)
     }
 
     #[test]
     fn empty_action_set_returns_none() {
         let t = Tree::new(4);
         let mut rng = seeded(1);
+        let mut buf = SelectBuffers::default();
+        let none = Priors::default();
         assert_eq!(
-            SelectionPolicy::uct().select(t.node(0), &[], &[], None, &mut rng),
+            SelectionPolicy::uct().select(t.node(0), |_| false, &none, None, &mut rng, &mut buf),
             None
         );
+        let priors = Priors::new(vec![0.5; 4]);
         assert_eq!(
-            SelectionPolicy::EpsilonGreedyPrior.select(t.node(0), &[], &[], None, &mut rng),
+            SelectionPolicy::EpsilonGreedyPrior.select(
+                t.node(0),
+                |_| false,
+                &priors,
+                None,
+                &mut rng,
+                &mut buf
+            ),
             None
         );
     }
@@ -237,15 +419,14 @@ mod tests {
         let mut rng = seeded(2);
         // Despite id(0)'s perfect reward, unvisited ids must be picked.
         for _ in 0..20 {
-            let a = SelectionPolicy::uct()
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &[],
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::uct(),
+                t.node(Tree::ROOT),
+                &[],
+                None,
+                &mut rng,
+            )
+            .unwrap();
             assert_ne!(a, id(0));
         }
     }
@@ -261,15 +442,14 @@ mod tests {
             }
         }
         let mut rng = seeded(3);
-        let a = SelectionPolicy::uct()
-            .select(
-                t.node(Tree::ROOT),
-                &[id(0), id(1), id(2)],
-                &[],
-                None,
-                &mut rng,
-            )
-            .unwrap();
+        let a = select_any(
+            SelectionPolicy::uct(),
+            t.node(Tree::ROOT),
+            &[],
+            None,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(a, id(0));
     }
 
@@ -279,15 +459,14 @@ mod tests {
         let priors = vec![0.0, 0.0, 0.8];
         let mut rng = seeded(4);
         for _ in 0..50 {
-            let a = SelectionPolicy::EpsilonGreedyPrior
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::EpsilonGreedyPrior,
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             assert_eq!(a, id(2), "only nonzero-prior action should be sampled");
         }
     }
@@ -303,15 +482,14 @@ mod tests {
         let mut rng = seeded(5);
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {
-            let a = SelectionPolicy::EpsilonGreedyPrior
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::EpsilonGreedyPrior,
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             counts[a.index()] += 1;
         }
         // Pr ∝ {0.5 (observed), 0.5 (prior), 0}.
@@ -327,30 +505,28 @@ mod tests {
         let mut rng = seeded(11);
         let mut counts = [0usize; 3];
         for _ in 0..500 {
-            let a = SelectionPolicy::Boltzmann { tau: 0.05 }
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::Boltzmann { tau: 0.05 },
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             counts[a.index()] += 1;
         }
         assert!(counts[1] > 480, "low τ ≈ argmax, got {counts:?}");
         // High temperature approaches uniform.
         let mut hot = [0usize; 3];
         for _ in 0..3_000 {
-            let a = SelectionPolicy::Boltzmann { tau: 100.0 }
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::Boltzmann { tau: 100.0 },
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             hot[a.index()] += 1;
         }
         assert!(
@@ -366,28 +542,26 @@ mod tests {
         let mut rng = seeded(12);
         // ε = 0: always the best.
         for _ in 0..50 {
-            let a = SelectionPolicy::ClassicEpsilon { epsilon: 0.0 }
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::ClassicEpsilon { epsilon: 0.0 },
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             assert_eq!(a, id(1));
         }
         // ε = 1: never the best (uniform over the rest).
         for _ in 0..50 {
-            let a = SelectionPolicy::ClassicEpsilon { epsilon: 1.0 }
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::ClassicEpsilon { epsilon: 1.0 },
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             assert_ne!(a, id(1));
         }
     }
@@ -423,15 +597,14 @@ mod tests {
         let mut rng = seeded(13);
         // All actions have AMAF data, so UCT must go straight to UCB
         // scoring instead of the unvisited-first sweep.
-        let got = SelectionPolicy::uct()
-            .select(
-                t.node(Tree::ROOT),
-                &[id(0), id(1), id(2)],
-                &[],
-                Some(&table),
-                &mut rng,
-            )
-            .unwrap();
+        let got = select_any(
+            SelectionPolicy::uct(),
+            t.node(Tree::ROOT),
+            &[],
+            Some(&table),
+            &mut rng,
+        )
+        .unwrap();
         assert!([id(0), id(1), id(2)].contains(&got));
     }
 
@@ -450,15 +623,14 @@ mod tests {
         let mut rng = seeded(6);
         let mut seen = [false; 3];
         for _ in 0..200 {
-            let a = SelectionPolicy::EpsilonGreedyPrior
-                .select(
-                    t.node(Tree::ROOT),
-                    &[id(0), id(1), id(2)],
-                    &priors,
-                    None,
-                    &mut rng,
-                )
-                .unwrap();
+            let a = select_any(
+                SelectionPolicy::EpsilonGreedyPrior,
+                t.node(Tree::ROOT),
+                &priors,
+                None,
+                &mut rng,
+            )
+            .unwrap();
             seen[a.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));

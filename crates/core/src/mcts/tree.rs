@@ -7,7 +7,6 @@
 
 use ixtune_common::{IndexId, IndexSet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Running statistics for one action at one node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -28,10 +27,11 @@ pub struct Node {
     pub visited: bool,
     /// `N(s)`: number of episodes that passed through this node.
     pub n_visits: u32,
-    /// Expanded children: action → node index.
-    pub children: HashMap<IndexId, usize>,
-    /// Statistics for actions taken at least once.
-    pub actions: HashMap<IndexId, ActionStats>,
+    /// Expanded children as (action, node index), sorted by action.
+    pub children: Vec<(IndexId, usize)>,
+    /// Statistics for actions taken at least once, sorted by action, so
+    /// selection merges them with its ascending action walk in one pass.
+    pub actions: Vec<(IndexId, ActionStats)>,
 }
 
 impl Node {
@@ -40,19 +40,34 @@ impl Node {
             config,
             visited: false,
             n_visits: 0,
-            children: HashMap::new(),
-            actions: HashMap::new(),
+            children: Vec::new(),
+            actions: Vec::new(),
         }
+    }
+
+    /// The child reached by action `a`, if expanded.
+    pub(crate) fn child(&self, a: IndexId) -> Option<usize> {
+        self.children
+            .binary_search_by_key(&a, |&(b, _)| b)
+            .ok()
+            .map(|i| self.children[i].1)
+    }
+
+    fn stats(&self, a: IndexId) -> Option<&ActionStats> {
+        self.actions
+            .binary_search_by_key(&a, |&(b, _)| b)
+            .ok()
+            .map(|i| &self.actions[i].1)
     }
 
     /// `Q̂(s, a)` if the action has been taken, else `None`.
     pub fn q_value(&self, a: IndexId) -> Option<f64> {
-        self.actions.get(&a).map(|s| s.q)
+        self.stats(a).map(|s| s.q)
     }
 
     /// `n(s, a)`.
     pub fn action_visits(&self, a: IndexId) -> u32 {
-        self.actions.get(&a).map_or(0, |s| s.n)
+        self.stats(a).map_or(0, |s| s.n)
     }
 
     /// Depth of the state in the tree = configuration size.
@@ -92,13 +107,17 @@ impl Tree {
     /// `GetOrCreateNextState` of Algorithm 3: the child of `node` reached by
     /// `action`, created (expansion) if absent.
     pub fn get_or_create_child(&mut self, node: usize, action: IndexId) -> usize {
-        if let Some(&c) = self.nodes[node].children.get(&action) {
-            return c;
-        }
+        let at = match self.nodes[node]
+            .children
+            .binary_search_by_key(&action, |&(a, _)| a)
+        {
+            Ok(i) => return self.nodes[node].children[i].1,
+            Err(at) => at,
+        };
         let config = self.nodes[node].config.with(action);
         let child = self.nodes.len();
         self.nodes.push(Node::new(config));
-        self.nodes[node].children.insert(action, child);
+        self.nodes[node].children.insert(at, (action, child));
         child
     }
 
@@ -108,7 +127,14 @@ impl Tree {
         for &(node, action) in path {
             let n = &mut self.nodes[node];
             n.n_visits += 1;
-            let stats = n.actions.entry(action).or_default();
+            let i = match n.actions.binary_search_by_key(&action, |&(a, _)| a) {
+                Ok(i) => i,
+                Err(at) => {
+                    n.actions.insert(at, (action, ActionStats::default()));
+                    at
+                }
+            };
+            let stats = &mut n.actions[i].1;
             stats.n += 1;
             stats.q += (reward - stats.q) / stats.n as f64;
         }
@@ -123,7 +149,8 @@ impl Tree {
     }
 
     /// Serializable image for checkpoint/resume. Nodes are captured in
-    /// arena order, children/actions in sorted `IndexId` order. A node's
+    /// arena order, children/actions as the node keeps them: sorted by
+    /// action. A node's
     /// configuration is not stored: it is its parent's plus the action on
     /// the link between them, so [`from_snapshot`](Self::from_snapshot)
     /// rebuilds it. Restoring reproduces the arena *indices* exactly, so a
@@ -133,19 +160,11 @@ impl Tree {
         let nodes = self
             .nodes
             .iter()
-            .map(|n| {
-                let mut children: Vec<(IndexId, usize)> =
-                    n.children.iter().map(|(&a, &c)| (a, c)).collect();
-                children.sort_unstable_by_key(|&(a, _)| a);
-                let mut actions: Vec<(IndexId, ActionStats)> =
-                    n.actions.iter().map(|(&a, &s)| (a, s)).collect();
-                actions.sort_unstable_by_key(|&(a, _)| a);
-                NodeSnapshot {
-                    visited: n.visited,
-                    n_visits: n.n_visits,
-                    children,
-                    actions,
-                }
+            .map(|n| NodeSnapshot {
+                visited: n.visited,
+                n_visits: n.n_visits,
+                children: n.children.clone(),
+                actions: n.actions.clone(),
             })
             .collect();
         TreeSnapshot { nodes }
@@ -156,8 +175,10 @@ impl Tree {
     /// Every node but the root must be the child of exactly one earlier
     /// node, through an action inside the universe and outside that
     /// parent's configuration; configurations are rebuilt from those
-    /// links in arena order. Anything else is an error, so every restored
-    /// tree is finite and its depths equal its configuration sizes.
+    /// links in arena order. Action statistics must name distinct
+    /// candidates of the universe in ascending order, as the node keeps
+    /// them. Anything else is an error, so every restored tree is finite,
+    /// its depths equal its configuration sizes, and its lists are sorted.
     pub fn from_snapshot(s: &TreeSnapshot, universe: usize) -> Result<Tree, String> {
         let len = s.nodes.len();
         if len == 0 {
@@ -188,6 +209,12 @@ impl Tree {
                     "node {i} has statistics for action {a} outside {universe} candidates"
                 ));
             }
+            if let Some(w) = n.actions.windows(2).find(|w| w[0].0 >= w[1].0) {
+                return Err(format!(
+                    "node {i} lists statistics for action {} after action {} (repeated or unsorted)",
+                    w[1].0, w[0].0
+                ));
+            }
         }
         let mut nodes: Vec<Node> = Vec::with_capacity(len);
         for (i, n) in s.nodes.iter().enumerate() {
@@ -208,8 +235,8 @@ impl Tree {
                 config,
                 visited: n.visited,
                 n_visits: n.n_visits,
-                children: n.children.iter().copied().collect(),
-                actions: n.actions.iter().copied().collect(),
+                children: n.children.clone(),
+                actions: n.actions.clone(),
             });
         }
         Ok(Tree { nodes })
@@ -317,8 +344,8 @@ mod tests {
             assert_eq!(a.n_visits, b.n_visits);
             assert_eq!(a.children, b.children);
             assert_eq!(a.actions.len(), b.actions.len());
-            for (act, st) in &a.actions {
-                let rs = b.actions[act];
+            for ((act, st), (ract, rs)) in a.actions.iter().zip(&b.actions) {
+                assert_eq!(act, ract);
                 assert_eq!(st.n, rs.n);
                 assert_eq!(st.q.to_bits(), rs.q.to_bits());
             }
@@ -385,6 +412,46 @@ mod tests {
         // Action statistics must name candidates of the universe.
         let mut snap = chain();
         snap.nodes[0].actions.push((id(9), ActionStats::default()));
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+    }
+
+    /// A root with statistics for actions 1 and 2, snapshotted.
+    fn two_actions() -> TreeSnapshot {
+        let mut t = Tree::new(4);
+        for a in [2, 1] {
+            let c = t.get_or_create_child(Tree::ROOT, id(a));
+            t.update_path(&[(Tree::ROOT, id(a))], c, 0.5);
+        }
+        t.snapshot()
+    }
+
+    #[test]
+    fn lists_stay_sorted_by_action() {
+        let snap = two_actions();
+        let root = &snap.nodes[0];
+        assert_eq!(root.children, vec![(id(1), 2), (id(2), 1)]);
+        assert_eq!(
+            root.actions.iter().map(|&(a, _)| a).collect::<Vec<_>>(),
+            vec![id(1), id(2)]
+        );
+        let t = Tree::from_snapshot(&snap, 4).unwrap();
+        assert_eq!(t.node(Tree::ROOT).child(id(2)), Some(1));
+        assert_eq!(t.node(Tree::ROOT).child(id(3)), None);
+    }
+
+    #[test]
+    fn from_snapshot_rejects_repeated_action_statistics() {
+        let mut snap = two_actions();
+        assert!(Tree::from_snapshot(&snap, 4).is_ok());
+        let first = snap.nodes[0].actions[0];
+        snap.nodes[0].actions.insert(1, first);
+        assert!(Tree::from_snapshot(&snap, 4).is_err());
+    }
+
+    #[test]
+    fn from_snapshot_rejects_unsorted_action_statistics() {
+        let mut snap = two_actions();
+        snap.nodes[0].actions.reverse();
         assert!(Tree::from_snapshot(&snap, 4).is_err());
     }
 

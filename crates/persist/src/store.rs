@@ -437,10 +437,12 @@ impl Persist {
         Ok(AppendOutcome { bytes, synced })
     }
 
-    /// Flush any unsynced batch to stable storage.
+    /// Flush any unsynced batch to stable storage. A no-op under
+    /// [`Durability::Never`], like append and compaction: a disk the
+    /// degradation ladder demoted for failing fsyncs gets no more.
     pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("persist lock");
-        if inner.unsynced_records > 0 {
+        if inner.durability != Durability::Never && inner.unsynced_records > 0 {
             if inner.faulted(fault_site::FSYNC) {
                 return Err(injected(fault_site::FSYNC));
             }
@@ -758,6 +760,27 @@ mod tests {
         }
         assert_eq!(p.stats().fsyncs_total, fsyncs, "no fsyncs after demotion");
         assert_eq!(p.stats().durability, Durability::Never);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn sync_under_never_does_not_fsync() {
+        let dir = temp_dir("never-sync");
+        let (p, _, _) = Persist::open(&dir, Durability::Never).unwrap();
+        for i in 0..3 {
+            p.append(&submit(i)).unwrap();
+        }
+        p.sync().unwrap();
+        assert_eq!(p.stats().fsyncs_total, 0, "a clean shutdown's flush");
+        drop(p);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // Nor on a store the ladder demoted with records still unsynced.
+        let (p, _, _) = Persist::open(&dir, Durability::Batch).unwrap();
+        p.append(&submit(0)).unwrap();
+        p.set_durability(Durability::Never);
+        p.sync().unwrap();
+        assert_eq!(p.stats().fsyncs_total, 0);
         fs::remove_dir_all(dir).unwrap();
     }
 
