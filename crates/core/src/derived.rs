@@ -42,20 +42,18 @@ pub struct WhatIfCache {
     singleton: Vec<Vec<f64>>,
     /// Multi-index entries per query, sorted by ascending cost.
     multi: Vec<Vec<(IndexSet, f64)>>,
-    /// Inverted postings: `postings[q][i]` = ascending positions into
-    /// `multi[q]` of entries containing index `i`. Because `multi` is
-    /// sorted by cost, position order *is* cost order, so
+    /// Inverted postings: `postings[q][i]` = the interned ids (the keys of
+    /// `exact[q]`) of row `q`'s multi entries that contain index `i`, in
+    /// the row's `multi` order: ascending cost, an entry ahead of the
+    /// equal-cost entries stored before it. So
     /// [`derived_with_extra`](Self::derived_with_extra) can scan only the
-    /// entries that mention `extra` and still early-exit on cost. Rows are
-    /// lazily sized: a row with no multi entries stays an empty `Vec`
-    /// instead of holding `universe` empty postings lists — materializing
-    /// `queries × universe` headers up front dominates cache construction
-    /// on large workloads.
+    /// entries that mention `extra` and still early-exit on cost. An
+    /// insert touches only its members' lists. Rows are lazily sized: a
+    /// row with no multi entries stays an empty `Vec` instead of holding
+    /// `universe` empty postings lists — materializing `queries ×
+    /// universe` headers up front dominates cache construction on large
+    /// workloads.
     postings: Vec<Vec<Vec<u32>>>,
-    /// Per query, the candidates whose postings list is non-empty (the
-    /// members of some multi entry), in first-insert order: an insert
-    /// shifts only these lists, not all `universe` of them.
-    posted: Vec<Vec<u32>>,
     /// Exact multi-entry lookup per query, keyed by the interned id of the
     /// configuration (see `interner`) — an integer open-addressed probe
     /// instead of hashing a block bitset per lookup. Singletons have their
@@ -96,7 +94,6 @@ impl Clone for WhatIfCache {
             singleton: self.singleton.clone(),
             multi: self.multi.clone(),
             postings: self.postings.clone(),
-            posted: self.posted.clone(),
             exact: self.exact.clone(),
             max_multi_size: self.max_multi_size.clone(),
             interner: self.interner.clone(),
@@ -121,7 +118,6 @@ impl WhatIfCache {
             singleton: vec![vec![f64::NAN; universe]; m],
             multi: vec![Vec::new(); m],
             postings: vec![Vec::new(); m],
-            posted: vec![Vec::new(); m],
             exact: vec![IdCostMap::new(); m],
             max_multi_size: vec![0; m],
             interner: ConfigInterner::new(),
@@ -237,28 +233,14 @@ impl WhatIfCache {
             if postings.is_empty() {
                 postings.resize(self.universe, Vec::new());
             }
-            // Maintain the inverted postings: positions at or past the
-            // insertion point shift by one (lists stay sorted), then the
-            // new position joins each member's list. Only the lists of
-            // candidates some entry contains hold positions, so only those
-            // shift. Puts are bounded by the budget; probes are not — so
-            // this is the cheap side.
-            let p = pos as u32;
-            let posted = &mut self.posted[qi];
-            for &i in posted.iter() {
-                let slot = &mut postings[i as usize];
-                let from = slot.partition_point(|&v| v < p);
-                for v in &mut slot[from..] {
-                    *v += 1;
-                }
-            }
+            // The new id joins its members' lists only, where `multi`'s
+            // partition point put the entry: after every cheaper entry,
+            // ahead of the equal-cost ones. No other list changes.
+            let exact = &self.exact[qi];
+            let cheaper = |e: &u32| exact.get(*e).is_some_and(|c| c < cost);
             for id in config.iter() {
                 let slot = &mut postings[id.index()];
-                if slot.is_empty() {
-                    posted.push(id.index() as u32);
-                }
-                let at = slot.partition_point(|&v| v < p);
-                slot.insert(at, p);
+                slot.insert(slot.partition_point(cheaper), key);
             }
         }
         self.stored += 1;
@@ -345,6 +327,11 @@ impl WhatIfCache {
     /// `c(q, ∅)`, then the known singleton costs of `members` (the ids of
     /// `config`, ascending), then the stored multi entries inside
     /// `config`.
+    ///
+    /// Precondition: the caller has probed the row's exact map for
+    /// `config` and missed. A multi entry holds two or more ids, so one
+    /// fits in a configuration of two only if it equals it, which the
+    /// probe ruled out; the multi-entry scan runs from three members up.
     fn derive_row(
         &self,
         qi: usize,
@@ -362,9 +349,10 @@ impl WhatIfCache {
             }
         }
         // Multi entries hold two or more ids, so none fits in a smaller
-        // configuration. They are sorted ascending, so stop once entries
-        // can no longer improve.
-        if size >= 2 {
+        // configuration, and a configuration of two holds only itself (see
+        // the precondition). They are sorted ascending, so stop once
+        // entries can no longer improve.
+        if size >= 3 {
             for (set, cost) in &self.multi[qi] {
                 if *cost >= best {
                     break;
@@ -463,8 +451,10 @@ impl WhatIfCache {
     /// Exploits `d(q, C ∪ {x}) = min(d(q,C), c(q,{x}), min over known
     /// entries that contain x and fit in C ∪ {x})`. The inverted postings
     /// narrow the scan to exactly the multi entries containing `extra`, in
-    /// ascending-cost order, so the early exit still applies; the subset
-    /// test runs block-wise without materializing `set \ {extra}`.
+    /// the row's `multi` order, so the early exit still applies. Each
+    /// posting is an interned id: its cost is read from the row's exact
+    /// map and its set from the interner. The subset test runs block-wise
+    /// without materializing `set \ {extra}`.
     ///
     /// Returns bit-for-bit the same value as a linear scan of every multi
     /// entry (the oracle in `tests/derivation_state_props.rs`): both visit
@@ -502,15 +492,15 @@ impl WhatIfCache {
             // No multi entries for this row (postings never materialized).
             return best;
         }
-        let list = &self.multi[qi];
-        for &pos in &prow[extra.index()] {
-            let (set, cost) = &list[pos as usize];
-            if *cost >= best {
+        let exact = &self.exact[qi];
+        for &e in &prow[extra.index()] {
+            let cost = exact.get(e).expect("a posted id is a key of its row");
+            if cost >= best {
                 break;
             }
             // set ⊆ C ∪ {extra} ⇔ set \ {extra} ⊆ C.
-            if set.is_subset_except(config, extra) {
-                best = *cost;
+            if self.interner.resolve(e).is_subset_except(config, extra) {
+                best = cost;
             }
         }
         best

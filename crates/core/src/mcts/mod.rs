@@ -25,7 +25,7 @@ use extract::Extraction;
 use ixtune_common::rng::{derive, weighted_choice};
 use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use policy::{Priors, SelectBuffers, SelectionPolicy};
+use policy::{DrawLists, Priors, SelectBuffers, SelectionPolicy};
 use rand::rngs::StdRng;
 use rollout::RolloutPolicy;
 use tree::Tree;
@@ -151,6 +151,8 @@ impl MctsTuner {
         buffers: &mut EpisodeBuffers,
     ) -> bool {
         // --- Selection / expansion (SampleConfiguration) ---
+        // ε-greedy without RAVE draws from the lists nodes keep.
+        let keeps_draws = amaf.is_none() && self.selection == SelectionPolicy::EpsilonGreedyPrior;
         let mut path: Vec<(usize, IndexId)> = Vec::new();
         let mut node = Tree::ROOT;
         let (config, via_rollout) = loop {
@@ -173,14 +175,15 @@ impl MctsTuner {
                 break (n.config.clone(), false);
             }
             let filter = constraints.extension_filter(ctx, &n.config);
-            let Some(action) = self.selection.select(
-                n,
-                |a| filter.admits(ctx, a),
-                priors,
-                amaf.as_ref(),
-                rng,
-                &mut buffers.select,
-            ) else {
+            let admits = |a| filter.admits(ctx, a);
+            let buf = &mut buffers.select;
+            let action = if keeps_draws {
+                buffers.draws.select(node, n, admits, priors, rng, buf)
+            } else {
+                self.selection
+                    .select(n, admits, priors, amaf.as_ref(), rng, buf)
+            };
+            let Some(action) = action else {
                 break (n.config.clone(), false);
             };
             let child = tree.get_or_create_child(node, action);
@@ -206,6 +209,7 @@ impl MctsTuner {
             0.0
         };
         tree.update_path(&path, node, reward);
+        buffers.draws.backup(tree, &path);
         if let Some(table) = amaf {
             table.update(&config, reward);
         }
@@ -219,20 +223,24 @@ impl MctsTuner {
 }
 
 /// Reusable per-episode scratch buffers, hoisted into [`MctsTuner::run`] so
-/// the episode loop allocates nothing per episode.
+/// the episode loop allocates nothing per episode, and the ε-greedy draw
+/// lists the tree's nodes keep (derived from the tree and the priors, so
+/// a resumed session starts without them and rebuilds them on demand).
 #[derive(Default)]
 struct EpisodeBuffers {
     /// Per-query derived costs for `EvaluateCostWithBudget`.
     derived: Vec<f64>,
     /// Tree selection's action and weight lists.
     select: SelectBuffers,
+    /// The ε-greedy draw lists kept per arena node (without RAVE).
+    draws: DrawLists,
 }
 
 /// The full mutable state of one MCTS search between episodes. Everything
 /// here — plus the [`MeteredWhatIf`] it runs against — is what a checkpoint
 /// must capture for a suspended session to resume bit-identically (scratch
 /// buffers are cleared before every use, so they carry nothing across
-/// episodes).
+/// episodes, and the kept draw lists are rebuilt from this state).
 pub(crate) struct MctsState {
     rng: StdRng,
     priors: Priors,

@@ -11,10 +11,12 @@
 //! The actions admissible at a node are the candidates outside its
 //! configuration that the caller's filter admits, in ascending order.
 //! Without RAVE, the ε-greedy draw weighs only the positive-weight ones
-//! (see [`SelectionPolicy::select`]); every other policy builds the whole
-//! list, in one pass into [`SelectBuffers`].
+//! (see [`SelectionPolicy::select`]), and the MCTS episode loop keeps that
+//! list per node once the node is selected from again ([`DrawLists`]);
+//! every other policy builds the whole list, in one pass into
+//! [`SelectBuffers`].
 
-use crate::mcts::tree::Node;
+use crate::mcts::tree::{Node, Tree};
 use ixtune_common::rng::{sampling_weight, weighted_choice};
 use ixtune_common::IndexId;
 use rand::prelude::IndexedRandom;
@@ -244,10 +246,8 @@ impl SelectionPolicy {
 }
 
 /// The ε-greedy draw of [`SelectionPolicy::select`] without RAVE: the
-/// arithmetic of [`weighted_choice`] over the admissible actions of
-/// positive weight, collected into `draw` by an ascending merge of the
-/// positive-prior candidates and the node's observed actions (an observed
-/// action weighs its `Q̂`, any other its prior).
+/// arithmetic of [`weighted_choice`] over the node's draw list (see
+/// [`build_draw`]), collected into `draw`.
 fn epsilon_greedy<R: Rng>(
     node: &Node,
     admits: &impl Fn(IndexId) -> bool,
@@ -255,6 +255,21 @@ fn epsilon_greedy<R: Rng>(
     rng: &mut R,
     draw: &mut Vec<(IndexId, f64)>,
 ) -> Option<IndexId> {
+    build_draw(node, admits, priors, draw);
+    draw_from(node, admits, draw, left_sum(draw), rng)
+}
+
+/// Collect `node`'s ε-greedy draw list into `draw`: its admissible
+/// actions of positive weight, as (action, weight) pairs in ascending
+/// order, by an ascending merge of the positive-prior candidates and the
+/// node's observed actions (an observed action weighs its `Q̂`, any other
+/// its prior).
+fn build_draw(
+    node: &Node,
+    admits: &impl Fn(IndexId) -> bool,
+    priors: &Priors,
+    draw: &mut Vec<(IndexId, f64)>,
+) {
     draw.clear();
     let mut prior = priors.positive.iter().copied().peekable();
     let mut observed = node.actions.iter().peekable();
@@ -282,8 +297,26 @@ fn epsilon_greedy<R: Rng>(
             draw.push((a, w));
         }
     }
+}
+
+/// The left-to-right sum of a draw list's weights: the total
+/// [`weighted_choice`] reaches over the whole admissible list.
+fn left_sum(draw: &[(IndexId, f64)]) -> f64 {
+    draw.iter().map(|&(_, w)| w).sum()
+}
+
+/// [`weighted_choice`]'s arithmetic over a draw list and its `total`,
+/// with its two exceptions: when every weight is zero the action is
+/// uniform over the admissible count, and a draw of exactly 0.0 returns
+/// the first admissible action whatever its weight.
+fn draw_from<R: Rng>(
+    node: &Node,
+    admits: &impl Fn(IndexId) -> bool,
+    draw: &[(IndexId, f64)],
+    total: f64,
+    rng: &mut R,
+) -> Option<IndexId> {
     let admissible = || node.config.complement_iter().filter(|&a| admits(a));
-    let total: f64 = draw.iter().map(|&(_, w)| w).sum();
     if total <= 0.0 {
         // Every weight is zero: uniform over the admissible actions.
         let count = admissible().count();
@@ -297,7 +330,7 @@ fn epsilon_greedy<R: Rng>(
         // The full scan stops at its first element, whatever its weight.
         return admissible().next();
     }
-    for &(a, w) in draw.iter() {
+    for &(a, w) in draw {
         target -= w;
         if target <= 0.0 {
             return Some(a);
@@ -305,6 +338,111 @@ fn epsilon_greedy<R: Rng>(
     }
     // Floating-point slack: the last positive-weight action.
     draw.last().map(|&(a, _)| a)
+}
+
+/// The ε-greedy draw lists (without RAVE) that tree nodes keep between
+/// selections, one slot per arena node.
+///
+/// A node keeps its list once its `n_visits` reaches [`KEEP_AT`]
+/// (for a node other than the root, its second selection); a node
+/// below that draws as [`SelectionPolicy::select`] does and keeps
+/// nothing, since about half of the nodes are selected from only once.
+/// A kept list is the one a fresh build would collect now: it depends
+/// only on the node's statistics, the priors (fixed after the priors
+/// phase) and the node's admission filter (fixed per node), and a
+/// backup changes one statistic, which [`backup`](Self::backup) applies.
+/// So a draw from a kept list is the draw `select` would make, action
+/// for action and generator state for generator state.
+///
+/// The lists are derived state, like the positive-prior list of
+/// [`Priors`]: neither the tree snapshot nor the checkpoint holds them,
+/// and a resumed session rebuilds them on demand.
+///
+/// [`KEEP_AT`]: Self::KEEP_AT
+#[derive(Debug, Default)]
+pub struct DrawLists {
+    lists: Vec<Option<DrawList>>,
+}
+
+/// One node's kept draw list and the left-to-right sum of its weights.
+/// The list is stored at its exact size, without growth slack: one
+/// Real-M session's lists can hold about a million entries.
+#[derive(Debug)]
+struct DrawList {
+    entries: Vec<(IndexId, f64)>,
+    total: f64,
+}
+
+impl DrawLists {
+    /// The `n_visits` at which a node starts keeping its draw list.
+    pub const KEEP_AT: u32 = 2;
+
+    /// The ε-greedy draw at arena node `at` (whose state is `node`),
+    /// without RAVE: from the node's kept list, which is built first if
+    /// the node has reached [`KEEP_AT`](Self::KEEP_AT) and keeps none
+    /// yet, or as `select` draws for a node below it (`buf` is the
+    /// scratch it builds into).
+    pub fn select<R: Rng>(
+        &mut self,
+        at: usize,
+        node: &Node,
+        admits: impl Fn(IndexId) -> bool,
+        priors: &Priors,
+        rng: &mut R,
+        buf: &mut SelectBuffers,
+    ) -> Option<IndexId> {
+        if node.n_visits < Self::KEEP_AT {
+            return epsilon_greedy(node, &admits, priors, rng, &mut buf.draw);
+        }
+        if self.lists.len() <= at {
+            self.lists.resize_with(at + 1, || None);
+        }
+        let list = self.lists[at].get_or_insert_with(|| {
+            build_draw(node, &admits, priors, &mut buf.draw);
+            DrawList {
+                entries: buf.draw.as_slice().into(),
+                total: left_sum(&buf.draw),
+            }
+        });
+        draw_from(node, &admits, &list.entries, list.total, rng)
+    }
+
+    /// Apply the backup of an episode along `path` (pairs of arena node
+    /// and the action taken there), after [`Tree::update_path`]: at each
+    /// node that keeps a list, the action backed up there now weighs
+    /// `sampling_weight(Q̂.max(0))`. A positive weight replaces its entry
+    /// or is inserted at its ascending place; a zero weight removes it.
+    /// The total is then re-summed left to right, so its bits equal those
+    /// of a fresh build.
+    pub fn backup(&mut self, tree: &Tree, path: &[(usize, IndexId)]) {
+        for &(at, action) in path {
+            let Some(Some(list)) = self.lists.get_mut(at) else {
+                continue;
+            };
+            let q = tree.node(at).q_value(action).unwrap_or(0.0);
+            let w = sampling_weight(q.max(0.0));
+            match list.entries.binary_search_by_key(&action, |&(a, _)| a) {
+                Ok(i) if w > 0.0 => list.entries[i].1 = w,
+                Ok(i) => {
+                    list.entries.remove(i);
+                }
+                Err(i) if w > 0.0 => {
+                    list.entries.reserve_exact(1);
+                    list.entries.insert(i, (action, w));
+                }
+                Err(_) => continue,
+            }
+            list.total = left_sum(&list.entries);
+        }
+    }
+
+    /// The list arena node `at` keeps, with its total, if it keeps one.
+    pub fn kept(&self, at: usize) -> Option<(&[(IndexId, f64)], f64)> {
+        self.lists
+            .get(at)?
+            .as_ref()
+            .map(|l| (l.entries.as_slice(), l.total))
+    }
 }
 
 /// All-moves-as-first statistics for RAVE (Gelly & Silver \[33\], pointed at

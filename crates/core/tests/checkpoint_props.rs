@@ -23,7 +23,7 @@ use ixtune_candidates::{generate_default, CandidateSet};
 use ixtune_core::checkpoint::MctsCheckpoint;
 use ixtune_core::prelude::*;
 use ixtune_optimizer::{CostModel, SimulatedOptimizer};
-use ixtune_workload::gen::synth;
+use ixtune_workload::gen::{synth, tpch};
 use proptest::prelude::*;
 
 fn context(seed: u64) -> (SimulatedOptimizer, CandidateSet) {
@@ -183,6 +183,31 @@ proptest! {
             let unarmed = tuner.tune_with_stop(&ctx, &req, &StopSignal::never());
             prop_identical(&plain, &unarmed)?;
         }
+    }
+}
+
+/// A TPC-H session of a few hundred calls, suspended every `pause` calls
+/// once its priors are bought: every resume lands after tree nodes have
+/// started keeping ε-greedy draw lists, which no checkpoint holds, and
+/// the result still equals the uninterrupted run.
+#[test]
+fn tpch_resumes_after_nodes_keep_draw_lists() {
+    let inst = tpch::generate(1.0);
+    let cands = generate_default(&inst);
+    let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+    let ctx = TuningContext::new(&opt, &cands);
+    let tuner = MctsTuner::default();
+    let req = TuningRequest::cardinality(5, 400).with_seed(3);
+    let uninterrupted = tuner.tune(&ctx, &req);
+    assert_eq!(uninterrupted.calls_used, 400);
+    let priors = ixtune_core::mcts::priors::priors_budget(400, &ctx);
+    for pause in [37, 64] {
+        let (resumed, suspensions) = run_with_suspensions(&tuner, &ctx, &req, pause);
+        prop_identical(&uninterrupted, &resumed).unwrap();
+        assert!(
+            suspensions >= (400 - priors) / pause,
+            "pause={pause}: {suspensions} suspensions after {priors} prior calls"
+        );
     }
 }
 

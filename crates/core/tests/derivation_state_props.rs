@@ -75,7 +75,7 @@ fn linear_scan_with_extra(
     best
 }
 
-/// Out-of-cost-order inserts shift postings; the postings walk still
+/// Out-of-cost-order inserts land ahead of dearer postings; the walk still
 /// equals the linear scan and a fresh derivation of `C ∪ {x}`.
 #[test]
 fn with_extra_matches_scan_and_full_derivation() {
@@ -96,6 +96,88 @@ fn with_extra_matches_scan_and_full_derivation() {
             assert_eq!(fast, full, "cfg={cfg:?} extra={x:?}");
         }
     }
+}
+
+/// Every `derived_with_extra` walk of `cache`'s row `q` equals the
+/// linear scan, for each configuration of `configs` and each candidate
+/// outside it, starting from `d(q, C)` and from a few tighter bounds.
+fn assert_walks_equal_scan(cache: &WhatIfCache, q: QueryId, configs: &[IndexSet]) {
+    let universe = cache.universe();
+    for cfg in configs {
+        let cur = cache.derived(q, cfg);
+        for x in (0..universe)
+            .map(IndexId::from)
+            .filter(|&x| !cfg.contains(x))
+        {
+            for bound in [cur, 35.0, 25.0, 15.0] {
+                let fast = cache.derived_with_extra(q, cfg, x, bound);
+                let slow = linear_scan_with_extra(cache, q, cfg, x, bound);
+                assert_eq!(
+                    fast.to_bits(),
+                    slow.to_bits(),
+                    "cfg={cfg:?} extra={x:?} bound={bound}"
+                );
+            }
+        }
+    }
+}
+
+/// Postings hold interned ids in the row's `multi` order: an equal-cost
+/// entry lands ahead of the ones stored before it, and a cheaper entry
+/// lands ahead of dearer ones already in its members' lists. The walk
+/// for `x` then stops where the linear scan stops.
+#[test]
+fn postings_place_ties_and_cheaper_entries_like_multi() {
+    let set = |ids: &[usize]| IndexSet::from_ids(6, ids.iter().map(|&i| IndexId::from(i)));
+    let mut c = WhatIfCache::new(6, vec![100.0]);
+    let q = QueryId::new(0);
+    for (ids, cost) in [
+        (&[0, 1][..], 30.0),
+        (&[1, 2], 30.0),
+        (&[0, 1, 2], 30.0),
+        (&[2, 3], 40.0),
+        (&[0, 2], 20.0),
+        (&[1, 3, 4], 10.0),
+        (&[0, 3], 40.0),
+        (&[2, 5], 20.0),
+        (&[2], 25.0),
+        (&[4], 12.0),
+    ] {
+        assert!(c.put(q, &set(ids), cost));
+    }
+    let order: Vec<(IndexSet, f64)> = vec![
+        (set(&[1, 3, 4]), 10.0),
+        (set(&[2, 5]), 20.0),
+        (set(&[0, 2]), 20.0),
+        (set(&[0, 1, 2]), 30.0),
+        (set(&[1, 2]), 30.0),
+        (set(&[0, 1]), 30.0),
+        (set(&[0, 3]), 40.0),
+        (set(&[2, 3]), 40.0),
+    ];
+    assert_eq!(c.multi_entries(q), order.as_slice(), "ties land ahead");
+    let configs: Vec<IndexSet> = [
+        &[][..],
+        &[0],
+        &[1],
+        &[3],
+        &[0, 1],
+        &[1, 3],
+        &[0, 5],
+        &[1, 3, 5],
+        &[0, 1, 3],
+        &[0, 1, 3, 5],
+    ]
+    .iter()
+    .map(|ids| set(ids))
+    .collect();
+    assert_walks_equal_scan(&c, q, &configs);
+    // With `{2}` at 25, the walk for 2 from `{0}` must reach `{0, 2}` at
+    // 20, which was stored after the dearer `{1, 2}` and `{0, 1, 2}`.
+    assert_eq!(
+        c.derived_with_extra(q, &set(&[0]), IndexId::new(2), 100.0),
+        20.0
+    );
 }
 
 /// Per-query empty costs, per-(query, index) cost factors, and a batch of
@@ -229,6 +311,32 @@ proptest! {
                 checked.derived(q, &probe).to_bits(),
                 unchecked.derived(q, &probe).to_bits()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Costs from a handful of levels, so rows hold many equal-cost
+    /// entries, stored in random order (cheaper entries often after
+    /// dearer ones), with singletons that tighten the walk's bound: every
+    /// postings walk equals the linear scan.
+    #[test]
+    fn postings_walk_with_ties_equals_linear_scan(
+        entries in prop::collection::vec(
+            (0..QUERIES, prop::collection::vec(0..UNIVERSE, 1..5), 1..8u32),
+            0..48,
+        ),
+        probes in prop::collection::vec(prop::collection::vec(0..UNIVERSE, 0..6), 1..8),
+    ) {
+        let mut cache = WhatIfCache::new(UNIVERSE, vec![100.0; QUERIES]);
+        for (q, ids, level) in &entries {
+            cache.put(QueryId::from(*q), &build_set(ids), 10.0 * f64::from(*level));
+        }
+        let configs: Vec<IndexSet> = probes.iter().map(|ids| build_set(ids)).collect();
+        for q in 0..QUERIES {
+            assert_walks_equal_scan(&cache, QueryId::from(q), &configs);
         }
     }
 }

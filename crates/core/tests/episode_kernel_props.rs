@@ -1,16 +1,17 @@
 //! Identity tests for the per-episode MCTS kernels: the one-pass
 //! derivation of every query's cost (`WhatIfCache::derived_per_query`,
-//! and `derived_workload`, its sum)
-//! and the ε-greedy draw over positive-weight actions only
-//! (`SelectionPolicy::select`). Each is pinned, bit for bit, to the
-//! direct computation: `m` calls of `WhatIfCache::derived` (and Eq. 1
-//! written out here), and `weighted_choice` over the whole admissible
-//! action list.
+//! and `derived_workload`, its sum),
+//! the ε-greedy draw over positive-weight actions only
+//! (`SelectionPolicy::select`) and the draw lists nodes keep between
+//! selections (`DrawLists`). Each is pinned, bit for bit, to the direct
+//! computation: `m` calls of `WhatIfCache::derived` (and Eq. 1 written
+//! out here), `weighted_choice` over the whole admissible action list,
+//! and a fresh build of the list after every backup.
 
 use ixtune_candidates::generate_default;
-use ixtune_common::rng::{seeded, weighted_choice};
+use ixtune_common::rng::{sampling_weight, seeded, weighted_choice};
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use ixtune_core::mcts::policy::{Priors, SelectBuffers};
+use ixtune_core::mcts::policy::{DrawLists, Priors, SelectBuffers};
 use ixtune_core::mcts::tree::{Node, Tree};
 use ixtune_core::{Constraints, SelectionPolicy, TuningContext, WhatIfCache};
 use ixtune_optimizer::{CostModel, SimulatedOptimizer};
@@ -359,5 +360,246 @@ fn a_storage_filter_draws_like_the_full_list() {
             )
             .unwrap();
         }
+    }
+}
+
+/// A node's draw list written out: its admissible actions of positive
+/// weight (observed `Q̂`, else the prior, clamped at 0), ascending, and
+/// their left-to-right sum.
+fn fresh_list(
+    node: &Node,
+    admits: &impl Fn(IndexId) -> bool,
+    priors: &[f64],
+) -> (Vec<(IndexId, f64)>, f64) {
+    let list: Vec<(IndexId, f64)> = node
+        .config
+        .complement_iter()
+        .filter(|&a| admits(a))
+        .map(|a| {
+            let value = match node.q_value(a) {
+                Some(q) => q.max(0.0),
+                None => priors.get(a.index()).copied().unwrap_or(0.0).max(0.0),
+            };
+            (a, sampling_weight(value))
+        })
+        .filter(|&(_, w)| w > 0.0)
+        .collect();
+    let total = list.iter().map(|&(_, w)| w).sum();
+    (list, total)
+}
+
+/// Every list `draws` keeps equals a fresh build at its node: same
+/// entries, same weight bits, same total bits.
+fn assert_kept_lists_fresh(
+    tree: &Tree,
+    draws: &DrawLists,
+    admits: &impl Fn(&IndexSet, IndexId) -> bool,
+    priors: &[f64],
+) -> Result<(), TestCaseError> {
+    for at in 0..tree.len() {
+        let node = tree.node(at);
+        let Some((entries, total)) = draws.kept(at) else {
+            continue;
+        };
+        prop_assert!(node.n_visits >= DrawLists::KEEP_AT, "node {at} kept early");
+        let (want, want_total) = fresh_list(node, &|a| admits(&node.config, a), priors);
+        let bits = |l: &[(IndexId, f64)]| -> Vec<(IndexId, u64)> {
+            l.iter().map(|&(a, w)| (a, w.to_bits())).collect()
+        };
+        prop_assert!(
+            bits(entries) == bits(&want),
+            "node {at}: {entries:?} != {want:?}"
+        );
+        prop_assert!(
+            total.to_bits() == want_total.to_bits(),
+            "node {at}: total {total} != {want_total}"
+        );
+    }
+    Ok(())
+}
+
+/// Whether the list arena node `at` keeps holds action `a` (`None`: the
+/// node keeps no list).
+fn holds(draws: &DrawLists, at: usize, a: IndexId) -> Option<bool> {
+    draws
+        .kept(at)
+        .map(|(l, _)| l.binary_search_by_key(&a, |&(b, _)| b).is_ok())
+}
+
+/// What the kept-list episodes covered.
+#[derive(Default)]
+struct Coverage {
+    /// Selections from a kept list.
+    kept_draws: usize,
+    /// Selections at nodes below the keeping threshold.
+    fresh_draws: usize,
+    /// Selections at a node whose every weight is zero.
+    all_zero: usize,
+    /// Backups that removed an entry from a kept list.
+    dropped: usize,
+    /// Backups that inserted an action absent from a kept list.
+    inserted: usize,
+}
+
+/// Runs MCTS-shaped episodes: from the root, draw through `DrawLists`
+/// until an unvisited leaf, a node at depth `k` or a node without an
+/// admissible action, back up the episode's reward, and update the kept
+/// lists. Each draw is checked against `SelectionPolicy::select` (same
+/// action, same generator state after it), and every kept list against a
+/// fresh build after each backup. `admits(config, a)` is the admission
+/// filter of the node whose configuration is `config`.
+fn run_kept_episodes(
+    universe: usize,
+    admits: impl Fn(&IndexSet, IndexId) -> bool,
+    priors: &[f64],
+    k: usize,
+    rewards: &[f64],
+    seed: u64,
+) -> Result<Coverage, TestCaseError> {
+    let wrapped = Priors::new(priors.to_vec());
+    let mut tree = Tree::new(universe);
+    let mut draws = DrawLists::default();
+    let mut buf = SelectBuffers::default();
+    let mut oracle_buf = SelectBuffers::default();
+    let mut rng = seeded(seed);
+    let mut cov = Coverage::default();
+    for &reward in rewards {
+        let mut path = Vec::new();
+        let mut at = Tree::ROOT;
+        loop {
+            let node = tree.node(at);
+            if (node.children.is_empty() && !node.visited && at != Tree::ROOT)
+                || node.config.len() >= k
+            {
+                break;
+            }
+            let filter = |a| admits(&node.config, a);
+            let mut oracle = rng.clone();
+            let want = SelectionPolicy::EpsilonGreedyPrior.select(
+                node,
+                filter,
+                &wrapped,
+                None,
+                &mut oracle,
+                &mut oracle_buf,
+            );
+            let got = draws.select(at, node, filter, &wrapped, &mut rng, &mut buf);
+            prop_assert!(got == want, "node {at}: drew {got:?}, select drew {want:?}");
+            prop_assert!(rng == oracle, "generator state differs after node {at}");
+            if node.n_visits >= DrawLists::KEEP_AT {
+                cov.kept_draws += 1;
+            } else {
+                cov.fresh_draws += 1;
+            }
+            if fresh_list(node, &filter, priors).0.is_empty() {
+                cov.all_zero += 1;
+            }
+            let Some(action) = got else {
+                break;
+            };
+            path.push((at, action));
+            at = tree.get_or_create_child(at, action);
+        }
+        let before: Vec<Option<bool>> = path.iter().map(|&(n, a)| holds(&draws, n, a)).collect();
+        tree.update_path(&path, at, reward);
+        draws.backup(&tree, &path);
+        for (&(n, a), was) in path.iter().zip(before) {
+            match (was, holds(&draws, n, a)) {
+                (Some(true), Some(false)) => cov.dropped += 1,
+                (Some(false), Some(true)) => cov.inserted += 1,
+                _ => {}
+            }
+        }
+        assert_kept_lists_fresh(&tree, &draws, &admits, priors)?;
+    }
+    Ok(cov)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random sequences of selections and backups: 0.0 rewards (an entry
+    /// drops out), zero-prior actions that gain a positive value (an
+    /// entry is inserted), a size filter, all-zero nodes, and nodes below
+    /// the keeping threshold.
+    #[test]
+    fn kept_draw_lists_equal_a_fresh_build(
+        priors in prop::collection::vec((0..3u8, 0.0..1.0f64), UNIVERSE),
+        all_zero in any::<bool>(),
+        sizes in prop::collection::vec(1..10u64, UNIVERSE),
+        limit in (any::<bool>(), 8..60u64),
+        k in 1usize..4,
+        rewards in prop::collection::vec((0..3u8, 0.0..1.0f64), 1..48),
+        seed in any::<u64>(),
+    ) {
+        // One prior in three is positive (none when `all_zero`).
+        let priors: Vec<f64> = priors
+            .into_iter()
+            .map(|(on, p)| if on == 0 && !all_zero { p } else { 0.0 })
+            .collect();
+        // One reward in three is 0.0.
+        let rewards: Vec<f64> = rewards
+            .into_iter()
+            .map(|(on, r)| if on == 0 { 0.0 } else { r })
+            .collect();
+        // A storage-like filter: the node's size plus the action's.
+        let limit = limit.0.then_some(limit.1);
+        let admits = |config: &IndexSet, a: IndexId| {
+            limit.is_none_or(|l| {
+                config.iter().map(|i| sizes[i.index()]).sum::<u64>() + sizes[a.index()] <= l
+            })
+        };
+        run_kept_episodes(UNIVERSE, admits, &priors, k, &rewards, seed)?;
+    }
+}
+
+/// The proptest's cases, reached on purpose: a kept entry that drops out
+/// after 0.0 rewards, a zero-prior action whose positive reward inserts
+/// it, a node whose every weight is zero, and draws below the threshold.
+#[test]
+fn kept_lists_drop_and_insert_entries() {
+    let admits = |_: &IndexSet, a: IndexId| a.index() % 7 != 3;
+    // Every prior zero: the root draws uniformly until a positive reward
+    // inserts the action it backed up.
+    let priors = vec![0.0; UNIVERSE];
+    let mut rewards = vec![0.0; 3];
+    rewards.extend([0.6, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0]);
+    let cov = run_kept_episodes(UNIVERSE, admits, &priors, 2, &rewards, 5).unwrap();
+    assert!(cov.all_zero > 0 && cov.fresh_draws > 0 && cov.kept_draws > 0);
+    assert!(
+        cov.inserted > 0,
+        "a zero-prior action gains a positive value"
+    );
+    // A few positive priors and 0.0 rewards only: every action the root
+    // draws from its kept list drops out of it.
+    let mut priors = vec![0.0; UNIVERSE];
+    for i in [1, 9, 20, 44, 69] {
+        priors[i] = 0.25;
+    }
+    let cov = run_kept_episodes(UNIVERSE, admits, &priors, 1, &[0.0; 8], 9).unwrap();
+    assert!(cov.dropped > 0, "0.0 rewards drop entries");
+    assert!(cov.all_zero > 0, "the root's list empties");
+}
+
+#[test]
+fn kept_lists_follow_a_storage_filter() {
+    let inst = synth::instance(11);
+    let cands = generate_default(&inst);
+    let opt = SimulatedOptimizer::new(inst, cands.indexes.clone(), CostModel::default());
+    let ctx = TuningContext::new(&opt, &cands);
+    let n = ctx.universe();
+    let mut sorted: Vec<u64> = (0..n)
+        .map(|i| opt.candidate_size_bytes(IndexId::from(i)))
+        .collect();
+    sorted.sort_unstable();
+    // Room for about two median candidates.
+    let constraints = Constraints::with_storage(3, 2 * sorted[n / 2]);
+    let admits =
+        |config: &IndexSet, a: IndexId| constraints.extension_filter(&ctx, config).admits(&ctx, a);
+    let priors: Vec<f64> = (0..n).map(|i| [0.0, 0.1, 0.4][i % 3]).collect();
+    let rewards: Vec<f64> = (0..60).map(|e| [0.0, 0.2, 0.5, 0.05][e % 4]).collect();
+    for seed in 0..6 {
+        let cov = run_kept_episodes(n, admits, &priors, 3, &rewards, seed).unwrap();
+        assert!(cov.kept_draws > 0);
     }
 }
