@@ -166,7 +166,6 @@ fn bench_greedy_step(c: &mut Criterion) {
                         &admissible,
                         FrozenEval::Derive,
                         4,
-                        &ixtune_core::Obs::disabled(),
                     ))
                 })
             });
@@ -237,8 +236,8 @@ fn bench_warm_sessions(c: &mut Criterion) {
     // presence (interleaved WAL writes, page-cache and allocator
     // traffic) leaves the tuning hot path itself untouched, so the
     // floors must match the plain `coldstart-u*` baselines in
-    // BENCH_5.json. Append latency itself is observable via the
-    // `wal-append` span and `ixtune_persist_*` metrics instead.
+    // BENCH_5.json. The appends themselves are counted by the
+    // `ixtune_persist_*` metrics instead.
     if std::env::var("IXTUNE_BENCH_DURABLE").as_deref() == Ok("1") {
         use ixtune_persist::{Durability, Persist, Record, WarmBatch, WarmEntry};
 

@@ -411,11 +411,6 @@ impl<'a> MeteredWhatIf<'a> {
         Some(cost)
     }
 
-    /// The observability handle this client times calls into.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
     /// Whether this session degraded to derivation-only search after an
     /// injected (or real) what-if failure.
     pub fn degraded(&self) -> bool {
@@ -639,7 +634,7 @@ mod tests {
     #[test]
     fn observed_misses_are_timed_and_warm_answers_are_not() {
         use crate::warm::WarmStore;
-        use ixtune_obs::MetricsRegistry;
+        use ixtune_obs::{MetricsRegistry, TraceRecorder};
 
         let (opt, cands) = setup(3);
         let (m, n) = (opt.num_queries(), opt.num_candidates());
@@ -659,7 +654,11 @@ mod tests {
         let warm = Arc::new(WarmState::new(store.checkout("w", 0, m, n)));
         let registry = Arc::new(MetricsRegistry::new());
         let ctx = TuningContext::new(&opt, &cands)
-            .with_obs(Obs::enabled(Arc::clone(&registry), None, 0))
+            .with_obs(Obs::enabled(
+                Arc::clone(&registry),
+                Arc::new(TraceRecorder::new(16)),
+                0,
+            ))
             .with_warm(Arc::clone(&warm));
         let samples = || {
             let text = registry.render();

@@ -114,14 +114,12 @@ pub(crate) fn greedy_enumerate_metered(
     // cost; the estimate is free — no oracle call, just the running total.
     let base_total = state.total();
     let mut interrupt = None;
-    let obs = mw.obs().clone();
 
     while !remaining.is_empty() && state.config().len() < constraints.k {
         if let Some(i) = stop.poll(mw.meter().used()) {
             interrupt = Some(i);
             break;
         }
-        let step_t0 = obs.span_start();
         let filter = constraints.extension_filter(ctx, state.config());
         let queries_n = state.queries().len();
 
@@ -130,7 +128,6 @@ pub(crate) fn greedy_enumerate_metered(
         // per-query values sit in the derivation state's staged buffer.
         let mut serial_best: Option<(usize, f64)> = None;
         let mut kernel_best: Option<(usize, IndexId, f64)> = None;
-        let mut used_kernel = false;
         for (pos, &id) in remaining.iter().enumerate() {
             if (mw.meter().exhausted() || !mode.spends_budget())
                 && (remaining.len() - pos) * queries_n >= MIN_PARALLEL_WORK
@@ -154,11 +151,9 @@ pub(crate) fn greedy_enumerate_metered(
                     &admissible,
                     mode,
                     threads,
-                    &obs,
                 );
                 mw.note_parallel_scan(hits);
                 kernel_best = best;
-                used_kernel = true;
                 break;
             }
             if !filter.admits(ctx, id) {
@@ -194,7 +189,6 @@ pub(crate) fn greedy_enumerate_metered(
                     debug_assert_eq!(total.to_bits(), cost.to_bits());
                     remaining.swap_remove(pos);
                     state.commit_values(id, &winner_buf, cost);
-                    end_step_span(&obs, step_t0, state, id, used_kernel);
                     publish_step(stop, mw, state, base_total);
                 }
                 _ => break,
@@ -204,7 +198,6 @@ pub(crate) fn greedy_enumerate_metered(
                 Some((pos, cost)) if cost < state.total() => {
                     let id = remaining.swap_remove(pos);
                     state.commit_staged(id, cost);
-                    end_step_span(&obs, step_t0, state, id, used_kernel);
                     publish_step(stop, mw, state, base_total);
                 }
                 _ => break,
@@ -212,29 +205,6 @@ pub(crate) fn greedy_enumerate_metered(
         }
     }
     (state.config().clone(), interrupt)
-}
-
-/// Close a committed greedy step's span (when tracing is on): step ordinal,
-/// the index chosen, and whether the scan ran through the parallel kernel.
-fn end_step_span(
-    obs: &crate::obs::Obs,
-    step_t0: Option<u64>,
-    state: &DerivationState,
-    chosen: IndexId,
-    parallel: bool,
-) {
-    if let Some(t0) = step_t0 {
-        obs.span_end(
-            t0,
-            "greedy-step",
-            "greedy",
-            vec![
-                ("step".into(), state.config().len().to_string()),
-                ("chosen".into(), chosen.index().to_string()),
-                ("parallel".into(), parallel.to_string()),
-            ],
-        );
-    }
 }
 
 /// Stream per-step progress to an armed [`StopSignal`]: current telemetry
@@ -286,6 +256,8 @@ impl Tuner for VanillaGreedy {
         let queries: Vec<QueryId> = (0..ctx.num_queries()).map(QueryId::from).collect();
         let init: Vec<f64> = queries.iter().map(|&q| mw.cost_fcfs(q, &empty)).collect();
         let mut state = DerivationState::for_queries(universe, queries, init);
+        let obs = ctx.obs();
+        let t0 = obs.span_start();
         let (config, interrupt) = greedy_enumerate_metered(
             ctx,
             &req.constraints,
@@ -297,6 +269,14 @@ impl Tuner for VanillaGreedy {
             stop,
         );
         let used = mw.meter().used();
+        if let Some(t0) = t0 {
+            obs.span_end(
+                t0,
+                "greedy",
+                "greedy",
+                vec![("calls".into(), used.to_string())],
+            );
+        }
         let reason = mw.stop_reason(interrupt);
         let mut telemetry = mw.telemetry();
         telemetry.session_threads = threads;

@@ -329,12 +329,10 @@ impl MctsTuner {
     ) -> Option<Interrupt> {
         let base = mw.empty_workload_cost();
         let mut buffers = EpisodeBuffers::default();
-        let obs = mw.obs().clone();
         while !mw.meter().exhausted() && state.idle_streak < 500 {
             if let Some(interrupt) = stop.poll(mw.meter().used()) {
                 return Some(interrupt);
             }
-            let ep_t0 = obs.span_start();
             let before = mw.meter().used();
             let MctsState {
                 rng,
@@ -356,14 +354,6 @@ impl MctsTuner {
                 rng,
                 &mut buffers,
             );
-            if let Some(t0) = ep_t0 {
-                obs.span_end(
-                    t0,
-                    "episode",
-                    "mcts",
-                    vec![("used".into(), mw.meter().used().to_string())],
-                );
-            }
             if !progressed {
                 break;
             }
@@ -403,7 +393,7 @@ impl MctsTuner {
     ) -> MctsState {
         let rng = derive(req.seed, "mcts");
         let priors = if self.selection.uses_priors() {
-            let obs = mw.obs().clone();
+            let obs = ctx.obs();
             let t0 = obs.span_start();
             let bp = priors::priors_budget(req.budget, ctx);
             let priors = priors::compute_priors(ctx, mw, bp);
@@ -445,7 +435,7 @@ impl MctsTuner {
         interrupt: Option<Interrupt>,
     ) -> (TuningResult, Vec<f64>) {
         let threads = effective_threads(req.session_threads);
-        let obs = mw.obs().clone();
+        let obs = ctx.obs();
         let t0 = obs.span_start();
         let config = self.extraction.extract(
             ctx,
@@ -486,9 +476,19 @@ impl MctsTuner {
         stop: &StopSignal,
         allow_suspend: bool,
     ) -> MctsOutcome {
-        match self.episode_loop(ctx, &req.constraints, &mut mw, &mut state, stop) {
+        let obs = ctx.obs();
+        let t0 = obs.span_start();
+        let interrupt = self.episode_loop(ctx, &req.constraints, &mut mw, &mut state, stop);
+        if let Some(t0) = t0 {
+            obs.span_end(
+                t0,
+                "episodes",
+                "mcts",
+                vec![("calls".into(), mw.meter().used().to_string())],
+            );
+        }
+        match interrupt {
             Some(Interrupt::Suspended) if allow_suspend => {
-                let obs = mw.obs().clone();
                 let t0 = obs.span_start();
                 let ckpt = self.capture(req, &mw, &state);
                 if let Some(t0) = t0 {

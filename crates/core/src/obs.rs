@@ -4,14 +4,17 @@
 //! default — a `None` inside, every operation an inlined no-op, no clock
 //! reads, no allocation) or *enabled*, in which case it carries the
 //! what-if latency histograms, pre-registered against a shared
-//! [`MetricsRegistry`], plus an optional [`TraceRecorder`], scoped to one
-//! session id.
+//! [`MetricsRegistry`], plus a [`TraceRecorder`], scoped to one session
+//! id.
 //!
 //! The handle holds no counter. Call, hit and derivation counts live in
 //! [`SessionTelemetry`](crate::budget::SessionTelemetry), their one
 //! record; the service sums them over its session table when it renders
 //! a scrape. What the handle records inline is what exists nowhere else:
-//! the latency of each budgeted optimizer invocation, and spans.
+//! the latency of each budgeted optimizer invocation, and one span per
+//! session phase (MCTS `priors`, `episodes`, `extraction` or `capture`;
+//! greedy's `greedy`; two-phase and AutoAdmin's `phase1`, then `phase2`
+//! or `salvage`). Nothing is spanned per step, episode or scan chunk.
 //!
 //! Observability must never perturb results: nothing here feeds back into
 //! search decisions, and the disabled path does no work — the bit-identity
@@ -29,7 +32,7 @@ const SIM_LATENCY_BOUNDS: [f64; 8] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0];
 
 struct ObsShared {
     scope: u64,
-    tracer: Option<Arc<TraceRecorder>>,
+    tracer: Arc<TraceRecorder>,
     whatif_latency: Arc<Histogram>,
     whatif_sim_latency: Arc<Histogram>,
 }
@@ -47,14 +50,10 @@ impl Obs {
         Self::default()
     }
 
-    /// An enabled handle reporting into `registry` (and `tracer`, if any)
-    /// under session scope `scope`. Instruments are get-or-created, so
-    /// several sessions share the same global series.
-    pub fn enabled(
-        registry: Arc<MetricsRegistry>,
-        tracer: Option<Arc<TraceRecorder>>,
-        scope: u64,
-    ) -> Self {
+    /// An enabled handle reporting into `registry` and `tracer` under
+    /// session scope `scope`. Instruments are get-or-created, so several
+    /// sessions share the same global series.
+    pub fn enabled(registry: Arc<MetricsRegistry>, tracer: Arc<TraceRecorder>, scope: u64) -> Self {
         let shared = ObsShared {
             scope,
             tracer,
@@ -97,15 +96,12 @@ impl Obs {
         }
     }
 
-    /// Start a span: returns the start timestamp when tracing is enabled,
-    /// `None` otherwise — so call sites build span arguments only inside
-    /// an `if let`. Pair with [`span_end`](Self::span_end).
+    /// Start a span: returns the start timestamp when the handle is
+    /// enabled, `None` otherwise — so call sites build span arguments only
+    /// inside an `if let`. Pair with [`span_end`](Self::span_end).
     #[inline]
     pub fn span_start(&self) -> Option<u64> {
-        match &self.shared {
-            Some(s) => s.tracer.as_ref().map(|t| t.now_us()),
-            None => None,
-        }
+        self.shared.as_ref().map(|s| s.tracer.now_us())
     }
 
     /// Complete a span started at `start_us`.
@@ -117,18 +113,7 @@ impl Obs {
         args: Vec<(String, String)>,
     ) {
         if let Some(s) = &self.shared {
-            if let Some(t) = &s.tracer {
-                t.complete(name, cat, s.scope, start_us, args);
-            }
-        }
-    }
-
-    /// Record an instant event (no duration).
-    pub fn event(&self, name: &str, cat: &'static str, args: Vec<(String, String)>) {
-        if let Some(s) = &self.shared {
-            if let Some(t) = &s.tracer {
-                t.event(name, cat, s.scope, args);
-            }
+            s.tracer.complete(name, cat, s.scope, start_us, args);
         }
     }
 }
@@ -159,11 +144,10 @@ mod tests {
     fn spans_scope_to_the_session() {
         let registry = Arc::new(MetricsRegistry::new());
         let tracer = Arc::new(TraceRecorder::new(16));
-        let obs = Obs::enabled(registry, Some(Arc::clone(&tracer)), 42);
+        let obs = Obs::enabled(registry, Arc::clone(&tracer), 42);
         let t = obs.span_start().expect("tracer attached");
         obs.span_end(t, "step", "greedy", vec![("i".into(), "0".into())]);
-        obs.event("mark", "test", vec![]);
-        assert_eq!(tracer.records(Some(42)).len(), 2);
+        assert_eq!(tracer.records(Some(42)).len(), 1);
         assert_eq!(tracer.records(Some(7)).len(), 0);
     }
 }

@@ -32,7 +32,6 @@
 
 use crate::budget::MeteredWhatIf;
 use crate::derived::WhatIfCache;
-use crate::obs::Obs;
 use ixtune_common::sync::available_parallelism;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use std::collections::HashSet;
@@ -249,11 +248,6 @@ fn scan_chunk(
 /// actually spawned is additionally clamped to the hardware (and to the
 /// chunk count), which cannot change the result because chunk outcomes
 /// are reduced by chunk index, not completion order.
-///
-/// `obs` records one `scan-chunk` span per chunk when tracing is enabled
-/// (pass [`Obs::disabled`] otherwise); observation never touches the
-/// scanned values, so it cannot perturb the argmin.
-#[allow(clippy::too_many_arguments)] // a free function over borrowed scan state; no natural struct
 pub fn frozen_argmin(
     cache: &WhatIfCache,
     queries: &[QueryId],
@@ -262,7 +256,6 @@ pub fn frozen_argmin(
     admissible: &[(usize, IndexId)],
     mode: FrozenEval<'_>,
     threads: usize,
-    obs: &Obs,
 ) -> (Option<(usize, IndexId, f64)>, usize) {
     debug_assert!(cache.is_frozen(), "parallel scan over an unfrozen cache");
     if admissible.is_empty() {
@@ -305,27 +298,10 @@ pub fn frozen_argmin(
     let chunks: Vec<&[(usize, IndexId)]> = informed.chunks(chunk_size).collect();
     let workers = worker_cap.min(chunks.len());
 
-    // Spanned chunk scan: the timing wraps the pure kernel, so tracing can
-    // never change what a chunk computes.
-    let scan = |i: usize, c: &[(usize, IndexId)]| -> ChunkOutcome {
-        let t0 = obs.span_start();
-        let out = scan_chunk(cache, queries, per_query, config, c, mode);
-        if let Some(t0) = t0 {
-            obs.span_end(
-                t0,
-                "scan-chunk",
-                "parallel",
-                vec![
-                    ("chunk".into(), i.to_string()),
-                    ("candidates".into(), c.len().to_string()),
-                ],
-            );
-        }
-        out
-    };
+    let scan = |c: &[(usize, IndexId)]| scan_chunk(cache, queries, per_query, config, c, mode);
 
     let outcomes: Vec<ChunkOutcome> = if workers <= 1 {
-        chunks.iter().enumerate().map(|(i, c)| scan(i, c)).collect()
+        chunks.iter().map(|c| scan(c)).collect()
     } else {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<ChunkOutcome>> = vec![None; chunks.len()];
@@ -342,7 +318,7 @@ pub fn frozen_argmin(
                             if i >= chunks.len() {
                                 return mine;
                             }
-                            mine.push((i, scan(i, chunks[i])));
+                            mine.push((i, scan(chunks[i])));
                         }
                     })
                 })
@@ -552,7 +528,6 @@ mod tests {
                         &admissible,
                         mode,
                         threads,
-                        &Obs::disabled(),
                     );
                     match (expected, got) {
                         (None, None) => {}
@@ -609,7 +584,6 @@ mod tests {
             &admissible,
             FrozenEval::Fcfs,
             4,
-            &Obs::disabled(),
         );
         assert_eq!(hits, serial_hits);
         assert_eq!(cache.derivations() - before, serial_derivs);
@@ -630,7 +604,6 @@ mod tests {
             &[],
             FrozenEval::Derive,
             4,
-            &Obs::disabled(),
         );
         assert!(best.is_none());
         assert_eq!(hits, 0);

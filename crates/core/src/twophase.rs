@@ -33,7 +33,7 @@ pub(crate) fn two_phase(
     let constraints = &req.constraints;
     let threads = effective_threads(req.session_threads);
     let mut mw = MeteredWhatIf::new(ctx, req.budget);
-    let obs = ctx.obs().clone();
+    let obs = ctx.obs();
 
     // Phase 1: each query as its own workload.
     let p1_t0 = obs.span_start();

@@ -7,8 +7,8 @@
 //!   atomic hot path, registered by name + label pairs in a
 //!   [`MetricsRegistry`] that renders Prometheus text exposition;
 //! * [`trace`] — a [`TraceRecorder`]: a bounded ring buffer of completed
-//!   spans and instant events with monotonic microsecond timestamps and
-//!   per-session scopes, serializable to Chrome-trace-viewer JSON.
+//!   spans with monotonic microsecond timestamps and per-session scopes,
+//!   serializable to Chrome-trace-viewer JSON.
 //!
 //! Neither type knows anything about tuning; the domain-specific
 //! instrument bundle lives in `ixtune_core::obs`, which holds `Arc`s to

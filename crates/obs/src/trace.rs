@@ -1,13 +1,15 @@
-//! A bounded span/event recorder with Chrome-trace-viewer export.
+//! A bounded span recorder with Chrome-trace-viewer export.
 //!
-//! The recorder keeps completed spans in a mutex-guarded ring buffer:
-//! recording happens at phase boundaries (enumeration steps, MCTS
-//! episodes, checkpoint writes), never inside per-candidate inner loops,
-//! so a short critical section is cheap relative to the work being traced.
-//! Timestamps are microseconds from a single monotonic origin captured at
-//! construction, so spans from different threads and sessions order
-//! consistently. When the ring is full the oldest records are dropped and
-//! counted — a long-lived daemon keeps the most recent window.
+//! The recorder keeps completed spans in a mutex-guarded ring buffer.
+//! Callers record one span per session phase (an MCTS session's priors,
+//! episodes and extraction; a greedy session's phases), never one per
+//! step, episode or candidate, so a ring shared by every session of a
+//! daemon holds whole sessions and a short critical section costs nothing
+//! next to the phase it times. Timestamps are microseconds from a single
+//! monotonic origin captured at construction, so spans from different
+//! threads and sessions order consistently. When the ring is full the
+//! oldest records are dropped and counted — a long-lived daemon keeps the
+//! most recent window.
 //!
 //! [`chrome_trace`](TraceRecorder::chrome_trace) renders the JSON array
 //! format understood by `chrome://tracing` / Perfetto: complete events
@@ -18,27 +20,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// One completed span (`dur_us > 0`) or instant event (`dur_us == 0`).
+/// One completed span.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Span name, e.g. `greedy-step`.
+    /// Span name, e.g. `episodes`.
     pub name: String,
     /// Category lane, e.g. `mcts`, `checkpoint`.
     pub cat: &'static str,
     /// Microseconds from the recorder's origin.
     pub ts_us: u64,
-    /// Span duration in microseconds (0 for instant events and for spans
-    /// shorter than the clock tick).
+    /// Span duration in microseconds (0 for spans shorter than the clock
+    /// tick).
     pub dur_us: u64,
-    /// True for instant events ([`TraceRecorder::event`]); false for
-    /// completed spans — sub-microsecond spans have `dur_us == 0` too, so
-    /// the kind is explicit rather than inferred from the duration.
-    pub instant: bool,
     /// Session scope (the service's session id; 0 outside the service).
     pub scope: u64,
     /// Recording thread, as a small process-wide ordinal.
     pub tid: u64,
-    /// Free-form key/value annotations (step number, chosen index, …).
+    /// Free-form key/value annotations (calls used, indexes chosen, …).
     pub args: Vec<(String, String)>,
 }
 
@@ -92,33 +90,15 @@ impl TraceRecorder {
         args: Vec<(String, String)>,
     ) {
         let end = self.now_us();
-        self.push(SpanRecord {
+        let rec = SpanRecord {
             name: name.to_string(),
             cat,
             ts_us: start_us,
             dur_us: end.saturating_sub(start_us),
-            instant: false,
             scope,
             tid: thread_ordinal(),
             args,
-        });
-    }
-
-    /// Record an instant event at the current time.
-    pub fn event(&self, name: &str, cat: &'static str, scope: u64, args: Vec<(String, String)>) {
-        self.push(SpanRecord {
-            name: name.to_string(),
-            cat,
-            ts_us: self.now_us(),
-            dur_us: 0,
-            instant: true,
-            scope,
-            tid: thread_ordinal(),
-            args,
-        });
-    }
-
-    fn push(&self, rec: SpanRecord) {
+        };
         let mut ring = self.ring.lock().unwrap();
         if ring.len() >= self.capacity {
             ring.pop_front();
@@ -151,8 +131,8 @@ impl TraceRecorder {
     }
 
     /// Render the Chrome trace-viewer JSON array for `scope` (or all
-    /// scopes). Complete events use `"ph":"X"`, instants `"ph":"i"`;
-    /// `pid` carries the session scope so multi-session traces split into
+    /// scopes): one complete event (`"ph":"X"`) per span, with `pid`
+    /// carrying the session scope so multi-session traces split into
     /// process lanes.
     pub fn chrome_trace(&self, scope: Option<u64>) -> String {
         let mut out = String::from("[");
@@ -161,12 +141,11 @@ impl TraceRecorder {
                 out.push(',');
             }
             out.push_str("\n{");
-            push_kv(&mut out, "name", &r.name, true);
+            push_kv(&mut out, "name", &r.name);
             out.push(',');
-            push_kv(&mut out, "cat", r.cat, true);
+            push_kv(&mut out, "cat", r.cat);
             out.push(',');
-            let ph = if r.instant { "i" } else { "X" };
-            push_kv(&mut out, "ph", ph, true);
+            push_kv(&mut out, "ph", "X");
             out.push_str(&format!(",\"ts\":{},\"dur\":{}", r.ts_us, r.dur_us));
             out.push_str(&format!(",\"pid\":{},\"tid\":{}", r.scope, r.tid));
             out.push_str(",\"args\":{");
@@ -174,7 +153,7 @@ impl TraceRecorder {
                 if j > 0 {
                     out.push(',');
                 }
-                push_kv(&mut out, k, v, true);
+                push_kv(&mut out, k, v);
             }
             out.push_str("}}");
         }
@@ -183,17 +162,12 @@ impl TraceRecorder {
     }
 }
 
-fn push_kv(out: &mut String, k: &str, v: &str, quote_value: bool) {
+fn push_kv(out: &mut String, k: &str, v: &str) {
     out.push('"');
     escape_into(out, k);
-    out.push_str("\":");
-    if quote_value {
-        out.push('"');
-        escape_into(out, v);
-        out.push('"');
-    } else {
-        out.push_str(v);
-    }
+    out.push_str("\":\"");
+    escape_into(out, v);
+    out.push('"');
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -230,7 +204,8 @@ mod tests {
     fn ring_drops_oldest_beyond_capacity() {
         let rec = TraceRecorder::new(3);
         for i in 0..5 {
-            rec.event(&format!("e{i}"), "t", 0, vec![]);
+            let t0 = rec.now_us();
+            rec.complete(&format!("e{i}"), "t", 0, t0, vec![]);
         }
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.dropped(), 2);
@@ -241,9 +216,10 @@ mod tests {
     #[test]
     fn scope_filter_selects_one_session() {
         let rec = TraceRecorder::new(16);
-        rec.event("a", "t", 1, vec![]);
-        rec.event("b", "t", 2, vec![]);
-        rec.event("c", "t", 1, vec![]);
+        let t0 = rec.now_us();
+        rec.complete("a", "t", 1, t0, vec![]);
+        rec.complete("b", "t", 2, t0, vec![]);
+        rec.complete("c", "t", 1, t0, vec![]);
         assert_eq!(rec.records(Some(1)).len(), 2);
         assert_eq!(rec.records(Some(2)).len(), 1);
         assert_eq!(rec.records(None).len(), 3);
@@ -260,11 +236,10 @@ mod tests {
             t0,
             vec![("best".into(), "0.25".into())],
         );
-        rec.event("mark", "svc", 7, vec![]);
+        rec.complete("extraction", "mcts", 7, t0, vec![]);
         let json = rec.chrome_trace(Some(7));
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
         assert!(json.contains("\"pid\":7"));
         assert!(json.contains("ep\\\"isode"));
         // Balanced braces/brackets outside strings — cheap well-formedness.

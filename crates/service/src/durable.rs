@@ -5,16 +5,16 @@
 //! the translation in both directions — the cells a settle added to the
 //! warm store, the store's tables at compaction, and session transitions
 //! become [`Record`]s on the way down, a recovered [`PersistState`]'s warm
-//! batches become warm-store absorptions on the way up — and traces every
-//! durable operation into the daemon's trace ring (`recovery`/
-//! `compaction`/`wal-append` spans).
+//! batches become warm-store absorptions on the way up.
 //!
 //! The store counts its own records, fsyncs and compactions
-//! ([`DurableLog::stats`]); the manager's scrape renders the
-//! `ixtune_persist_*` series from those counts and from
-//! [`DurableLog::degraded`]. This module registers only what no owner
-//! keeps: failed operations (`ixtune_persist_io_errors_total`) and the
-//! recovery-duration histogram.
+//! ([`DurableLog::stats`]); `ixtunectl persist` reports those counts, and
+//! the manager's scrape renders the `ixtune_persist_*` series from them
+//! and from [`DurableLog::degraded`]. This module registers only what no
+//! owner keeps: failed operations (`ixtune_persist_io_errors_total`) and
+//! the recovery-duration histogram. Durable operations record no trace
+//! span: the trace ring is read one session scope at a time, and no
+//! persist operation belongs to one session.
 //!
 //! Durability failures (disk full, permission lost) are surfaced as a
 //! counter and stderr line but never take the daemon down: tuning keeps
@@ -23,7 +23,7 @@
 use ixtune_common::fault::FaultPlan;
 use ixtune_common::{IndexSet, QueryId};
 use ixtune_core::warm::WarmStore;
-use ixtune_obs::{Counter, MetricsRegistry, TraceRecorder};
+use ixtune_obs::{Counter, MetricsRegistry};
 use ixtune_persist::{
     CompactOutcome, Durability, Persist, PersistState, PersistStats, Record, WarmBatch, WarmEntry,
 };
@@ -32,11 +32,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Trace scope for daemon-level persist spans. Session spans use the
-/// session id as their scope; `u64::MAX` can never collide with one
-/// (session ids stay below [`ixtune_persist::MAX_SESSION_ID`]).
-pub const DAEMON_SCOPE: u64 = u64::MAX;
 
 /// Bucket bounds for the recovery-duration histogram, in milliseconds.
 const RECOVERY_BOUNDS: [f64; 8] = [1.0, 5.0, 25.0, 100.0, 500.0, 2_500.0, 10_000.0, 60_000.0];
@@ -58,10 +53,9 @@ fn backoff(seed: u64, attempt: u32) -> Duration {
 }
 
 /// The manager's handle on the durable store: append + compact with
-/// observability, opened once at daemon start.
+/// retries and error counting, opened once at daemon start.
 pub struct DurableLog {
     persist: Persist,
-    tracer: Arc<TraceRecorder>,
     io_errors_total: Arc<Counter>,
     demoted: AtomicBool,
     backoff_seed: u64,
@@ -69,16 +63,14 @@ pub struct DurableLog {
 
 impl DurableLog {
     /// Open (or create) the store under `data_dir`, recover, and record
-    /// the recovery duration and span. Returns the recovered state for the
-    /// manager to import.
+    /// the recovery duration. Returns the recovered state for the manager
+    /// to import.
     pub fn open(
         data_dir: &Path,
         durability: Durability,
         registry: &Arc<MetricsRegistry>,
-        tracer: &Arc<TraceRecorder>,
         faults: &FaultPlan,
     ) -> io::Result<(Self, PersistState)> {
-        let t0 = tracer.now_us();
         let (persist, state, info) = Persist::open(data_dir, durability)?;
         if faults.enabled() {
             let plan = faults.clone();
@@ -98,25 +90,10 @@ impl DurableLog {
                 &RECOVERY_BOUNDS,
             )
             .observe(info.duration_ms);
-        tracer.complete(
-            "recovery",
-            "persist",
-            DAEMON_SCOPE,
-            t0,
-            vec![
-                ("generation".into(), info.generation.to_string()),
-                ("snapshot_loaded".into(), info.snapshot_loaded.to_string()),
-                ("wal_records".into(), info.wal_records.to_string()),
-                ("torn_bytes".into(), info.torn_bytes.to_string()),
-                ("sessions".into(), state.sessions().len().to_string()),
-                ("warm_entries".into(), state.warm_entries().to_string()),
-            ],
-        );
 
         Ok((
             Self {
                 persist,
-                tracer: Arc::clone(tracer),
                 io_errors_total,
                 demoted: AtomicBool::new(false),
                 backoff_seed: faults.seed(),
@@ -140,42 +117,20 @@ impl DurableLog {
             return;
         }
         self.persist.set_durability(Durability::Never);
-        let t0 = self.tracer.now_us();
-        self.tracer.complete(
-            "persist-degraded",
-            "persist",
-            DAEMON_SCOPE,
-            t0,
-            vec![("error".into(), err.to_string())],
-        );
         eprintln!("ixtuned: persistence degraded to in-memory only: {err}");
     }
 
-    /// Append one record, tracing the outcome as a `wal-append` span.
-    /// Errors are counted, retried with deterministic backoff, and finally
-    /// absorbed by the degradation ladder — never propagated. A record
+    /// Append one record. Errors are counted, retried with deterministic
+    /// backoff, and finally absorbed by the degradation ladder — never propagated. A record
     /// refused as too large for a frame is only counted. A retry after a
     /// failed *fsync* may re-append the record; replay folds are
     /// idempotent so duplicates are harmless.
     pub fn append(&self, rec: &Record) {
-        let t0 = self.tracer.now_us();
         let max = if self.degraded() { 1 } else { IO_ATTEMPTS };
         let mut attempt = 0u32;
         loop {
             match self.persist.append(rec) {
-                Ok(out) => {
-                    self.tracer.complete(
-                        "wal-append",
-                        "persist",
-                        DAEMON_SCOPE,
-                        t0,
-                        vec![
-                            ("bytes".into(), out.bytes.to_string()),
-                            ("synced".into(), out.synced.to_string()),
-                        ],
-                    );
-                    return;
-                }
+                Ok(_) => return,
                 Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
                     // A record too large for a frame: the store refused it
                     // before writing a byte. Not a disk fault, so neither
@@ -209,7 +164,6 @@ impl DurableLog {
         if self.persist.stats().wal_bytes <= threshold {
             return None;
         }
-        let t0 = self.tracer.now_us();
         let max = if self.degraded() { 1 } else { IO_ATTEMPTS };
         let mut attempt = 0u32;
         loop {
@@ -220,20 +174,7 @@ impl DurableLog {
                 })
             };
             match self.persist.compact(tables) {
-                Ok(out) => {
-                    self.tracer.complete(
-                        "compaction",
-                        "persist",
-                        DAEMON_SCOPE,
-                        t0,
-                        vec![
-                            ("generation".into(), out.generation.to_string()),
-                            ("snapshot_bytes".into(), out.snapshot_bytes.to_string()),
-                            ("pruned_files".into(), out.pruned_files.to_string()),
-                        ],
-                    );
-                    return Some(out);
-                }
+                Ok(out) => return Some(out),
                 Err(e) => {
                     self.io_errors_total.inc();
                     attempt += 1;
@@ -335,15 +276,8 @@ mod tests {
 
     fn open(dir: &Path) -> (DurableLog, PersistState, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Arc::new(TraceRecorder::new(256));
-        let (log, state) = DurableLog::open(
-            dir,
-            Durability::Always,
-            &registry,
-            &tracer,
-            &FaultPlan::none(),
-        )
-        .unwrap();
+        let (log, state) =
+            DurableLog::open(dir, Durability::Always, &registry, &FaultPlan::none()).unwrap();
         (log, state, registry)
     }
 
@@ -453,10 +387,8 @@ mod tests {
     fn persistent_append_failure_engages_the_degradation_ladder() {
         let dir = scratch("ladder");
         let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Arc::new(TraceRecorder::new(256));
         let plan = FaultPlan::parse("seed=7;persist.append=p1").unwrap();
-        let (log, _) =
-            DurableLog::open(&dir, Durability::Always, &registry, &tracer, &plan).unwrap();
+        let (log, _) = DurableLog::open(&dir, Durability::Always, &registry, &plan).unwrap();
         assert!(!log.degraded());
         log.append(&Record::SessionSubmitted {
             id: 0,

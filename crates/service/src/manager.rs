@@ -132,9 +132,10 @@ impl ManagerState {
     }
 }
 
-/// Span capacity of the daemon's trace ring: enough for many sessions'
-/// phase-boundary spans; older spans are dropped first (the recorder
-/// counts drops).
+/// Span capacity of the daemon's trace ring, which every session shares.
+/// A run segment records at most three spans, one per phase, so the ring
+/// holds the last ~20,000 segments; older spans are dropped first (the
+/// recorder counts drops).
 const TRACE_CAPACITY: usize = 65_536;
 
 /// The daemon's core. Public methods are the verbs of the wire protocol.
@@ -172,7 +173,7 @@ impl SessionManager {
             eprintln!("ixtuned: fault injection armed: {}", faults.spec());
         }
         let (durable, recovered) =
-            DurableLog::open(&cfg.data_dir, cfg.durability, &registry, &tracer, &faults)
+            DurableLog::open(&cfg.data_dir, cfg.durability, &registry, &faults)
                 .unwrap_or_else(|e| panic!("open persist store in {:?}: {e}", cfg.data_dir));
         let durable = Arc::new(durable);
         // Warm capital first: the very first admitted session must check
@@ -850,7 +851,7 @@ fn worker_loop(
                 let snapshot = warm_store.checkout(&key, fingerprint, num_queries, universe);
                 let warm = Arc::new(WarmState::new(snapshot));
                 let start = Instant::now();
-                let obs = Obs::enabled(Arc::clone(registry), Some(Arc::clone(tracer)), id);
+                let obs = Obs::enabled(Arc::clone(registry), Arc::clone(tracer), id);
                 let warm_run = Arc::clone(&warm);
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     // The worker.panic site exercises the daemon's panic
@@ -1153,7 +1154,7 @@ mod tests {
         assert!(text.contains("ixtune_queue_depth 0"), "{text}");
         let trace = mgr.trace_json(id).unwrap();
         assert!(trace.starts_with('[') && trace.trim_end().ends_with(']'));
-        assert!(trace.contains("greedy-step"), "{trace}");
+        assert_eq!(trace.matches("\"name\":\"greedy\"").count(), 1, "{trace}");
         assert_eq!(
             mgr.trace_json(999).unwrap_err().code,
             ErrorCode::UnknownSession

@@ -234,7 +234,7 @@ fn metrics_scrape_mid_run_and_trace_download() {
     assert!(parse_exposition(&after, "ixtune_whatif_calls_total") >= calls);
 
     // Trace download: loadable Chrome-trace JSON (an array of events with
-    // the fields a trace viewer needs) containing this session's spans.
+    // the fields a trace viewer needs) holding this session's phase spans.
     let trace = client.trace(id).expect("trace verb");
     let parsed = serde_json::value_from_str(&trace).expect("trace parses as JSON");
     let serde::Value::Arr(events) = parsed else {
@@ -243,16 +243,19 @@ fn metrics_scrape_mid_run_and_trace_download() {
     assert!(!events.is_empty(), "completed session recorded spans");
     for ev in &events {
         let ph = ev.get("ph").and_then(|v| v.as_str()).expect("ph field");
-        assert!(ph == "X" || ph == "i", "unexpected phase {ph}");
+        assert_eq!(ph, "X", "every event is a complete span");
         assert!(ev.get("name").and_then(|v| v.as_str()).is_some());
         assert!(ev.get("ts").is_some() && ev.get("pid").is_some());
         assert_eq!(ev.get("pid").and_then(|v| v.as_u64()), Some(id));
     }
-    assert!(
-        events
-            .iter()
-            .any(|e| e.get("name").and_then(|v| v.as_str()) == Some("episode")),
-        "MCTS episode spans present"
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(|v| v.as_str()))
+        .collect();
+    assert_eq!(
+        names,
+        ["priors", "episodes", "extraction"],
+        "one span per MCTS phase"
     );
 
     // Unknown ids get the typed error.
