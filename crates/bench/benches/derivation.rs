@@ -239,7 +239,7 @@ fn bench_warm_sessions(c: &mut Criterion) {
     // BENCH_5.json. The appends themselves are counted by the
     // `ixtune_persist_*` metrics instead.
     if std::env::var("IXTUNE_BENCH_DURABLE").as_deref() == Ok("1") {
-        use ixtune_persist::{Durability, Persist, Record, WarmBatch, WarmEntry};
+        use ixtune_persist::{Durability, Persist, Record, WarmBatch};
 
         let dir = std::env::temp_dir().join(format!("ixtune-bench-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -266,21 +266,11 @@ fn bench_warm_sessions(c: &mut Criterion) {
             let ctx = TuningContext::new(&session.opt, &session.cands)
                 .with_warm(std::sync::Arc::clone(&warm));
             let _ = VanillaGreedy.tune(&ctx, &req);
-            let batch = Record::WarmBatch(WarmBatch {
-                key: "bench".into(),
-                fingerprint: fp,
-                num_queries: nq as u32,
-                universe: session.cands.len() as u32,
-                entries: warm
-                    .drain()
-                    .into_iter()
-                    .map(|(q, config, cost)| WarmEntry {
-                        query: q.index() as u32,
-                        blocks: config.as_blocks().to_vec(),
-                        cost_bits: cost.to_bits(),
-                    })
-                    .collect(),
-            });
+            let mut batch = WarmBatch::new("bench", fp, nq as u32, session.cands.len() as u32);
+            for (q, config, cost) in warm.drain() {
+                batch.push(q.index() as u32, config.as_blocks(), cost.to_bits());
+            }
+            let batch = Record::WarmBatch(batch);
             let mut tick = 0usize;
             group.bench_function(format!("durable-coldstart-u{budget}"), |b| {
                 b.iter_batched(
@@ -352,6 +342,67 @@ fn bench_mcts_episodes(c: &mut Criterion) {
     group.finish();
 }
 
+/// Warm restart, the set-up `ixtuned` runs before it binds: the frame
+/// CRC over every byte of a generation file (`crc32-1mib`), and
+/// `Persist::open` of a WAL shaped like loadbench's paper-greedy-warm fill
+/// (`open-warm-wal`): 70 warm batches over 7 tables, 100,800 cells over
+/// 25,200 configurations of 1–4 candidates, each configuration priced for
+/// 4 queries in a row, so 75% of cells repeat the previous cell's
+/// configuration (the fill: 114,112 cells, 24,271 configurations, 75.5%).
+/// The open decodes and folds; importing into the warm store is the
+/// service's step, which this crate cannot reach.
+fn bench_persist(c: &mut Criterion) {
+    use ixtune_persist::{crc::crc32, Durability, Persist, Record, WarmBatch};
+
+    let mut group = c.benchmark_group("persist");
+    group.sample_size(20);
+
+    let mut rng = seeded(17);
+    let data: Vec<u8> = (0..1 << 17)
+        .flat_map(|_| rng.random::<u64>().to_le_bytes())
+        .collect();
+    group.bench_function("crc32-1mib", |b| {
+        b.iter(|| black_box(crc32(black_box(&data))))
+    });
+
+    let dir = std::env::temp_dir().join(format!("ixtune-bench-warm-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (persist, _, _) = Persist::open(&dir, Durability::Never).expect("open bench WAL");
+        for i in 0..70u32 {
+            let table = i % 7;
+            let universe = 256 + 96 * table as usize;
+            let num_queries = 22 + 13 * table;
+            let mut batch = WarmBatch::new(
+                format!("w{table}"),
+                u64::from(table),
+                num_queries,
+                universe as u32,
+            );
+            for _ in 0..360 {
+                let size = rng.random_range(1..5usize);
+                let config = IndexSet::from_ids(
+                    universe,
+                    (0..size).map(|_| IndexId::from(rng.random_range(0..universe))),
+                );
+                let q0 = rng.random_range(0..num_queries - 4);
+                for q in q0..q0 + 4 {
+                    let cost = rng.random_range(100..900) as f64 * 1.25;
+                    batch.push(q, config.as_blocks(), cost.to_bits());
+                }
+            }
+            persist
+                .append(&Record::WarmBatch(batch))
+                .expect("append bench batch");
+        }
+    }
+    group.bench_function("open-warm-wal", |b| {
+        b.iter(|| black_box(Persist::open(&dir, Durability::Never).expect("reopen bench WAL")))
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    group.finish();
+}
+
 /// MCTS rollout completion — the other inner loop rewritten to reuse
 /// its action/weight buffers instead of collecting fresh `Vec`s per step.
 fn bench_rollout(c: &mut Criterion) {
@@ -379,6 +430,7 @@ criterion_group!(
     bench_greedy_step,
     bench_warm_sessions,
     bench_rollout,
-    bench_mcts_episodes
+    bench_mcts_episodes,
+    bench_persist
 );
 criterion_main!(benches);

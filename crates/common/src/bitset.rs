@@ -77,23 +77,27 @@ impl IndexSet {
 
     /// Rebuild a configuration from its raw block array — the inverse of
     /// [`as_blocks`](Self::as_blocks), used when deserializing persisted
-    /// warm-store rows. Returns `None` when the block count does not match
-    /// the universe or a bit beyond the universe is set (a torn or foreign
-    /// encoding must not produce an out-of-range member).
+    /// warm-store rows. Returns `None` unless [`blocks_fit`](Self::blocks_fit).
     pub fn from_blocks(universe: usize, blocks: Vec<u64>) -> Option<Self> {
-        if blocks.len() != universe.div_ceil(BITS) {
-            return None;
-        }
-        if let Some(&last) = blocks.last() {
-            let tail = universe % BITS;
-            if tail != 0 && last >> tail != 0 {
-                return None;
-            }
-        }
-        Some(Self {
+        Self::blocks_fit(universe, &blocks).then_some(Self {
             blocks,
             universe: universe as u32,
         })
+    }
+
+    /// Whether `blocks` is the block array of a configuration over
+    /// `universe`: the block count matches the universe and no bit beyond
+    /// it is set (a torn or foreign encoding must not produce an
+    /// out-of-range member).
+    pub fn blocks_fit(universe: usize, blocks: &[u64]) -> bool {
+        if blocks.len() != universe.div_ceil(BITS) {
+            return false;
+        }
+        let tail = universe % BITS;
+        match blocks.last() {
+            Some(&last) if tail != 0 => last >> tail == 0,
+            _ => true,
+        }
     }
 
     #[inline]

@@ -50,7 +50,8 @@ const EMPTY: u32 = u32::MAX;
 ///
 /// Ids are assigned `0, 1, 2, …` in first-seen order and never change, so
 /// they can be used as array indices by the caller. The interner owns one
-/// clone of each distinct configuration.
+/// clone of each distinct configuration. All configurations of one
+/// interner range over one universe: it tells them apart by their blocks.
 #[derive(Clone, Debug, Default)]
 pub struct ConfigInterner {
     /// `sets[id]` = the interned configuration (insertion order).
@@ -87,35 +88,60 @@ impl ConfigInterner {
     /// Id of `set` if it was interned before.
     #[inline]
     pub fn get(&self, set: &IndexSet) -> Option<u32> {
-        if self.sets.is_empty() {
-            return None;
+        self.probe(set.as_blocks()).ok()
+    }
+
+    /// Id of `set`, interning it (one clone) on first sight.
+    pub fn intern(&mut self, set: &IndexSet) -> u32 {
+        match self.probe(set.as_blocks()) {
+            Ok(id) => id,
+            Err(slot) => self.insert(slot, set.clone()),
         }
-        let mut i = hash_blocks(set.as_blocks()) as usize & self.mask;
+    }
+
+    /// Id of the configuration over `universe` whose block array is
+    /// `blocks`, interning it on first sight: a configuration seen before
+    /// costs no allocation. `None` when `blocks` is not a configuration
+    /// over `universe` ([`IndexSet::blocks_fit`]) and was not interned.
+    pub fn intern_blocks(&mut self, universe: usize, blocks: &[u64]) -> Option<u32> {
+        match self.probe(blocks) {
+            Ok(id) => Some(id),
+            Err(slot) => Some(self.insert(slot, IndexSet::from_blocks(universe, blocks.to_vec())?)),
+        }
+    }
+
+    /// The one probe [`get`](Self::get), [`intern`](Self::intern) and
+    /// [`intern_blocks`](Self::intern_blocks) share: `Ok(id)` of the
+    /// interned configuration whose blocks are `blocks`, or `Err(slot)`,
+    /// the empty slot its probe chain ends at.
+    #[inline]
+    fn probe(&self, blocks: &[u64]) -> Result<u32, usize> {
+        if self.sets.is_empty() {
+            return Err(0);
+        }
+        let mut i = hash_blocks(blocks) as usize & self.mask;
         loop {
             let id = self.table[i];
             if id == EMPTY {
-                return None;
+                return Err(i);
             }
-            if self.sets[id as usize] == *set {
-                return Some(id);
+            if self.sets[id as usize].as_blocks() == blocks {
+                return Ok(id);
             }
             i = (i + 1) & self.mask;
         }
     }
 
-    /// Id of `set`, interning it (one clone) on first sight.
-    pub fn intern(&mut self, set: &IndexSet) -> u32 {
-        if let Some(id) = self.get(set) {
-            return id;
-        }
+    /// Intern `set`, which [`probe`](Self::probe) missed at `slot`.
+    fn insert(&mut self, slot: usize, set: IndexSet) -> u32 {
         let id = self.sets.len() as u32;
         assert!(id != EMPTY, "interner capacity exhausted");
-        self.sets.push(set.clone());
+        self.sets.push(set);
         // Grow at 7/8 load so probe chains stay short.
-        if self.table.is_empty() || self.sets.len() * 8 > self.table.len() * 7 {
+        if self.sets.len() * 8 > self.table.len() * 7 {
             self.rehash((self.table.len() * 2).max(16));
         } else {
-            self.place(id);
+            self.table[slot] = id;
         }
         id
     }
@@ -266,6 +292,26 @@ mod tests {
         assert_eq!(it.resolve(0), &a);
         let ids: Vec<u32> = it.iter().map(|(i, _)| i).collect();
         assert_eq!(ids, vec![0, 1]);
+    }
+
+    /// Interning from a block slice finds what `intern` interned and
+    /// interns what it did not, once; blocks that are no configuration
+    /// over the universe intern nothing.
+    #[test]
+    fn intern_blocks_shares_ids_with_intern() {
+        let mut it = ConfigInterner::new();
+        let a = set(100, &[1, 70]);
+        let b = set(100, &[99]);
+        assert_eq!(it.intern(&a), 0);
+        assert_eq!(it.intern_blocks(100, a.as_blocks()), Some(0));
+        assert_eq!(it.intern_blocks(100, b.as_blocks()), Some(1));
+        assert_eq!(it.intern_blocks(100, b.as_blocks()), Some(1));
+        assert_eq!((it.get(&b), it.intern(&b), it.len()), (Some(1), 1, 2));
+        assert_eq!(it.resolve(1), &b);
+        // Wrong block count, then a bit at 100 of a 100-candidate universe.
+        assert_eq!(it.intern_blocks(100, &[1]), None);
+        assert_eq!(it.intern_blocks(100, &[0, 1 << 36]), None);
+        assert_eq!(it.len(), 2);
     }
 
     #[test]

@@ -291,7 +291,8 @@ impl WarmStore {
     /// Duplicate cells (several sessions paying for the same
     /// `(q, config)`) carry the same cost, costs being pure functions, so
     /// first-write-wins keeps content deterministic regardless of ledger
-    /// order.
+    /// order. A new table whose empty rows alone exceed the byte bound is
+    /// refused, and nothing is added.
     pub fn absorb(
         &self,
         key: &str,
@@ -300,14 +301,70 @@ impl WarmStore {
         universe: usize,
         mut ledger: Vec<(QueryId, IndexSet, f64)>,
     ) -> Vec<(QueryId, IndexSet, f64)> {
-        if ledger.is_empty() {
-            return ledger;
-        }
+        let mut added = Vec::with_capacity(ledger.len());
+        let cells = ledger
+            .iter()
+            .map(|(q, config, cost)| (*q, config.as_blocks(), *cost));
+        self.merge(key, fingerprint, num_queries, universe, cells, |a| {
+            added.push(a)
+        });
+        let mut added = added.into_iter();
+        ledger.retain(|_| added.next() == Some(true));
+        ledger
+    }
+
+    /// [`absorb`](Self::absorb) for borrowed `(query, config blocks,
+    /// cost)` cells, through the same merge: recovery replays the WAL's
+    /// warm batches this way, with no allocation per cell. Blocks that are
+    /// no configuration over the table's universe are skipped. Returns how
+    /// many cells were added, or `None` when the table was refused
+    /// because its empty rows alone exceed the byte bound.
+    pub fn absorb_blocks<'c>(
+        &self,
+        key: &str,
+        fingerprint: u64,
+        num_queries: usize,
+        universe: usize,
+        cells: impl IntoIterator<Item = (QueryId, &'c [u64], f64)>,
+    ) -> Option<usize> {
+        let mut added = 0;
+        self.merge(key, fingerprint, num_queries, universe, cells, |a| {
+            added += usize::from(a)
+        })
+        .then_some(added)
+    }
+
+    /// The one merge loop behind both absorbs: `added` hears, per cell in
+    /// order, whether the cell was new. A cell whose blocks repeat the
+    /// previous cell's reuses its interned id without a probe. Returns
+    /// `false`, touching nothing and consuming no cell, when the table is
+    /// new and its empty rows alone exceed the byte bound: the eviction
+    /// below would drop it, and every other table, at once, and a row
+    /// count read from disk must not size an allocation.
+    fn merge<'c>(
+        &self,
+        key: &str,
+        fingerprint: u64,
+        num_queries: usize,
+        universe: usize,
+        cells: impl IntoIterator<Item = (QueryId, &'c [u64], f64)>,
+        mut added: impl FnMut(bool),
+    ) -> bool {
         let mut guard = self.lock();
         let inner = &mut *guard;
+        let table = (key.to_string(), fingerprint);
+        if !inner.map.contains_key(&table)
+            && num_queries.saturating_mul(ROW_OVERHEAD) > self.max_bytes
+        {
+            return false;
+        }
+        let mut cells = cells.into_iter().peekable();
+        if cells.peek().is_none() {
+            return true;
+        }
         inner.epoch += 1;
         let epoch = inner.epoch;
-        let (entry, old_bytes) = match inner.map.entry((key.to_string(), fingerprint)) {
+        let (entry, old_bytes) = match inner.map.entry(table) {
             Entry::Occupied(e) => {
                 let bytes = e.get().snapshot.bytes();
                 (e.into_mut(), bytes)
@@ -322,15 +379,23 @@ impl WarmStore {
         };
         entry.last_touch = epoch;
         let merged = Arc::make_mut(&mut entry.snapshot);
-        // `IdCostMap::insert` keeps the first write, so duplicate cells
-        // leave the stored cost untouched and are not returned.
-        ledger.retain(|(q, config, cost)| {
-            q.index() < merged.rows.len()
-                && merged.rows[q.index()]
-                    .insert(merged.configs.intern(config), *cost)
-                    .is_none()
-        });
-        merged.entries += ledger.len();
+        let mut prev: Option<(&[u64], u32)> = None;
+        for (q, blocks, cost) in cells {
+            // `IdCostMap::insert` keeps the first write, so a duplicate
+            // cell leaves the stored cost untouched and is not added.
+            let new = q.index() < merged.rows.len() && {
+                let id = match prev {
+                    Some((seen, id)) if seen == blocks => Some(id),
+                    _ => merged.configs.intern_blocks(merged.universe, blocks),
+                };
+                id.is_some_and(|id| {
+                    prev = Some((blocks, id));
+                    merged.rows[q.index()].insert(id, cost).is_none()
+                })
+            };
+            merged.entries += usize::from(new);
+            added(new);
+        }
         inner.bytes = inner.bytes - old_bytes + merged.bytes();
         // LRU eviction: drop least-recently-touched snapshots until the
         // bound holds. The bound is strict — a single oversized workload
@@ -348,7 +413,7 @@ impl WarmStore {
                 inner.evictions += 1;
             }
         }
-        ledger
+        true
     }
 
     /// Current aggregate counters.
@@ -546,6 +611,26 @@ mod tests {
         // …and gets evicted when `c` pushes the store over the bound.
         assert_eq!(store.checkout("a", 1, 1, 16).entries(), 1);
         assert_eq!(store.checkout("b", 2, 1, 16).entries(), 0);
+    }
+
+    /// A new table whose empty rows alone exceed the bound is refused
+    /// before anything is allocated or evicted: a row count read from a
+    /// WAL once sized a 171 GB allocation here.
+    #[test]
+    fn table_whose_rows_outgrow_the_bound_is_refused() {
+        let store = WarmStore::new(1 << 20);
+        let c = cfg(16, &[1]);
+        store.absorb("a", 1, 2, 16, vec![(QueryId::new(0), c.clone(), 1.0)]);
+        let before = store.stats();
+        let huge = u32::MAX as usize;
+        let ledger = vec![(QueryId::new(0), c.clone(), 2.0)];
+        assert!(store.absorb("huge", 2, huge, 16, ledger).is_empty());
+        let cells = [(QueryId::new(0), c.as_blocks(), 2.0)];
+        assert_eq!(store.absorb_blocks("huge", 2, huge, 16, cells), None);
+        assert_eq!(store.stats(), before, "nothing touched, nothing evicted");
+        // The rows of a table that exists already were paid for.
+        let cells = [(QueryId::new(1), c.as_blocks(), 3.0)];
+        assert_eq!(store.absorb_blocks("a", 1, huge, 16, cells), Some(1));
     }
 
     #[test]

@@ -180,6 +180,22 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(word))
     }
 
+    /// `n` fixed 8-byte words, appended to `out` (one bounds check for
+    /// the run, not one per word).
+    pub fn u64_words(&mut self, n: usize, out: &mut Vec<u64>) -> Result<(), CodecError> {
+        if n > self.remaining() / 8 {
+            return err(format!("{n} words exceed remaining input"));
+        }
+        let words = &self.buf[self.pos..self.pos + 8 * n];
+        out.extend(
+            words
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))),
+        );
+        self.pos += 8 * n;
+        Ok(())
+    }
+
     #[inline]
     pub fn f64_bits(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64_fixed()?))

@@ -17,8 +17,9 @@
 //! Layering:
 //!
 //! - [`codec`] — bounded LEB128/fixed-width binary encoding
-//! - [`crc`] — CRC-32 (IEEE), compile-time table
-//! - [`wal`] — `[len][crc][payload]` framing with torn-tail scanning
+//! - [`crc`] — CRC-32 (IEEE), slicing-by-8 over compile-time tables
+//! - [`wal`] — `[len][crc][payload]` framing with torn-tail scanning of
+//!   one buffer per file
 //! - [`record`] — the durable event set and its [`PersistState`] fold
 //! - [`store`] — [`Persist`]: open/recover, append, compact, stats
 
@@ -29,10 +30,10 @@ pub mod store;
 pub mod wal;
 
 pub use record::{
-    warm_chunks, PersistState, Record, SessionRow, SessionStatus, WarmBatch, WarmEntry,
-    MAX_SESSION_ID, WARM_CHUNK_BYTES,
+    warm_chunks, PersistState, Record, SessionRow, SessionStatus, WarmBatch, MAX_SESSION_ID,
+    WARM_CHUNK_BYTES,
 };
 pub use store::{
-    fault_site, AppendOutcome, CompactOutcome, Durability, FaultHook, Persist, PersistStats,
-    RecoveryInfo, BATCH_BYTES, BATCH_RECORDS,
+    fault_site, CompactOutcome, Durability, FaultHook, Persist, PersistStats, RecoveryInfo,
+    BATCH_BYTES, BATCH_RECORDS,
 };

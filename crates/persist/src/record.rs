@@ -18,21 +18,18 @@
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::wal::FRAME_HEADER;
+use std::ops::Range;
 use std::sync::Arc;
-
-/// One simulated `(query, config) → cost` cell of a warm publication.
-/// `blocks` is the configuration bitset's raw block array; `cost_bits`
-/// is `f64::to_bits` of the what-if cost, so recovery is bit-identical.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WarmEntry {
-    pub query: u32,
-    pub blocks: Vec<u64>,
-    pub cost_bits: u64,
-}
 
 /// One warm-store publication: the cells a settled session added to the
 /// warm table `(key, fingerprint)`, or (in a snapshot) a chunk of that
 /// table.
+///
+/// A cell is a simulated `(query, config) → cost` result: the query id,
+/// the configuration bitset's raw block array, and `f64::to_bits` of the
+/// what-if cost, so recovery is bit-identical. Cells are stored flat, one
+/// `Vec` per field plus per-cell ends into the concatenated blocks, so a
+/// batch costs four allocations however many cells it holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarmBatch {
     /// Workload key (`WorkloadSpec::key()`).
@@ -42,7 +39,61 @@ pub struct WarmBatch {
     pub fingerprint: u64,
     pub num_queries: u32,
     pub universe: u32,
-    pub entries: Vec<WarmEntry>,
+    /// `queries[i]`, `blocks[ends[i - 1]..ends[i]]` (from 0 for the first
+    /// cell) and `cost_bits[i]` are cell `i`; `ends` never decreases and
+    /// ends at `blocks.len()`.
+    queries: Vec<u32>,
+    blocks: Vec<u64>,
+    ends: Vec<usize>,
+    cost_bits: Vec<u64>,
+}
+
+impl WarmBatch {
+    /// A batch of no cells for the warm table `(key, fingerprint)`.
+    pub fn new(key: impl Into<String>, fingerprint: u64, num_queries: u32, universe: u32) -> Self {
+        Self {
+            key: key.into(),
+            fingerprint,
+            num_queries,
+            universe,
+            queries: Vec::new(),
+            blocks: Vec::new(),
+            ends: Vec::new(),
+            cost_bits: Vec::new(),
+        }
+    }
+
+    /// Append one cell.
+    pub fn push(&mut self, query: u32, blocks: &[u64], cost_bits: u64) {
+        self.queries.push(query);
+        self.blocks.extend_from_slice(blocks);
+        self.ends.push(self.blocks.len());
+        self.cost_bits.push(cost_bits);
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// Cell `i` as `(query, blocks, cost_bits)`. Panics past the end.
+    fn cell(&self, i: usize) -> (u32, &[u64], u64) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (
+            self.queries[i],
+            &self.blocks[start..self.ends[i]],
+            self.cost_bits[i],
+        )
+    }
+
+    /// Every cell as `(query, blocks, cost_bits)`, in push order.
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = (u32, &[u64], u64)> + '_ {
+        (0..self.len()).map(|i| self.cell(i))
+    }
 }
 
 /// A session lifecycle event or warm-store mutation. Appended in event
@@ -97,14 +148,7 @@ impl Record {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
-            Record::WarmBatch(batch) => write_warm_batch(
-                &mut w,
-                &batch.key,
-                batch.fingerprint,
-                batch.num_queries,
-                batch.universe,
-                &batch.entries,
-            ),
+            Record::WarmBatch(batch) => write_warm_batch(&mut w, batch, 0..batch.len()),
             Record::WarmFlush => w.u8(TAG_WARM_FLUSH),
             Record::SessionSubmitted { id, spec_json } => {
                 w.u8(TAG_SUBMITTED);
@@ -171,30 +215,35 @@ impl Record {
                     .map_err(|_| CodecError("num_queries exceeds u32".into()))?;
                 let universe = u32::try_from(r.varu64()?)
                     .map_err(|_| CodecError("universe exceeds u32".into()))?;
-                let n = r.count("warm entries")?;
-                let mut entries = Vec::with_capacity(n);
+                // Every buffer is sized from the bytes left, never from a
+                // count the payload claims: a cell takes at least
+                // `MIN_CELL_BYTES`, of which 8 per block, so these
+                // reservations hold exactly the cells of a batch whose
+                // query ids and block counts are below 128.
+                let n = r.varu64()?;
+                if n > (r.remaining() / MIN_CELL_BYTES) as u64 {
+                    return Err(CodecError(format!(
+                        "warm cell count {n} exceeds remaining input"
+                    )));
+                }
+                let n = n as usize;
+                let mut batch = WarmBatch {
+                    queries: Vec::with_capacity(n),
+                    blocks: Vec::with_capacity((r.remaining() - n * MIN_CELL_BYTES) / 8),
+                    ends: Vec::with_capacity(n),
+                    cost_bits: Vec::with_capacity(n),
+                    ..WarmBatch::new(key, fingerprint, num_queries, universe)
+                };
                 for _ in 0..n {
                     let query = u32::try_from(r.varu64()?)
                         .map_err(|_| CodecError("query id exceeds u32".into()))?;
                     let nb = r.count("blocks")?;
-                    let mut blocks = Vec::with_capacity(nb);
-                    for _ in 0..nb {
-                        blocks.push(r.u64_fixed()?);
-                    }
-                    let cost_bits = r.u64_fixed()?;
-                    entries.push(WarmEntry {
-                        query,
-                        blocks,
-                        cost_bits,
-                    });
+                    r.u64_words(nb, &mut batch.blocks)?;
+                    batch.queries.push(query);
+                    batch.ends.push(batch.blocks.len());
+                    batch.cost_bits.push(r.u64_fixed()?);
                 }
-                Record::WarmBatch(WarmBatch {
-                    key,
-                    fingerprint,
-                    num_queries,
-                    universe,
-                    entries,
-                })
+                Record::WarmBatch(batch)
             }
             TAG_WARM_FLUSH => Record::WarmFlush,
             TAG_SUBMITTED => Record::SessionSubmitted {
@@ -230,35 +279,32 @@ impl Record {
     }
 }
 
-/// Encode a `WarmBatch` payload from borrowed parts. The one place its
-/// layout lives: [`Record::encode`] and [`warm_chunks`], which encodes
-/// straight from a batch's entries, both go through it.
-fn write_warm_batch(
-    w: &mut Writer,
-    key: &str,
-    fingerprint: u64,
-    num_queries: u32,
-    universe: u32,
-    entries: &[WarmEntry],
-) {
+/// Fewest encoded bytes a warm cell takes: a one-byte query id, a
+/// one-byte block count and the 8-byte cost word.
+const MIN_CELL_BYTES: usize = 10;
+
+/// Encode the `WarmBatch` payload of `batch`'s header and its `cells`.
+/// The one place its layout lives: [`Record::encode`] and [`warm_chunks`]
+/// both go through it.
+fn write_warm_batch(w: &mut Writer, batch: &WarmBatch, cells: Range<usize>) {
     w.u8(TAG_WARM_BATCH);
-    w.str(key);
-    w.u64_fixed(fingerprint);
-    w.varu64(u64::from(num_queries));
-    w.varu64(u64::from(universe));
-    w.varu64(entries.len() as u64);
-    for e in entries {
-        write_warm_entry(w, e);
+    w.str(&batch.key);
+    w.u64_fixed(batch.fingerprint);
+    w.varu64(u64::from(batch.num_queries));
+    w.varu64(u64::from(batch.universe));
+    w.varu64(cells.len() as u64);
+    for i in cells {
+        write_warm_cell(w, batch.cell(i));
     }
 }
 
-fn write_warm_entry(w: &mut Writer, e: &WarmEntry) {
-    w.varu64(u64::from(e.query));
-    w.varu64(e.blocks.len() as u64);
-    for &b in &e.blocks {
+fn write_warm_cell(w: &mut Writer, (query, blocks, cost_bits): (u32, &[u64], u64)) {
+    w.varu64(u64::from(query));
+    w.varu64(blocks.len() as u64);
+    for &b in blocks {
         w.u64_fixed(b);
     }
-    w.u64_fixed(e.cost_bits);
+    w.u64_fixed(cost_bits);
 }
 
 /// Where a recovered session sits in its lifecycle. A session the daemon
@@ -366,49 +412,42 @@ pub const WARM_CHUNK_BYTES: usize = 256 << 10;
 pub const MAX_SESSION_ID: u64 = 1 << 63;
 
 /// The encoded `WarmBatch` records that carry `batch`, each framed within
-/// [`WARM_CHUNK_BYTES`] (a lone entry larger than that gets a frame of its
-/// own). Encoded straight from the entries; an empty batch still yields
+/// [`WARM_CHUNK_BYTES`] (a lone cell larger than that gets a frame of its
+/// own). Encoded straight from the cells; an empty batch still yields
 /// one empty record so replay recreates its table.
 pub fn warm_chunks(batch: &WarmBatch) -> impl Iterator<Item = Vec<u8>> + '_ {
-    let encode = move |entries: &[WarmEntry]| {
+    let encode = move |cells: Range<usize>| {
         let mut w = Writer::new();
-        write_warm_batch(
-            &mut w,
-            &batch.key,
-            batch.fingerprint,
-            batch.num_queries,
-            batch.universe,
-            entries,
-        );
+        write_warm_batch(&mut w, batch, cells);
         w.into_bytes()
     };
-    let empty_frame = FRAME_HEADER + encode(&[]).len();
-    let mut entry = Writer::new();
-    let mut rest = &batch.entries[..];
+    let empty_frame = FRAME_HEADER + encode(0..0).len();
+    let mut cell = Writer::new();
+    let mut next = 0;
     let mut first = true;
     std::iter::from_fn(move || {
-        if rest.is_empty() && !first {
+        if next == batch.len() && !first {
             return None;
         }
         first = false;
-        // Size the chunk with the encoder itself: take entries while the
-        // frame fits, then re-check the real payload, whose entry count
+        // Size the chunk with the encoder itself: take cells while the
+        // frame fits, then re-check the real payload, whose cell count
         // may need a wider varint than the empty batch's.
         let mut n = 0;
         let mut size = empty_frame;
-        for e in rest {
-            entry.clear();
-            write_warm_entry(&mut entry, e);
-            if n > 0 && size + entry.len() > WARM_CHUNK_BYTES {
+        for i in next..batch.len() {
+            cell.clear();
+            write_warm_cell(&mut cell, batch.cell(i));
+            if n > 0 && size + cell.len() > WARM_CHUNK_BYTES {
                 break;
             }
-            size += entry.len();
+            size += cell.len();
             n += 1;
         }
         loop {
-            let payload = encode(&rest[..n]);
+            let payload = encode(next..next + n);
             if n <= 1 || FRAME_HEADER + payload.len() <= WARM_CHUNK_BYTES {
-                rest = &rest[n..];
+                next += n;
                 return Some(payload);
             }
             n -= 1;
@@ -457,9 +496,9 @@ impl PersistState {
         }
     }
 
-    /// Total warm entries across batches.
+    /// Total warm cells across batches.
     pub fn warm_entries(&self) -> usize {
-        self.warm.iter().map(|b| b.entries.len()).sum()
+        self.warm.iter().map(WarmBatch::len).sum()
     }
 
     /// Fold one event in. Unknown session ids are tolerated (a compacted
@@ -557,6 +596,20 @@ impl PersistState {
 mod tests {
     use super::*;
 
+    fn batch(
+        key: &str,
+        fp: u64,
+        nq: u32,
+        universe: u32,
+        cells: &[(u32, &[u64], u64)],
+    ) -> WarmBatch {
+        let mut b = WarmBatch::new(key, fp, nq, universe);
+        for &(q, blocks, cost_bits) in cells {
+            b.push(q, blocks, cost_bits);
+        }
+        b
+    }
+
     fn sample_records() -> Vec<Record> {
         vec![
             Record::SessionSubmitted {
@@ -564,24 +617,16 @@ mod tests {
                 spec_json: "{\"k\":3}".into(),
             },
             Record::SessionRunning { id: 0 },
-            Record::WarmBatch(WarmBatch {
-                key: "tpch".into(),
-                fingerprint: 0xfeed_beef,
-                num_queries: 22,
-                universe: 500,
-                entries: vec![
-                    WarmEntry {
-                        query: 3,
-                        blocks: vec![0b1010, 0, 1 << 63],
-                        cost_bits: 1234.5f64.to_bits(),
-                    },
-                    WarmEntry {
-                        query: 0,
-                        blocks: vec![],
-                        cost_bits: f64::NAN.to_bits(),
-                    },
+            Record::WarmBatch(batch(
+                "tpch",
+                0xfeed_beef,
+                22,
+                500,
+                &[
+                    (3, &[0b1010, 0, 1 << 63], 1234.5f64.to_bits()),
+                    (0, &[], f64::NAN.to_bits()),
                 ],
-            }),
+            )),
             Record::SessionSuspended {
                 id: 0,
                 checkpoint_json: "{\"version\":1}".into(),
@@ -658,22 +703,12 @@ mod tests {
             "terminal clears the checkpoint"
         );
 
-        let batch = WarmBatch {
-            key: "w".into(),
-            fingerprint: 1,
-            num_queries: 2,
-            universe: 64,
-            entries: vec![WarmEntry {
-                query: 1,
-                blocks: vec![3],
-                cost_bits: 9.0f64.to_bits(),
-            }],
-        };
-        st.apply(Record::WarmBatch(batch.clone()));
-        st.apply(Record::WarmBatch(batch.clone()));
+        let warm = batch("w", 1, 2, 64, &[(1, &[3], 9.0f64.to_bits())]);
+        st.apply(Record::WarmBatch(warm.clone()));
+        st.apply(Record::WarmBatch(warm.clone()));
         assert_eq!(
             st.warm(),
-            [batch.clone(), batch],
+            [warm.clone(), warm],
             "batches are kept whole, in log order; the warm store dedups"
         );
         st.apply(Record::WarmFlush);
@@ -716,17 +751,13 @@ mod tests {
         }
         // Put a warm table back after the trailing flush so the stream
         // carries one, including a negative-zero cost entry.
-        st.apply(Record::WarmBatch(WarmBatch {
-            key: "synth:3".into(),
-            fingerprint: 42,
-            num_queries: 5,
-            universe: 128,
-            entries: vec![WarmEntry {
-                query: 4,
-                blocks: vec![u64::MAX, 7],
-                cost_bits: (-0.0f64).to_bits(),
-            }],
-        }));
+        st.apply(Record::WarmBatch(batch(
+            "synth:3",
+            42,
+            5,
+            128,
+            &[(4, &[u64::MAX, 7], (-0.0f64).to_bits())],
+        )));
         let mut back = PersistState::default();
         for payload in st.records() {
             back.apply(Record::decode(&payload).unwrap());

@@ -21,7 +21,7 @@
 use crate::record::{warm_chunks, PersistState, Record, WarmBatch};
 use crate::wal;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Seek};
+use std::io::{self, BufWriter, Read, Seek};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -112,15 +112,6 @@ pub struct RecoveryInfo {
     pub torn_tail: bool,
     /// Wall-clock recovery took, in milliseconds.
     pub duration_ms: f64,
-}
-
-/// Outcome of a single append, for the caller's trace span.
-#[derive(Clone, Copy, Debug)]
-pub struct AppendOutcome {
-    /// Bytes this append added (frame header + payload).
-    pub bytes: u64,
-    /// Whether this append fsynced.
-    pub synced: bool,
 }
 
 /// Outcome of a compaction, for the caller's trace span.
@@ -243,25 +234,27 @@ fn parse_generation(name: &str, stem: &str, ext: &str) -> Option<u64> {
         .ok()
 }
 
-/// Fold `payloads` into `state` in order, stopping at the first one that
-/// does not decode. Returns how many were applied. Snapshots and WAL
-/// tails replay through this one loop.
-fn replay(state: &mut PersistState, payloads: &[Vec<u8>]) -> usize {
-    for (applied, payload) in payloads.iter().enumerate() {
-        match Record::decode(payload) {
+/// Fold the payloads `scanned` found in `buf` into `state` in order,
+/// stopping at the first one that does not decode. Returns how many were
+/// applied. Snapshots and WAL tails replay through this one loop, each
+/// from the one buffer its file was read into.
+fn replay(state: &mut PersistState, buf: &[u8], scanned: &wal::WalScan) -> usize {
+    for (applied, payload) in scanned.payloads.iter().enumerate() {
+        match Record::decode(&buf[payload.clone()]) {
             Ok(rec) => state.apply(rec),
             Err(_) => return applied,
         }
     }
-    payloads.len()
+    scanned.payloads.len()
 }
 
 /// Replay a snapshot file. A snapshot is all or nothing: `None` if any
 /// frame is torn or fails to decode.
 fn load_snapshot(path: &Path) -> Option<PersistState> {
-    let scanned = wal::scan(&mut File::open(path).ok()?).ok()?;
+    let buf = fs::read(path).ok()?;
+    let scanned = wal::scan(&buf);
     let mut state = PersistState::default();
-    let whole = !scanned.torn && replay(&mut state, &scanned.payloads) == scanned.payloads.len();
+    let whole = !scanned.torn && replay(&mut state, &buf, &scanned) == scanned.payloads.len();
     whole.then_some(state)
 }
 
@@ -333,16 +326,17 @@ impl Persist {
         let mut wal_bytes = 0u64;
         if wal_file.exists() {
             let mut f = OpenOptions::new().read(true).write(true).open(&wal_file)?;
-            let scanned = wal::scan(&mut f)?;
+            let mut buf = Vec::new();
+            f.read_to_end(&mut buf)?;
+            let scanned = wal::scan(&buf);
             if scanned.torn {
-                let total = f.metadata()?.len();
                 info.torn_tail = true;
-                info.torn_bytes = total - scanned.valid_len;
+                info.torn_bytes = buf.len() as u64 - scanned.valid_len;
                 f.set_len(scanned.valid_len)?;
                 f.sync_all()?;
             }
             wal_bytes = scanned.valid_len;
-            let applied = replay(&mut state, &scanned.payloads);
+            let applied = replay(&mut state, &buf, &scanned);
             info.wal_records = applied as u64;
             if applied < scanned.payloads.len() {
                 // A CRC-valid frame that doesn't decode means the writer
@@ -404,7 +398,7 @@ impl Persist {
     }
 
     /// Append one record, fsyncing per the durability policy.
-    pub fn append(&self, rec: &Record) -> io::Result<AppendOutcome> {
+    pub fn append(&self, rec: &Record) -> io::Result<()> {
         let payload = rec.encode();
         let mut inner = self.inner.lock().expect("persist lock");
         if inner.faulted(fault_site::APPEND) {
@@ -434,7 +428,7 @@ impl Persist {
             inner.unsynced_records = 0;
             inner.unsynced_bytes = 0;
         }
-        Ok(AppendOutcome { bytes, synced })
+        Ok(())
     }
 
     /// Flush any unsynced batch to stable storage. A no-op under
@@ -542,7 +536,7 @@ impl Persist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{SessionStatus, WarmBatch, WarmEntry};
+    use crate::record::{SessionStatus, WarmBatch};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -561,19 +555,11 @@ mod tests {
     }
 
     fn warm_batch(n: u64) -> Record {
-        Record::WarmBatch(WarmBatch {
-            key: "w".into(),
-            fingerprint: 9,
-            num_queries: 4,
-            universe: 64,
-            entries: (0..n)
-                .map(|i| WarmEntry {
-                    query: (i % 4) as u32,
-                    blocks: vec![i],
-                    cost_bits: (i as f64 * 1.5).to_bits(),
-                })
-                .collect(),
-        })
+        let mut batch = WarmBatch::new("w", 9, 4, 64);
+        for i in 0..n {
+            batch.push((i % 4) as u32, &[i], (i as f64 * 1.5).to_bits());
+        }
+        Record::WarmBatch(batch)
     }
 
     #[test]
@@ -756,9 +742,9 @@ mod tests {
         p.set_durability(Durability::Never);
         assert_eq!(p.durability(), Durability::Never);
         for i in 1..10 {
-            assert!(!p.append(&submit(i)).unwrap().synced);
+            p.append(&submit(i)).unwrap();
+            assert_eq!(p.stats().fsyncs_total, fsyncs, "no fsync after demotion");
         }
-        assert_eq!(p.stats().fsyncs_total, fsyncs, "no fsyncs after demotion");
         assert_eq!(p.stats().durability, Durability::Never);
         fs::remove_dir_all(dir).unwrap();
     }
@@ -788,28 +774,27 @@ mod tests {
     fn durability_policies_count_fsyncs() {
         let dir = temp_dir("fsync");
         let (p, _, _) = Persist::open(&dir, Durability::Always).unwrap();
-        let a = p.append(&submit(0)).unwrap();
-        assert!(a.synced);
-        assert_eq!(p.stats().fsyncs_total, 1);
+        for i in 0..3 {
+            p.append(&submit(i)).unwrap();
+            assert_eq!(p.stats().fsyncs_total, i + 1, "one fsync per append");
+        }
         drop(p);
         fs::remove_dir_all(&dir).unwrap();
 
         let (p, _, _) = Persist::open(&dir, Durability::Never).unwrap();
         for i in 0..200 {
-            assert!(!p.append(&submit(i)).unwrap().synced);
+            p.append(&submit(i)).unwrap();
+            assert_eq!(p.stats().fsyncs_total, 0);
         }
-        assert_eq!(p.stats().fsyncs_total, 0);
         drop(p);
         fs::remove_dir_all(&dir).unwrap();
 
         let (p, _, _) = Persist::open(&dir, Durability::Batch).unwrap();
-        let mut synced = 0;
         for i in 0..(BATCH_RECORDS * 2) {
-            if p.append(&submit(i)).unwrap().synced {
-                synced += 1;
-            }
+            p.append(&submit(i)).unwrap();
+            // The sync lands on the batch's last record, not before.
+            assert_eq!(p.stats().fsyncs_total, (i + 1) / BATCH_RECORDS, "i={i}");
         }
-        assert_eq!(synced, 2, "one sync per full batch");
         p.sync().unwrap(); // nothing pending → no extra fsync
         assert_eq!(p.stats().fsyncs_total, 2);
         fs::remove_dir_all(dir).unwrap();

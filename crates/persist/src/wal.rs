@@ -9,8 +9,8 @@
 //! is the expected signature of dying mid-write, not an error.
 
 use crate::crc::crc32;
-use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+use std::ops::Range;
 
 /// Frame header: payload length + payload CRC, both little-endian u32.
 pub const FRAME_HEADER: usize = 8;
@@ -42,30 +42,32 @@ pub fn append_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
     Ok(frame.len() as u64)
 }
 
-/// The result of scanning a WAL file.
+/// The frames of one generation file: where each payload of the valid
+/// prefix sits in the buffer that was scanned.
 pub struct WalScan {
-    /// Payloads of every frame in the valid prefix, in append order.
-    pub payloads: Vec<Vec<u8>>,
+    /// Byte ranges of every frame's payload in the valid prefix, in
+    /// append order.
+    pub payloads: Vec<Range<usize>>,
     /// Length of the valid prefix in bytes.
     pub valid_len: u64,
     /// Whether bytes after the valid prefix had to be discarded.
     pub torn: bool,
 }
 
-/// Scan every valid frame from the start of `file`.
-pub fn scan(file: &mut File) -> io::Result<WalScan> {
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
+/// Scan every valid frame from the start of `buf`, a generation file's
+/// whole contents. Payloads stay in `buf`: recovery decodes each one
+/// where it lies.
+pub fn scan(buf: &[u8]) -> WalScan {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
     loop {
         if pos == buf.len() {
             // Clean end: every byte belonged to a whole frame.
-            return Ok(WalScan {
+            return WalScan {
                 payloads,
                 valid_len: pos as u64,
                 torn: false,
-            });
+            };
         }
         let rest = &buf[pos..];
         if rest.len() < FRAME_HEADER {
@@ -76,115 +78,87 @@ pub fn scan(file: &mut File) -> io::Result<WalScan> {
         if len > MAX_PAYLOAD || rest.len() - FRAME_HEADER < len as usize {
             break;
         }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len as usize];
-        if crc32(payload) != crc {
+        let payload = pos + FRAME_HEADER..pos + FRAME_HEADER + len as usize;
+        if crc32(&buf[payload.clone()]) != crc {
             break;
         }
-        payloads.push(payload.to_vec());
-        pos += FRAME_HEADER + len as usize;
+        pos = payload.end;
+        payloads.push(payload);
     }
-    Ok(WalScan {
+    WalScan {
         payloads,
         valid_len: pos as u64,
         torn: true,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs::OpenOptions;
-    use std::io::Seek;
 
-    fn temp_wal(tag: &str) -> (std::path::PathBuf, File) {
-        let path = std::env::temp_dir().join(format!(
-            "ixtune-persist-waltest-{tag}-{}.log",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        (path, file)
-    }
-
-    fn rewound(mut file: File) -> File {
-        file.rewind().unwrap();
-        file
+    /// The payloads `got` found in `buf`, copied out for comparison.
+    fn payloads(buf: &[u8], got: &WalScan) -> Vec<Vec<u8>> {
+        got.payloads
+            .iter()
+            .map(|r| buf[r.clone()].to_vec())
+            .collect()
     }
 
     #[test]
     fn frames_roundtrip_in_order() {
-        let (path, mut file) = temp_wal("roundtrip");
-        let payloads: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![0xff; 1000]];
-        for p in &payloads {
-            append_frame(&mut file, p).unwrap();
+        let mut buf = Vec::new();
+        let written: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![0xff; 1000]];
+        for p in &written {
+            append_frame(&mut buf, p).unwrap();
         }
-        let got = scan(&mut rewound(file)).unwrap();
+        let got = scan(&buf);
         assert!(!got.torn);
-        assert_eq!(got.payloads, payloads);
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(payloads(&buf, &got), written);
     }
 
     #[test]
     fn corrupt_byte_tears_the_tail_there() {
-        let (path, mut file) = temp_wal("corrupt");
-        let first = append_frame(&mut file, b"keep me").unwrap();
-        append_frame(&mut file, b"lose me").unwrap();
+        let mut buf = Vec::new();
+        let first = append_frame(&mut buf, b"keep me").unwrap();
+        append_frame(&mut buf, b"lose me").unwrap();
         // Flip a payload byte of the second frame.
-        let mut raw = std::fs::read(&path).unwrap();
-        let idx = first as usize + FRAME_HEADER;
-        raw[idx] ^= 0x01;
-        std::fs::write(&path, &raw).unwrap();
-        let mut file = File::open(&path).unwrap();
-        let got = scan(&mut file).unwrap();
+        buf[first as usize + FRAME_HEADER] ^= 0x01;
+        let got = scan(&buf);
         assert!(got.torn);
-        assert_eq!(got.payloads, vec![b"keep me".to_vec()]);
+        assert_eq!(payloads(&buf, &got), vec![b"keep me".to_vec()]);
         assert_eq!(got.valid_len, first);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn truncation_mid_frame_keeps_the_prefix() {
-        let (path, mut file) = temp_wal("truncate");
-        let first = append_frame(&mut file, b"whole").unwrap();
-        append_frame(&mut file, b"half-written record").unwrap();
-        drop(file);
-        let raw = std::fs::read(&path).unwrap();
+        let mut buf = Vec::new();
+        let first = append_frame(&mut buf, b"whole").unwrap();
+        append_frame(&mut buf, b"half-written record").unwrap();
         // Cut anywhere inside the second frame: same valid prefix.
-        for cut in first as usize + 1..raw.len() {
-            std::fs::write(&path, &raw[..cut]).unwrap();
-            let got = scan(&mut File::open(&path).unwrap()).unwrap();
+        for cut in first as usize + 1..buf.len() {
+            let got = scan(&buf[..cut]);
             assert!(got.torn, "cut={cut}");
             assert_eq!(got.payloads.len(), 1, "cut={cut}");
             assert_eq!(got.valid_len, first, "cut={cut}");
         }
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn oversized_length_word_is_torn_not_allocated() {
-        let (path, mut file) = temp_wal("oversized");
-        append_frame(&mut file, b"ok").unwrap();
-        file.write_all(&(u32::MAX).to_le_bytes()).unwrap();
-        file.write_all(&0u32.to_le_bytes()).unwrap();
-        let got = scan(&mut rewound(file)).unwrap();
+        let mut buf = Vec::new();
+        append_frame(&mut buf, b"ok").unwrap();
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        let got = scan(&buf);
         assert!(got.torn);
-        assert_eq!(got.payloads, vec![b"ok".to_vec()]);
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(payloads(&buf, &got), vec![b"ok".to_vec()]);
     }
 
     #[test]
     fn empty_file_scans_clean() {
-        let (path, file) = temp_wal("empty");
-        let got = scan(&mut rewound(file)).unwrap();
+        let got = scan(&[]);
         assert!(!got.torn);
         assert!(got.payloads.is_empty());
         assert_eq!(got.valid_len, 0);
-        std::fs::remove_file(path).unwrap();
     }
 }

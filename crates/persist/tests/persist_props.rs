@@ -5,11 +5,14 @@
 //!   patterns — and any fold replays from its own record stream (the
 //!   snapshot format);
 //! * recovery after arbitrary truncation or a byte flip always yields the
-//!   longest valid prefix of what was appended, and reports the torn tail.
+//!   longest valid prefix of what was appended, and reports the torn tail;
+//! * a data dir written by an earlier build (the committed fixture)
+//!   replays to the records it was written from, and this build writes
+//!   those records to the same bytes.
 
 use ixtune_persist::wal::{self, FRAME_HEADER, MAX_PAYLOAD};
 use ixtune_persist::{
-    warm_chunks, Durability, Persist, PersistState, Record, SessionStatus, WarmBatch, WarmEntry,
+    warm_chunks, Durability, Persist, PersistState, Record, SessionStatus, WarmBatch,
     WARM_CHUNK_BYTES,
 };
 use proptest::prelude::*;
@@ -34,17 +37,32 @@ fn arb_str() -> impl Strategy<Value = String> {
     "[ -~]{0,24}"
 }
 
-fn arb_entry() -> impl Strategy<Value = WarmEntry> {
+/// One warm cell: `(query, blocks, cost_bits)`.
+type Cell = (u32, Vec<u64>, u64);
+
+fn arb_cell() -> impl Strategy<Value = Cell> {
     (
         any::<u32>(),
         prop::collection::vec(any::<u64>(), 0..4),
         any::<u64>(),
     )
-        .prop_map(|(query, blocks, cost_bits)| WarmEntry {
-            query,
-            blocks,
-            cost_bits,
-        })
+}
+
+fn warm_batch(key: &str, fp: u64, nq: u32, universe: u32, cells: &[Cell]) -> WarmBatch {
+    let mut batch = WarmBatch::new(key, fp, nq, universe);
+    for (query, blocks, cost_bits) in cells {
+        batch.push(*query, blocks, *cost_bits);
+    }
+    batch
+}
+
+/// The cells of `batches`, in order.
+fn cells_of<'a>(batches: impl IntoIterator<Item = &'a WarmBatch>) -> Vec<Cell> {
+    batches
+        .into_iter()
+        .flat_map(WarmBatch::cells)
+        .map(|(q, blocks, cost_bits)| (q, blocks.to_vec(), cost_bits))
+        .collect()
 }
 
 /// Session ids below `space`, or anywhere in `u64` for `None`. A small
@@ -67,16 +85,10 @@ fn arb_record_in(space: Option<u64>) -> impl Strategy<Value = Record> {
             any::<u64>(),
             any::<u32>(),
             any::<u32>(),
-            prop::collection::vec(arb_entry(), 0..6),
+            prop::collection::vec(arb_cell(), 0..6),
         )
-            .prop_map(|(key, fingerprint, num_queries, universe, entries)| {
-                Record::WarmBatch(WarmBatch {
-                    key,
-                    fingerprint,
-                    num_queries,
-                    universe,
-                    entries,
-                })
+            .prop_map(|(key, fingerprint, num_queries, universe, cells)| {
+                Record::WarmBatch(warm_batch(&key, fingerprint, num_queries, universe, &cells))
             }),
         (0u32..1).prop_map(|_| Record::WarmFlush),
         (arb_id(space), arb_str())
@@ -147,26 +159,22 @@ proptest! {
         bits in prop::collection::vec(any::<u64>(), 1..16),
         fingerprint in any::<u64>(),
     ) {
-        let entries: Vec<WarmEntry> = bits
+        let cells: Vec<Cell> = bits
             .iter()
             .enumerate()
-            .map(|(i, &b)| WarmEntry { query: i as u32, blocks: vec![i as u64], cost_bits: b })
+            .map(|(i, &b)| (i as u32, vec![i as u64], b))
             .collect();
         let dir = scratch_dir();
         {
             let (p, _, _) = Persist::open(&dir, Durability::Batch).unwrap();
-            p.append(&Record::WarmBatch(WarmBatch {
-                key: "w".into(),
-                fingerprint,
-                num_queries: bits.len() as u32,
-                universe: 64,
-                entries: entries.clone(),
-            })).unwrap();
+            p.append(&Record::WarmBatch(warm_batch(
+                "w", fingerprint, bits.len() as u32, 64, &cells,
+            ))).unwrap();
         }
         let (_p, state, _) = Persist::open(&dir, Durability::Batch).unwrap();
         let batch = state.warm().iter().find(|b| b.key == "w" && b.fingerprint == fingerprint)
             .expect("warm batch recovered");
-        let recovered: Vec<u64> = batch.entries.iter().map(|e| e.cost_bits).collect();
+        let recovered: Vec<u64> = batch.cells().map(|(_, _, cost_bits)| cost_bits).collect();
         prop_assert_eq!(recovered, bits);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -383,19 +391,10 @@ fn large_warm_table_compacts_into_bounded_frames() {
     // 18 encoded bytes per entry (two 1-byte varints, one block, the
     // cost): 4× the bound in entries.
     let n = (4 * WARM_CHUNK_BYTES / 18 + 4) as u64;
-    let table = WarmBatch {
-        key: "w".into(),
-        fingerprint: 9,
-        num_queries: 4,
-        universe: 64,
-        entries: (0..n)
-            .map(|i| WarmEntry {
-                query: (i % 4) as u32,
-                blocks: vec![i],
-                cost_bits: (i as f64 * 1.5).to_bits(),
-            })
-            .collect(),
-    };
+    let cells: Vec<Cell> = (0..n)
+        .map(|i| ((i % 4) as u32, vec![i], (i as f64 * 1.5).to_bits()))
+        .collect();
+    let table = warm_batch("w", 9, 4, 64, &cells);
     p.append(&submit(0)).unwrap();
     let live = p.state();
     p.compact(|| [table.clone()]).unwrap();
@@ -425,12 +424,7 @@ fn large_warm_table_compacts_into_bounded_frames() {
         b.num_queries,
         b.universe
     ) == ("w", 9, 4, 64)));
-    let entries: Vec<WarmEntry> = recovered
-        .warm()
-        .iter()
-        .flat_map(|b| b.entries.iter().cloned())
-        .collect();
-    assert_eq!(entries, table.entries);
+    assert_eq!(cells_of(recovered.warm()), cells);
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -442,23 +436,9 @@ fn large_warm_table_compacts_into_bounded_frames() {
 fn warm_chunk_that_fills_the_bound_exactly_is_cut_one_entry_early() {
     // Frame header 8 + an empty batch for key "w" 14 + one 42-byte entry
     // (4 blocks) + 14,560 18-byte entries (1 block) = 262,144 bytes.
-    let mut entries = vec![WarmEntry {
-        query: 0,
-        blocks: vec![u64::MAX; 4],
-        cost_bits: 0,
-    }];
-    entries.extend((0..14_560).map(|i| WarmEntry {
-        query: 0,
-        blocks: vec![i],
-        cost_bits: 1,
-    }));
-    let batch = WarmBatch {
-        key: "w".into(),
-        fingerprint: 9,
-        num_queries: 4,
-        universe: 64,
-        entries,
-    };
+    let mut cells: Vec<Cell> = vec![(0, vec![u64::MAX; 4], 0)];
+    cells.extend((0..14_560).map(|i| (0, vec![i], 1)));
+    let batch = warm_batch("w", 9, 4, 64, &cells);
     let payloads: Vec<Vec<u8>> = warm_chunks(&batch).collect();
     let sizes: Vec<usize> = payloads.iter().map(|p| FRAME_HEADER + p.len()).collect();
     assert_eq!(sizes.len(), 2, "{sizes:?}");
@@ -467,12 +447,7 @@ fn warm_chunk_that_fills_the_bound_exactly_is_cut_one_entry_early() {
     for payload in payloads {
         back.apply(Record::decode(&payload).unwrap());
     }
-    let entries: Vec<WarmEntry> = back
-        .warm()
-        .iter()
-        .flat_map(|b| b.entries.iter().cloned())
-        .collect();
-    assert_eq!(entries, batch.entries);
+    assert_eq!(cells_of(back.warm()), cells);
 }
 
 /// A record too large for a frame is refused before any byte reaches the
@@ -493,4 +468,181 @@ fn oversized_append_is_refused_and_leaves_the_wal_untouched() {
     assert_eq!(p.state().sessions()[0].status, SessionStatus::Queued);
     assert_eq!(p.stats().records_total, 1);
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// The earlier build's data dir: `fixture_gen0`, a compaction, then
+/// `fixture_gen1`, written by `write_fixture` with the build before warm
+/// batches were stored flat. Generation 0 was pruned by the compaction.
+const FIXTURE_SNAP_1: &[u8] = include_bytes!("fixtures/earlier-build-data-dir/snap-1.bin");
+const FIXTURE_WAL_1: &[u8] = include_bytes!("fixtures/earlier-build-data-dir/wal-1.log");
+
+/// Configurations of the fixture's 100-candidate tables (2 blocks, a
+/// 36-bit tail), and of its 64-candidate one.
+const X: [u64; 2] = [0b1010, 1 << 35];
+const Y: [u64; 2] = [0, 1];
+const Z: [u64; 2] = [u64::MAX, (1 << 36) - 1];
+
+/// Generation 0 of the fixture: every record kind a build writes, a
+/// flush, NaN and `-0.0` costs, and cells whose configuration repeats the
+/// previous cell's.
+fn fixture_gen0() -> Vec<Record> {
+    let x: Vec<Cell> = (0..4u32)
+        .map(|q| (q, X.to_vec(), (100.5 + f64::from(q)).to_bits()))
+        .collect();
+    let a1 = [x.clone(), vec![(3, Y.to_vec(), 0x7ff8_0000_0000_0001)]].concat();
+    let a2 = [
+        x.clone(),
+        vec![(21, Z.to_vec(), (-0.0f64).to_bits()), x[0].clone()],
+    ]
+    .concat();
+    vec![
+        Record::SessionSubmitted {
+            id: 0,
+            spec_json: "{\"workload\":\"tpch\",\"k\":3}".into(),
+        },
+        Record::WarmBatch(warm_batch("tpch", 0xfeed_beef, 22, 100, &a1)),
+        Record::SessionSuspended {
+            id: 0,
+            checkpoint_json: "{\"version\":2}".into(),
+            wall_clock_ms: 12.5,
+        },
+        Record::WarmFlush,
+        Record::WarmBatch(warm_batch("tpch", 0xfeed_beef, 22, 100, &a2)),
+        Record::SessionResumed { id: 0 },
+        Record::SessionSubmitted {
+            id: 1,
+            spec_json: "{\"workload\":\"synth:7\"}".into(),
+        },
+        Record::SessionDone {
+            id: 0,
+            result_json: "{\"improvement\":0.25}".into(),
+        },
+        Record::SessionCancelled {
+            id: 1,
+            result_json: Some("{\"improvement\":0.0}".into()),
+        },
+    ]
+}
+
+/// Generation 1 of the fixture: appended after the compaction, including
+/// a batch whose rows the warm import would poison (a query past the
+/// table, a block count that is not the universe's).
+fn fixture_gen1() -> Vec<Record> {
+    let b1: Vec<Cell> = (0..4u32)
+        .map(|q| (q, vec![0b11], (1e-300 * f64::from(q)).to_bits()))
+        .chain([(112, vec![1 << 63], 5.0f64.to_bits())])
+        .collect();
+    let b2: Vec<Cell> = vec![
+        (22, X.to_vec(), 1.0f64.to_bits()),
+        (0, vec![1], 2.0f64.to_bits()),
+        (4, X.to_vec(), 104.5f64.to_bits()),
+    ];
+    vec![
+        Record::SessionSubmitted {
+            id: 2,
+            spec_json: "{\"workload\":\"job\"}".into(),
+        },
+        Record::WarmBatch(warm_batch("job", 7, 113, 64, &b1)),
+        Record::SessionFailed {
+            id: 2,
+            error: "panicked".into(),
+        },
+        Record::SessionSubmitted {
+            id: 3,
+            spec_json: "{\"workload\":\"tpch\",\"k\":5}".into(),
+        },
+        Record::SessionSuspended {
+            id: 3,
+            checkpoint_json: "{\"version\":2,\"trace\":[]}".into(),
+            wall_clock_ms: 7.25,
+        },
+        Record::WarmBatch(warm_batch("tpch", 0xfeed_beef, 22, 100, &b2)),
+    ]
+}
+
+/// Write the fixture's records into `dir`: generation 0, a compaction
+/// whose warm tables are generation 0's unflushed batches, generation 1.
+fn write_fixture(dir: &std::path::Path) {
+    let gen0 = fixture_gen0();
+    let (p, _, _) = Persist::open(dir, Durability::Never).unwrap();
+    for rec in &gen0 {
+        p.append(rec).unwrap();
+    }
+    p.compact(|| fold(&gen0, gen0.len()).warm().to_vec())
+        .unwrap();
+    for rec in &fixture_gen1() {
+        p.append(rec).unwrap();
+    }
+}
+
+/// The earlier build's data dir replays, on this build, to the fold of
+/// the records it was written from, and this build writes those records
+/// to the same bytes, snapshot and WAL alike.
+#[test]
+fn earlier_builds_data_dir_recovers_and_rewrites_byte_identically() {
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("snap-1.bin"), FIXTURE_SNAP_1).unwrap();
+    std::fs::write(dir.join("wal-1.log"), FIXTURE_WAL_1).unwrap();
+    let (_p, state, info) = Persist::open(&dir, Durability::Never).unwrap();
+    assert!(info.snapshot_loaded && !info.torn_tail, "{info:?}");
+    assert_eq!((info.generation, info.wal_records), (1, 6));
+    let records = [fixture_gen0(), fixture_gen1()].concat();
+    assert_eq!(state, fold(&records, records.len()));
+    let statuses: Vec<(u64, &SessionStatus)> =
+        state.sessions().iter().map(|s| (s.id, &s.status)).collect();
+    assert_eq!(
+        statuses,
+        [
+            (
+                0,
+                &SessionStatus::Done {
+                    result_json: "{\"improvement\":0.25}".into()
+                }
+            ),
+            (
+                1,
+                &SessionStatus::Cancelled {
+                    result_json: Some("{\"improvement\":0.0}".into())
+                }
+            ),
+            (
+                2,
+                &SessionStatus::Failed {
+                    error: "panicked".into()
+                }
+            ),
+            (3, &SessionStatus::Suspended),
+        ]
+    );
+    assert_eq!(state.next_id, 4);
+    let suspended = &state.sessions()[3];
+    assert_eq!(
+        (
+            suspended.checkpoint_json.as_deref(),
+            suspended.wall_clock_ms
+        ),
+        (Some("{\"version\":2,\"trace\":[]}"), 7.25)
+    );
+    let cells = cells_of(state.warm());
+    assert_eq!(
+        cells.len(),
+        6 + 5 + 3,
+        "the flush dropped generation 0's first batch"
+    );
+    assert_eq!(cells[4], (21, Z.to_vec(), (-0.0f64).to_bits()));
+    assert_eq!(cells[13], (4, X.to_vec(), 104.5f64.to_bits()));
+
+    let fresh = scratch_dir();
+    write_fixture(&fresh);
+    assert_eq!(
+        std::fs::read(fresh.join("snap-1.bin")).unwrap(),
+        FIXTURE_SNAP_1
+    );
+    assert_eq!(
+        std::fs::read(fresh.join("wal-1.log")).unwrap(),
+        FIXTURE_WAL_1
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+    std::fs::remove_dir_all(fresh).unwrap();
 }

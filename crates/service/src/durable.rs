@@ -25,7 +25,7 @@ use ixtune_common::{IndexSet, QueryId};
 use ixtune_core::warm::WarmStore;
 use ixtune_obs::{Counter, MetricsRegistry};
 use ixtune_persist::{
-    CompactOutcome, Durability, Persist, PersistState, PersistStats, Record, WarmBatch, WarmEntry,
+    CompactOutcome, Durability, Persist, PersistState, PersistStats, Record, WarmBatch,
 };
 use std::io;
 use std::path::Path;
@@ -214,50 +214,44 @@ pub fn warm_batch<'a>(
     universe: usize,
     cells: impl Iterator<Item = (QueryId, &'a IndexSet, f64)>,
 ) -> WarmBatch {
-    WarmBatch {
-        key: key.to_string(),
-        fingerprint,
-        num_queries: num_queries as u32,
-        universe: universe as u32,
-        entries: cells
-            .map(|(q, config, cost)| WarmEntry {
-                query: q.index() as u32,
-                blocks: config.as_blocks().to_vec(),
-                cost_bits: cost.to_bits(),
-            })
-            .collect(),
+    let mut batch = WarmBatch::new(key, fingerprint, num_queries as u32, universe as u32);
+    for (q, config, cost) in cells {
+        batch.push(q.index() as u32, config.as_blocks(), cost.to_bits());
     }
+    batch
 }
 
 /// Replay recovered warm batches into the live store, in log order: the
-/// absorptions the store saw before the restart. Rows that fail
-/// structural validation (foreign block counts, out-of-range queries) are
-/// poisoned: each is dropped individually and counted, so a partially
-/// valid batch still contributes. Returns `(imported, dropped)` entry
-/// counts.
+/// absorptions the store saw before the restart. Cells reach the store
+/// borrowed from the batches, through the merge `absorb` runs. Rows that
+/// fail structural validation (out-of-range queries, block arrays that
+/// are no configuration over the batch's universe) are poisoned: each is
+/// dropped individually and counted, so a partially valid batch still
+/// contributes. A table the store refuses (its empty rows alone exceed
+/// the byte bound) has all its rows counted poisoned. Returns
+/// `(imported, dropped)` entry counts.
 pub fn import_warm(state: &PersistState, store: &WarmStore) -> (usize, usize) {
     let mut imported = 0;
     let mut dropped = 0;
     for batch in state.warm() {
         let num_queries = batch.num_queries as usize;
         let universe = batch.universe as usize;
-        let ledger: Vec<(QueryId, IndexSet, f64)> = batch
-            .entries
-            .iter()
-            .filter_map(|e| {
-                let row = ((e.query as usize) < num_queries)
-                    .then(|| IndexSet::from_blocks(universe, e.blocks.clone()))
-                    .flatten()
-                    .map(|set| (QueryId::new(e.query), set, f64::from_bits(e.cost_bits)));
-                if row.is_none() {
-                    dropped += 1;
-                }
-                row
+        let mut invalid = 0;
+        let cells = batch
+            .cells()
+            .filter(|&(q, blocks, _)| {
+                let valid = (q as usize) < num_queries && IndexSet::blocks_fit(universe, blocks);
+                invalid += usize::from(!valid);
+                valid
             })
-            .collect();
-        imported += store
-            .absorb(&batch.key, batch.fingerprint, num_queries, universe, ledger)
-            .len();
+            .map(|(q, blocks, bits)| (QueryId::new(q), blocks, f64::from_bits(bits)));
+        match store.absorb_blocks(&batch.key, batch.fingerprint, num_queries, universe, cells) {
+            Some(added) => {
+                imported += added;
+                dropped += invalid;
+            }
+            None => dropped += batch.len(),
+        }
     }
     (imported, dropped)
 }
@@ -265,6 +259,7 @@ pub fn import_warm(state: &PersistState, store: &WarmStore) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ixtune_common::IndexId;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -323,38 +318,140 @@ mod tests {
     /// poisoning the table.
     #[test]
     fn import_warm_revalidates_rows_individually() {
+        let mut batch = WarmBatch::new("synth:1|mcts", 42, 4, 8);
+        batch.push(0, &[0b101], 1.5f64.to_bits());
+        // Out-of-range query: dropped.
+        batch.push(9, &[0b1], 2.0f64.to_bits());
+        // Wrong block count for universe=8: dropped.
+        batch.push(1, &[1, 2, 3], 3.0f64.to_bits());
+        // A member at 8 of an 8-candidate universe: dropped.
+        batch.push(2, &[1 << 8], 4.0f64.to_bits());
         let mut state = PersistState::default();
-        state.apply(Record::WarmBatch(WarmBatch {
-            key: "synth:1|mcts".into(),
-            fingerprint: 42,
-            num_queries: 4,
-            universe: 8,
-            entries: vec![
-                WarmEntry {
-                    query: 0,
-                    blocks: vec![0b101],
-                    cost_bits: 1.5f64.to_bits(),
-                },
-                // Out-of-range query: dropped.
-                WarmEntry {
-                    query: 9,
-                    blocks: vec![0b1],
-                    cost_bits: 2.0f64.to_bits(),
-                },
-                // Wrong block count for universe=8: dropped.
-                WarmEntry {
-                    query: 1,
-                    blocks: vec![1, 2, 3],
-                    cost_bits: 3.0f64.to_bits(),
-                },
-            ],
-        }));
+        state.apply(Record::WarmBatch(batch));
         let store = WarmStore::new(1 << 20);
-        assert_eq!(import_warm(&state, &store), (1, 2));
+        assert_eq!(import_warm(&state, &store), (1, 3));
         let set = IndexSet::from_blocks(8, vec![0b101]).unwrap();
         let snap = store.checkout("synth:1|mcts", 42, 4, 8);
         let cost = snap.get(QueryId::new(0), &set).expect("imported row");
         assert_eq!(cost.to_bits(), 1.5f64.to_bits());
+    }
+
+    /// Recovery's borrowed import builds the store that absorbing the same
+    /// cells as owned ledgers, in log order, builds: equal cell by cell
+    /// (cost bits) and in every `WarmStoreStats` field. The log holds
+    /// configurations repeated over consecutive cells and across batches,
+    /// duplicate cells, a flush, poisoned rows, a refused table and more
+    /// tables than the byte bound keeps.
+    #[test]
+    fn recovered_store_equals_the_one_owned_ledgers_build() {
+        const UNIVERSE: usize = 100;
+        const BOUND: usize = 6_000;
+        let set = |ids: [u32; 2]| IndexSet::from_ids(UNIVERSE, ids.map(IndexId::new));
+        // Table `t` prices configuration {s, 7s + t mod 100} for four
+        // queries in a row, at each step `s`.
+        let table = |key: &str, t: u32, steps: std::ops::Range<u32>| {
+            let mut batch = WarmBatch::new(key, u64::from(t), 8, UNIVERSE as u32);
+            for s in steps {
+                let config = set([s, (7 * s + t) % 100]);
+                for q in s % 5..s % 5 + 4 {
+                    batch.push(
+                        q,
+                        config.as_blocks(),
+                        (f64::from(s * 8 + q) + 0.5).to_bits(),
+                    );
+                }
+            }
+            batch
+        };
+        let mut poisoned = table("a", 0, 30..32);
+        poisoned.push(8, set([1, 2]).as_blocks(), 1.0f64.to_bits()); // query past the table
+        poisoned.push(0, &[1], 1.0f64.to_bits()); // one block of two
+        poisoned.push(1, &[0, 1 << 36], 1.0f64.to_bits()); // member 100 of 100
+        let mut refused = WarmBatch::new("huge", 9, u32::MAX, UNIVERSE as u32);
+        refused.push(0, set([1, 2]).as_blocks(), 1.0f64.to_bits());
+        let replayed = [
+            table("a", 0, 0..12),
+            table("b", 1, 0..12),
+            table("a", 0, 8..20),
+            poisoned,
+            refused,
+            table("c", 2, 0..12),
+            table("b", 1, 4..10),
+        ];
+        let dir = scratch("identity");
+        {
+            let (log, _, _) = open(&dir);
+            log.append(&Record::WarmBatch(table("gone", 3, 0..4)));
+            log.append(&Record::WarmFlush);
+            for batch in &replayed {
+                log.append(&Record::WarmBatch(batch.clone()));
+            }
+        }
+        let (_log, state, _) = open(&dir);
+        let recovered = WarmStore::new(BOUND);
+        let (imported, dropped) = import_warm(&state, &recovered);
+
+        let owned = WarmStore::new(BOUND);
+        let mut added = 0;
+        for b in &replayed {
+            let (num_queries, universe) = (b.num_queries as usize, b.universe as usize);
+            let ledger = b
+                .cells()
+                .filter(|&(q, _, _)| (q as usize) < num_queries)
+                .filter_map(|(q, blocks, bits)| {
+                    let config = IndexSet::from_blocks(universe, blocks.to_vec())?;
+                    Some((QueryId::new(q), config, f64::from_bits(bits)))
+                })
+                .collect();
+            added += owned
+                .absorb(&b.key, b.fingerprint, num_queries, universe, ledger)
+                .len();
+        }
+        assert_eq!((imported, dropped), (added, 3 + 1));
+        let stats = recovered.stats();
+        assert_eq!(stats, owned.stats());
+        assert!(stats.evictions > 0 && stats.workloads > 0, "{stats:?}");
+        let cells = |store: &WarmStore| {
+            let mut cells = Vec::new();
+            for ((key, fp), snap) in store.export_tables() {
+                for (q, config, cost) in snap.iter_entries() {
+                    cells.push((key.clone(), fp, q, config.clone(), cost.to_bits()));
+                }
+            }
+            cells
+        };
+        assert_eq!(cells(&recovered), cells(&owned));
+        // The merge both stores share, checked against the log itself:
+        // every stored cell was logged with its cost, and every valid cell
+        // of the last batch of each table the bound kept is stored.
+        let logged: std::collections::HashMap<_, _> = replayed
+            .iter()
+            .flat_map(|b| {
+                b.cells()
+                    .map(move |(q, blocks, bits)| ((b.key.clone(), q, blocks.to_vec()), bits))
+            })
+            .collect();
+        for (key, _, q, config, bits) in cells(&recovered) {
+            let cell = (key, q.index() as u32, config.as_blocks().to_vec());
+            assert_eq!(logged.get(&cell), Some(&bits), "{cell:?}");
+        }
+        let mut checked = 0;
+        for ((key, fp), snap) in recovered.export_tables() {
+            let last = replayed
+                .iter()
+                .rev()
+                .find(|b| (b.key.as_str(), b.fingerprint) == (key.as_str(), fp))
+                .expect("a kept table was logged");
+            for (q, blocks, bits) in last.cells().filter(|&(q, _, _)| q < last.num_queries) {
+                if let Some(config) = IndexSet::from_blocks(UNIVERSE, blocks.to_vec()) {
+                    let cost = snap.get(QueryId::new(q), &config).map(f64::to_bits);
+                    assert_eq!(cost, Some(bits), "{key} q{q} {config:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// A record too large for a frame is refused and counted, without

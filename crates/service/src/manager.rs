@@ -1283,12 +1283,11 @@ mod tests {
 
     /// Every record in `cfg`'s data dir file `name`, decoded.
     fn logged_records(cfg: &ServiceConfig, name: &str) -> Vec<Record> {
-        let mut file = std::fs::File::open(cfg.data_dir.join(name)).unwrap();
-        ixtune_persist::wal::scan(&mut file)
-            .unwrap()
+        let buf = std::fs::read(cfg.data_dir.join(name)).unwrap();
+        ixtune_persist::wal::scan(&buf)
             .payloads
-            .iter()
-            .map(|p| Record::decode(p).unwrap())
+            .into_iter()
+            .map(|p| Record::decode(&buf[p]).unwrap())
             .collect()
     }
 
@@ -1354,7 +1353,7 @@ mod tests {
         let snapshot_entries: usize = logged_records(&cfg, &snap)
             .iter()
             .map(|rec| match rec {
-                Record::WarmBatch(b) => b.entries.len(),
+                Record::WarmBatch(b) => b.len(),
                 _ => 0,
             })
             .sum();
@@ -1693,6 +1692,45 @@ mod tests {
         mgr.store_flush();
         assert_eq!(scraped(&mgr.metrics(), "ixtune_persist_records_total"), 1);
         mgr.shutdown();
+    }
+
+    /// Hostile warm batches in the data dir start an empty store with
+    /// their cells counted poisoned: a CRC-valid 47-byte WAL whose batch
+    /// claims 2^32 − 1 queries beside one valid cell (its empty rows once
+    /// sized a 171 GB allocation and aborted the daemon at start), and one
+    /// whose batch claims 2^32 − 1 candidates.
+    #[test]
+    fn hostile_warm_batches_start_an_empty_store() {
+        for (tag, num_queries, universe) in [("queries", u32::MAX, 8), ("universe", 4, u32::MAX)] {
+            let cfg = config(&format!("ixtuned-test-hostile-{tag}"));
+            let mut batch = ixtune_persist::WarmBatch::new("tpch", 42, num_queries, universe);
+            batch.push(0, &[0b101], 1.5f64.to_bits());
+            let mut wal = Vec::new();
+            ixtune_persist::wal::append_frame(&mut wal, &Record::WarmBatch(batch).encode())
+                .unwrap();
+            if tag == "queries" {
+                assert_eq!(wal.len(), 47);
+            }
+            std::fs::create_dir_all(&cfg.data_dir).unwrap();
+            std::fs::write(cfg.data_dir.join("wal-0.log"), &wal).unwrap();
+            let mgr = SessionManager::start(cfg);
+            assert_eq!(mgr.persist_stats().recovery.wal_records, 1, "{tag}");
+            assert_eq!(
+                mgr.store_stats(),
+                WarmStoreStats {
+                    max_bytes: mgr.cfg.warm_store_bytes as usize,
+                    ..WarmStoreStats::default()
+                },
+                "{tag}"
+            );
+            let text = mgr.metrics();
+            assert_eq!(
+                scraped(&text, "ixtune_warm_poisoned_rows_total"),
+                1,
+                "{tag}"
+            );
+            mgr.shutdown();
+        }
     }
 
     /// A record too large for a frame shows in the scrape as one IO
