@@ -146,16 +146,17 @@ fn bench_greedy_step(c: &mut Criterion) {
                 black_box(best)
             })
         });
-        // The frozen-cache batched kernel behind `--session-threads`: same
-        // argmin, priced via one ascending-cost entry pass per query
-        // instead of one postings walk per (candidate, query) pair, fanned
-        // out over 4 logical threads. Smaller universes stay serial in the
-        // real enumerators (MIN_PARALLEL_WORK), so they are not measured.
+        // The frozen-cache batched kernel: same argmin, priced via one
+        // ascending-cost entry pass per query instead of one postings walk
+        // per (candidate, query) pair, on the calling thread. Smaller
+        // universes stay serial in the real enumerators
+        // (MIN_PARALLEL_WORK), so they are not measured. The series keeps
+        // its `parallel-` name so the bench guard compares it with its
+        // recorded floor.
         if universe >= 256 {
             let queries: Vec<QueryId> = (0..20usize).map(QueryId::from).collect();
             let per_query = state.per_query().to_vec();
             let admissible: Vec<(usize, IndexId)> = config.complement_iter().enumerate().collect();
-            cache.freeze();
             group.bench_function(format!("parallel-u{universe}"), |b| {
                 b.iter(|| {
                     black_box(frozen_argmin(
@@ -165,7 +166,6 @@ fn bench_greedy_step(c: &mut Criterion) {
                         &config,
                         &admissible,
                         FrozenEval::Derive,
-                        4,
                     ))
                 })
             });
@@ -294,13 +294,13 @@ fn bench_warm_sessions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole MCTS sessions: `episodes-serial` runs cold on one session
-/// thread, `episodes-warm` is the same session seeded from a prior
-/// identical run's snapshot, and `episodes-b{1000,4000}` are the scaling
-/// pair `scripts/bench_guard.sh` bounds (TPC-DS, K 10): 4x the budget must
-/// cost at most 8x the time. `episodes-realm` is a Real-M session (K 10,
-/// B 2,000): 317 queries over 7,767 candidates, where every per-episode
-/// walk over the queries or the candidate universe costs the most.
+/// Whole MCTS sessions: `episodes-serial` runs cold, `episodes-warm` is
+/// the same session seeded from a prior identical run's snapshot, and
+/// `episodes-b{1000,4000}` are the scaling pair `scripts/bench_guard.sh`
+/// bounds (TPC-DS, K 10): 4x the budget must cost at most 8x the time.
+/// `episodes-realm` is a Real-M session (K 10, B 2,000): 317 queries over
+/// 7,767 candidates, where every per-episode walk over the queries or the
+/// candidate universe costs the most.
 fn bench_mcts_episodes(c: &mut Criterion) {
     let mut group = c.benchmark_group("mcts");
     group.sample_size(10);
@@ -311,21 +311,19 @@ fn bench_mcts_episodes(c: &mut Criterion) {
 
     group.bench_function("episodes-serial", |b| {
         let tuner = MctsTuner::default();
-        b.iter(|| black_box(tuner.tune(&ctx, &req.with_session_threads(1))))
+        b.iter(|| black_box(tuner.tune(&ctx, &req)))
     });
     let tuner = MctsTuner::default();
-    let snap = donor_snapshot(&session, &tuner, &req.with_session_threads(1));
+    let snap = donor_snapshot(&session, &tuner, &req);
     group.bench_function("episodes-warm", |b| {
         b.iter(|| {
             let warm = std::sync::Arc::new(WarmState::new(std::sync::Arc::clone(&snap)));
             let warm_ctx = TuningContext::new(&session.opt, &session.cands).with_warm(warm);
-            black_box(tuner.tune(&warm_ctx, &req.with_session_threads(1)))
+            black_box(tuner.tune(&warm_ctx, &req))
         })
     });
     for budget in [1_000usize, 4_000] {
-        let req = ixtune_core::TuningRequest::cardinality(10, budget)
-            .with_seed(5)
-            .with_session_threads(1);
+        let req = ixtune_core::TuningRequest::cardinality(10, budget).with_seed(5);
         group.bench_function(format!("episodes-b{budget}"), |b| {
             b.iter(|| black_box(tuner.tune(&ctx, &req)))
         });
@@ -333,9 +331,7 @@ fn bench_mcts_episodes(c: &mut Criterion) {
 
     let realm = Session::build(BenchmarkKind::RealM);
     let realm_ctx = TuningContext::new(&realm.opt, &realm.cands);
-    let req = ixtune_core::TuningRequest::cardinality(10, 2_000)
-        .with_seed(5)
-        .with_session_threads(1);
+    let req = ixtune_core::TuningRequest::cardinality(10, 2_000).with_seed(5);
     group.bench_function("episodes-realm", |b| {
         b.iter(|| black_box(tuner.tune(&realm_ctx, &req)))
     });

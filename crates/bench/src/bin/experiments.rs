@@ -2,17 +2,13 @@
 //!
 //! Usage:
 //! ```text
-//! experiments [--quick] [--out DIR] [--seeds N] [--jobs N]
-//!             [--session-threads N] <id>...
+//! experiments [--quick] [--out DIR] [--seeds N] [--jobs N] <id>...
 //! experiments all
 //! experiments list
 //! ```
 //! `--jobs N` sets the number of sweep worker threads (default: all
 //! cores; `--jobs 1` runs serially — results are identical either way).
-//! `--session-threads N` sets the logical threads *inside* each tuning
-//! session (default 0 = auto; results are bit-identical for every value).
-//! When `jobs × session_threads` exceeds the host's parallelism, sessions
-//! are capped with a warning so the sweep never oversubscribes.
+//! Each tuning session runs on the worker thread that claimed it.
 //! Experiment ids: `table1 fig2 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //! fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23`. An unknown
 //! flag, a flag without its value or an unparsable number prints usage
@@ -25,8 +21,8 @@ use std::process::exit;
 use std::str::FromStr;
 use std::time::Instant;
 
-const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--seeds N] [--jobs N] \
-                     [--session-threads N] <id>...\n       experiments all | list";
+const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--seeds N] [--jobs N] <id>...
+       experiments all | list";
 
 /// Report a command-line error with the usage text and exit 2.
 fn usage_error(error: &str) -> ! {
@@ -158,9 +154,6 @@ fn main() {
                 cfg.seeds = (1..=n).collect();
             }
             "--jobs" => cfg.jobs = number("--jobs", &value("--jobs")),
-            "--session-threads" => {
-                cfg.session_threads = number("--session-threads", &value("--session-threads"))
-            }
             "list" => {
                 println!("available experiments: {}", ALL.join(" "));
                 println!("extras (not in `all`): {}", EXTRAS.join(" "));

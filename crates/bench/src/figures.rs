@@ -3,7 +3,7 @@
 //! JSON results into the output directory. See DESIGN.md §4 for the index.
 
 use crate::report::{render_series, render_table, write_results};
-use crate::runner::{cap_session_threads, run_grid, Algo, Cell};
+use crate::runner::{run_grid, Algo, Cell};
 use crate::session::Session;
 use ixtune_baselines::{DbaBandits, DtaTuner, NoDba};
 use ixtune_core::prelude::*;
@@ -21,12 +21,9 @@ pub struct ExpConfig {
     pub seeds: Vec<u64>,
     /// Cardinality constraints swept (the paper uses {5, 10, 20}).
     pub ks: Vec<usize>,
-    /// Worker threads for grid sweeps (1 = serial).
+    /// Worker threads for grid sweeps (1 = serial). Each worker runs one
+    /// tuning session at a time, on its own thread.
     pub jobs: usize,
-    /// Logical threads per tuning session (0 = auto-detect). Results are
-    /// invariant to it; `jobs × session_threads` is capped to the host's
-    /// parallelism by [`cap_session_threads`] before sweeps run.
-    pub session_threads: usize,
 }
 
 impl ExpConfig {
@@ -38,7 +35,6 @@ impl ExpConfig {
             jobs: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            session_threads: 0,
         }
     }
 
@@ -76,7 +72,6 @@ fn sweep(
     constraints: impl Fn(usize) -> Constraints + Sync,
 ) -> String {
     let budgets = session.kind.budget_grid();
-    let session_threads = cap_session_threads(cfg.jobs, cfg.session_threads);
     let mut out = String::new();
     let mut all_cells: Vec<Cell> = Vec::new();
     for &k in &cfg.ks {
@@ -87,7 +82,6 @@ fn sweep(
             budgets,
             &cfg.seeds,
             cfg.jobs,
-            session_threads,
             &constraints,
         );
         let _ = writeln!(
@@ -370,7 +364,6 @@ mod tests {
             seeds: vec![1],
             ks: vec![5],
             jobs: 2,
-            session_threads: 1,
         }
     }
 

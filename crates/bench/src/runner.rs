@@ -66,35 +66,11 @@ pub fn aggregate(algorithm: &str, k: usize, budget: usize, runs: &[TuningResult]
     }
 }
 
-/// Cap the per-session thread count so `jobs` concurrent sessions cannot
-/// oversubscribe the host: with `jobs > 1`, each session gets at most
-/// `available_parallelism / jobs` threads (floored to 1). `requested = 0`
-/// (auto) resolves to the available parallelism before capping. Returns
-/// the capped value and warns on stderr when it actually clamps.
-pub fn cap_session_threads(jobs: usize, requested: usize) -> usize {
-    let avail = ixtune_common::sync::available_parallelism();
-    let requested = if requested == 0 { avail } else { requested };
-    let jobs = jobs.max(1);
-    let cap = (avail / jobs).max(1);
-    if requested > cap {
-        eprintln!(
-            "warning: --session-threads {requested} x --jobs {jobs} oversubscribes \
-             {avail} available threads; capping sessions to {cap} thread(s)"
-        );
-        cap
-    } else {
-        requested
-    }
-}
-
 /// Run `algos` over the cross product of `ks` × `budgets`, with `seeds`
 /// seeds for stochastic algorithms, on `jobs` worker threads (`jobs <= 1`
-/// runs inline). Each tuning session runs with `session_threads` logical
-/// intra-session threads (results are invariant to it; see
-/// [`cap_session_threads`] for the oversubscription guard callers should
-/// apply). `constraints` builds the constraint for each K (so storage
+/// runs inline). Each tuning session runs on the worker that claimed its
+/// cell. `constraints` builds the constraint for each K (so storage
 /// limits can be attached).
-#[allow(clippy::too_many_arguments)]
 pub fn run_grid(
     session: &Session,
     algos: &[Algo],
@@ -102,7 +78,6 @@ pub fn run_grid(
     budgets: &[usize],
     seeds: &[u64],
     jobs: usize,
-    session_threads: usize,
     constraints: impl Fn(usize) -> Constraints + Sync,
 ) -> Vec<Cell> {
     // Flatten the grid in serial order; this is the output order.
@@ -130,12 +105,9 @@ pub fn run_grid(
                 // `Instant` is monotonic, so wall-clock readings cannot go
                 // negative even if the system clock is adjusted mid-sweep.
                 let start = Instant::now();
-                let mut r = algo.tuner.tune(
-                    &ctx,
-                    &TuningRequest::new(cons, budget)
-                        .with_seed(s)
-                        .with_session_threads(session_threads),
-                );
+                let mut r = algo
+                    .tuner
+                    .tune(&ctx, &TuningRequest::new(cons, budget).with_seed(s));
                 r.telemetry.wall_clock_ms = start.elapsed().as_secs_f64() * 1e3;
                 r
             })
@@ -231,7 +203,6 @@ mod tests {
             &[50, 100],
             &[1, 2],
             1,
-            1,
             Constraints::cardinality,
         );
         assert_eq!(cells.len(), 4);
@@ -266,9 +237,6 @@ mod tests {
             ]
         };
         let run = |jobs: usize| {
-            // Pin an explicit session thread count for both runs: results
-            // must not depend on it, and pinning keeps the comparison
-            // independent of the host's core count.
             run_grid(
                 &session,
                 &mk_algos(),
@@ -276,7 +244,6 @@ mod tests {
                 &[30, 60],
                 &[1, 2],
                 jobs,
-                2,
                 Constraints::cardinality,
             )
         };
@@ -298,23 +265,5 @@ mod tests {
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
         );
-    }
-
-    #[test]
-    fn session_thread_cap_prevents_oversubscription() {
-        let avail = ixtune_common::sync::available_parallelism();
-        // jobs = 1: requests pass through (auto resolves to the host).
-        assert_eq!(cap_session_threads(1, 1), 1);
-        assert_eq!(cap_session_threads(1, 0), avail);
-        assert_eq!(cap_session_threads(0, 1), 1, "jobs floor at 1");
-        // More jobs than cores: sessions fall back to a single thread.
-        assert_eq!(cap_session_threads(2 * avail, 0), 1);
-        assert_eq!(cap_session_threads(2 * avail, 8), 1);
-        // The cap never exceeds the per-job share.
-        for jobs in 1..=4usize {
-            let c = cap_session_threads(jobs, 0);
-            assert!(c * jobs <= avail.max(jobs), "cap {c} x jobs {jobs}");
-            assert!(c >= 1);
-        }
     }
 }

@@ -17,7 +17,6 @@ fn bad_flags_print_usage_and_exit_2() {
         &["--jobs", "abc"],
         &["--bogus"],
         &["--seeds", "-3", "fig17"],
-        &["--session-threads", "many"],
         &["--quick", "fig17", "--jobs"],
         &["--out"],
     ];

@@ -12,8 +12,7 @@
 //!   [`fault::FaultPlan`] with named injection sites, inert by default;
 //! * [`rng`] — deterministic RNG construction helpers so that every
 //!   stochastic component is reproducible from an explicit seed;
-//! * [`sync`] — the service's monitor and thread-count resolution for
-//!   intra-session parallelism.
+//! * [`sync`] — the service's monitor.
 
 pub mod bitset;
 pub mod error;

@@ -1,5 +1,4 @@
-//! Small concurrency primitives: the service's monitor and thread-count
-//! resolution for intra-session parallelism.
+//! Small concurrency primitives: the service's monitor.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -87,26 +86,6 @@ impl<T> Monitor<T> {
     }
 }
 
-/// Threads the host can actually run in parallel (`1` if unknown).
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Resolve a requested session thread count: `0` means "auto" (use all
-/// available hardware parallelism); any explicit value is honored as the
-/// *logical* thread count — results are invariant to it by construction,
-/// and the execution layer separately clamps the number of OS threads it
-/// actually spawns to the hardware.
-pub fn effective_threads(requested: usize) -> usize {
-    if requested == 0 {
-        available_parallelism()
-    } else {
-        requested
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,13 +113,5 @@ mod tests {
         m.update(|v| *v = true);
         let r = m.wait_update_timeout(Duration::from_millis(20), |&v| v, |_| 7);
         assert_eq!(r, Some(7));
-    }
-
-    #[test]
-    fn effective_threads_resolves_auto() {
-        assert_eq!(effective_threads(1), 1);
-        assert_eq!(effective_threads(4), 4);
-        assert_eq!(effective_threads(0), available_parallelism());
-        assert!(effective_threads(0) >= 1);
     }
 }

@@ -72,16 +72,11 @@ pub struct SessionTelemetry {
     pub rollout_calls: usize,
     /// Budgeted calls outside any labelled phase.
     pub other_calls: usize,
-    /// Logical session thread count the tuner resolved for this run
-    /// (1 = serial). Results are invariant to it; recorded so telemetry
-    /// JSON shows how a session was executed.
-    pub session_threads: usize,
-    /// Greedy-step candidate scans handed to the frozen-cache kernel, at
-    /// any thread count (the kernel scans inline at one thread): steps
-    /// after budget exhaustion, and every Best-Greedy extraction and
-    /// two-phase salvage step large enough for the kernel
-    /// (`MIN_PARALLEL_WORK`). An execution descriptor like
-    /// `session_threads`, not part of result identity.
+    /// Greedy-step candidate scans handed to the frozen-cache kernel:
+    /// steps after budget exhaustion, and every Best-Greedy extraction
+    /// and two-phase salvage step large enough for the kernel
+    /// (`MIN_PARALLEL_WORK`). An execution descriptor, not part of result
+    /// identity.
     pub parallel_scans: usize,
     /// Wall-clock of the tuning session in milliseconds (stamped by the
     /// experiment runner from a monotonic clock; 0 when run outside the
@@ -98,9 +93,7 @@ pub struct SessionTelemetry {
 
 impl SessionTelemetry {
     /// Add another session's counters into this one — how the experiment
-    /// runner sums a grid cell's seeds. Counters and wall clock add;
-    /// `session_threads` keeps the maximum (every seed of a cell resolves
-    /// the same request).
+    /// runner sums a grid cell's seeds. Counters and wall clock add.
     pub fn accumulate(&mut self, t: &SessionTelemetry) {
         self.what_if_calls += t.what_if_calls;
         self.cache_hits += t.cache_hits;
@@ -109,7 +102,6 @@ impl SessionTelemetry {
         self.selection_calls += t.selection_calls;
         self.rollout_calls += t.rollout_calls;
         self.other_calls += t.other_calls;
-        self.session_threads = self.session_threads.max(t.session_threads);
         self.parallel_scans += t.parallel_scans;
         self.wall_clock_ms += t.wall_clock_ms;
         self.warm_hits += t.warm_hits;
@@ -343,14 +335,7 @@ impl<'a> MeteredWhatIf<'a> {
         self.trace
     }
 
-    /// Flip the cache into its frozen read-only phase (see the publish
-    /// protocol in [`WhatIfCache`]). Called by enumeration drivers before
-    /// sharing the cache across scan threads.
-    pub fn freeze_cache(&self) {
-        self.cache.freeze();
-    }
-
-    /// Account one frozen-cache parallel scan: `hits` cache hits observed
+    /// Account one frozen-cache kernel scan: `hits` cache hits observed
     /// by the kernel (its derivation counts flow through the cache's
     /// counter directly).
     pub(crate) fn note_parallel_scan(&mut self, hits: usize) {

@@ -43,7 +43,7 @@ pub struct MctsCheckpoint {
     /// `Tuner::name()` of the capturing tuner — resume refuses a
     /// differently-configured tuner, which would diverge silently.
     pub algorithm: String,
-    /// The original request (constraints, budget, seed, threads).
+    /// The original request (constraints, budget, seed).
     pub req: TuningRequest,
     /// Raw xoshiro256** state of the episode RNG.
     pub rng: (u64, u64, u64, u64),

@@ -141,7 +141,7 @@ impl DerivationState {
     }
 
     /// Commit caller-computed per-query values directly: `C ← C ∪ {extra}`
-    /// and adopt `values`/`total` as-is. The parallel scan kernel uses
+    /// and adopt `values`/`total` as-is. The frozen-cache scan kernel uses
     /// this after re-pricing the winning candidate (its probes — and
     /// their telemetry — already happened inside the scan).
     pub fn commit_values(&mut self, extra: IndexId, values: &[f64], total: f64) {

@@ -9,29 +9,17 @@
 //! paper's analysis in §3.1.2 builds on); larger entries are kept sorted by
 //! ascending cost so the subset scan can stop at the first hit.
 //!
-//! # The publish/freeze protocol
-//!
-//! Storage is one row per query. A tuning session alternates between two
-//! phases:
-//!
-//! * **write phase** — while budget remains, what-if results are appended
-//!   through `&mut self` (single-threaded by construction; the FCFS call
-//!   order *defines* the cache contents, so parallel writes would change
-//!   the derived costs);
-//! * **frozen read phase** — once the budget is exhausted, [`freeze`]
-//!   flips the cache read-only and enumeration fans derivation probes out
-//!   across threads against `&self`. Readers are lock-free: the only
-//!   shared mutable state is the derivation counter, a relaxed atomic
-//!   that parallel scans bump once per (query, chunk) batch rather than
-//!   per probe.
-//!
-//! [`freeze`]: WhatIfCache::freeze
+//! Storage is one row per query. What-if results are appended through
+//! `&mut self`, in the session's call order, which *defines* the cache
+//! contents; derivation reads through `&self` and only bumps the
+//! telemetry counter. A cache belongs to one session and lives on its
+//! thread.
 
 use ixtune_common::{ConfigInterner, IdCostMap, IndexId, IndexSet, QueryId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Per-session what-if cache with derivation.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct WhatIfCache {
     universe: usize,
     /// `c(q, ∅)` for every query — computed up front, not budgeted.
@@ -66,8 +54,7 @@ pub struct WhatIfCache {
     /// Cache-level interner for multi-entry (len ≥ 2) configurations:
     /// stable insertion-ordered `IndexSet → u32` ids shared by every
     /// query's `exact` table. Interning happens on the write path
-    /// (`&mut self`); the frozen read phase only resolves ids (`&self`),
-    /// so parallel scans stay lock-free.
+    /// (`&mut self`); reads only resolve ids (`&self`).
     interner: ConfigInterner,
     /// Candidates with a known singleton cost for *any* query — one side
     /// of the [`informed_candidates`](Self::informed_candidates) filter
@@ -76,33 +63,9 @@ pub struct WhatIfCache {
     /// Number of distinct (q, C) what-if results stored (excluding ∅).
     stored: usize,
     /// Telemetry: cost evaluations answered by derivation (Eq. 1/Eq. 2)
-    /// rather than a stored what-if result. Atomic (relaxed) because
-    /// derivation happens behind `&self`, possibly from several threads.
-    derivations: AtomicUsize,
-    /// Publish-protocol latch: once set, the cache is in its read-only
-    /// phase and append paths are debug-asserted unreachable. Cloning
-    /// starts a fresh (unfrozen) write phase.
-    frozen: AtomicBool,
-}
-
-impl Clone for WhatIfCache {
-    fn clone(&self) -> Self {
-        Self {
-            universe: self.universe,
-            empty: self.empty.clone(),
-            empty_total: self.empty_total,
-            singleton: self.singleton.clone(),
-            multi: self.multi.clone(),
-            postings: self.postings.clone(),
-            exact: self.exact.clone(),
-            max_multi_size: self.max_multi_size.clone(),
-            interner: self.interner.clone(),
-            singleton_any: self.singleton_any.clone(),
-            stored: self.stored,
-            derivations: AtomicUsize::new(self.derivations()),
-            frozen: AtomicBool::new(false),
-        }
-    }
+    /// rather than a stored what-if result. A `Cell` because derivation
+    /// reads through `&self`.
+    derivations: Cell<usize>,
 }
 
 impl WhatIfCache {
@@ -123,32 +86,20 @@ impl WhatIfCache {
             interner: ConfigInterner::new(),
             singleton_any: IndexSet::empty(universe),
             stored: 0,
-            derivations: AtomicUsize::new(0),
-            frozen: AtomicBool::new(false),
+            derivations: Cell::new(0),
         }
     }
 
     /// Telemetry: how many cost evaluations were answered by derivation
     /// instead of a stored what-if result.
     pub fn derivations(&self) -> usize {
-        self.derivations.load(Ordering::Relaxed)
+        self.derivations.get()
     }
 
-    /// Bulk-count `n` derivations — parallel scan kernels account one
-    /// batch per (query, chunk) instead of one atomic add per probe.
+    /// Bulk-count `n` derivations — the scan kernel accounts one batch
+    /// per query instead of one add per probe.
     pub(crate) fn add_derivations(&self, n: usize) {
-        self.derivations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Enter the read-only phase: parallel enumeration may now share the
-    /// cache across threads. Appends after this point are a logic error
-    /// (debug-asserted); cloning yields a fresh unfrozen cache.
-    pub fn freeze(&self) {
-        self.frozen.store(true, Ordering::Release);
-    }
-
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.load(Ordering::Acquire)
+        self.derivations.set(self.derivations.get() + n);
     }
 
     pub fn universe(&self) -> usize {
@@ -212,10 +163,6 @@ impl WhatIfCache {
     }
 
     fn insert_entry(&mut self, qi: usize, config: &IndexSet, cost: f64) {
-        debug_assert!(
-            !self.is_frozen(),
-            "append to a frozen cache (write phase is over)"
-        );
         if config.len() == 1 {
             let id = config.iter().next().unwrap();
             self.singleton[qi][id.index()] = cost;
@@ -253,7 +200,7 @@ impl WhatIfCache {
     }
 
     /// Dense singleton row for `q` (`NaN` = unknown) — read side of the
-    /// frozen-phase batch kernel.
+    /// frozen-cache scan kernel.
     pub(crate) fn singleton_row(&self, q: QueryId) -> &[f64] {
         &self.singleton[q.index()]
     }
@@ -473,7 +420,7 @@ impl WhatIfCache {
 
     /// The derivation itself, without bumping the telemetry counter —
     /// used to re-price a scan winner whose probes were already accounted
-    /// in batch by the parallel kernel.
+    /// in batch by the scan kernel.
     pub(crate) fn derived_with_extra_uncounted(
         &self,
         q: QueryId,
@@ -511,8 +458,7 @@ impl WhatIfCache {
     /// order, through `price`. Inserting the cells in the order the
     /// session called them reproduces its stored order, ties included, so
     /// the rebuilt cache answers every `get`/`derived` probe
-    /// bit-identically. The result is unfrozen; `derivations` restores
-    /// the telemetry counter. A cell outside the workload, an empty cell
+    /// bit-identically. `derivations` restores the telemetry counter. A cell outside the workload, an empty cell
     /// or a repeated one was never a budgeted call, so it is an error
     /// (and is never priced).
     pub(crate) fn replay(
@@ -538,7 +484,7 @@ impl WhatIfCache {
             }
             cache.put_new(*q, config, price(*q, config));
         }
-        cache.derivations = AtomicUsize::new(derivations);
+        cache.derivations.set(derivations);
         Ok(cache)
     }
 }
@@ -691,24 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn freeze_latches_and_clone_unfreezes() {
-        let mut c = cache();
-        c.put(QueryId::new(0), &set(4, &[0]), 10.0);
-        assert!(!c.is_frozen());
-        c.freeze();
-        assert!(c.is_frozen());
-        // Reads still work and still count derivations.
-        let before = c.derivations();
-        assert_eq!(c.derived(QueryId::new(0), &set(4, &[0, 1])), 10.0);
-        assert_eq!(c.derivations(), before + 1);
-        // A clone starts a new write phase with the same contents.
-        let mut d = c.clone();
-        assert!(!d.is_frozen());
-        assert!(d.put(QueryId::new(0), &set(4, &[1]), 9.0));
-        assert_eq!(d.get(QueryId::new(0), &set(4, &[0])), Some(10.0));
-    }
-
-    #[test]
     fn replay_reproduces_answers_bit_for_bit() {
         let m = 11usize;
         let empties: Vec<f64> = (0..m).map(|q| 100.0 + q as f64).collect();
@@ -734,7 +662,6 @@ mod tests {
 
         assert_eq!(r.stored_results(), c.stored_results());
         assert_eq!(r.derivations(), c.derivations());
-        assert!(!r.is_frozen());
         for q in 0..m {
             let qid = QueryId::from(q);
             assert_eq!(r.empty_cost(qid).to_bits(), c.empty_cost(qid).to_bits());

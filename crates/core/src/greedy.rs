@@ -7,7 +7,6 @@ use crate::matrix::Layout;
 use crate::parallel::{frozen_argmin, winner_values, FrozenEval, MIN_PARALLEL_WORK};
 use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
-use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 
 /// Algorithm 1: greedily grow the configuration from `pool`, committing the
@@ -72,22 +71,21 @@ pub fn greedy_enumerate(
 /// Candidates are probed by the exact serial loop while `mode` may still
 /// spend budget. Once the meter is exhausted *at a candidate boundary* —
 /// at step start or midway through a step — or from the first candidate
-/// for a budget-free `mode`, the cache is frozen and the rest of the
-/// step's scan runs through [`frozen_argmin`], which is bit-identical to
-/// the serial scan by construction (values *and* hit/derivation
-/// telemetry). The candidate whose probe exhausts the budget keeps its
-/// serial FCFS semantics: the hand-off happens between candidates, never
-/// inside one. The freeze is permanently valid because cache inserts only
-/// happen through budgeted what-if calls, which an exhausted meter
-/// refuses and a budget-free evaluator never makes.
+/// for a budget-free `mode`, the rest of the step's scan runs through
+/// [`frozen_argmin`], which is bit-identical to the serial scan by
+/// construction (values *and* hit/derivation telemetry). The candidate
+/// whose probe exhausts the budget keeps its serial FCFS semantics: the
+/// hand-off happens between candidates, never inside one. From then on
+/// the cache stays as it is, because cache inserts only happen through
+/// budgeted what-if calls, which an exhausted meter refuses and a
+/// budget-free evaluator never makes.
 ///
 /// The serial prefix and the kernel suffix are merged with strict `<`:
 /// serial positions precede kernel positions in pool order, so the merge
-/// keeps the first strict minimum — the serial argmin. The kernel runs
-/// even at `threads == 1` (it scans one chunk inline, no threads spawned):
-/// its query-major entry pass prices a whole candidate block per cached
-/// entry, which beats one postings walk per `(candidate, query)` cell
-/// before any parallelism. Tiny scans stay serial (`MIN_PARALLEL_WORK`).
+/// keeps the first strict minimum — the serial argmin. The kernel's
+/// query-major entry pass prices a whole candidate block per cached
+/// entry, which beats one postings walk per `(candidate, query)` cell.
+/// Tiny scans stay serial (`MIN_PARALLEL_WORK`).
 ///
 /// `stop` is polled once per enumeration step, *before* the candidate
 /// scan: an interrupted call therefore returns the configuration as of
@@ -95,7 +93,6 @@ pub fn greedy_enumerate(
 /// returned [`Interrupt`] (if any) tells the caller why the loop ended
 /// early; polling never perturbs the enumeration itself, so an unarmed
 /// signal leaves results bit-identical.
-#[allow(clippy::too_many_arguments)] // one call site per tuner; a params struct would only rename the problem
 pub(crate) fn greedy_enumerate_metered(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
@@ -103,7 +100,6 @@ pub(crate) fn greedy_enumerate_metered(
     state: &mut DerivationState,
     mw: &mut MeteredWhatIf<'_>,
     mode: FrozenEval<'_>,
-    threads: usize,
     stop: &StopSignal,
 ) -> (IndexSet, Option<Interrupt>) {
     let mut remaining: Vec<IndexId> = pool.to_vec();
@@ -132,8 +128,7 @@ pub(crate) fn greedy_enumerate_metered(
             if (mw.meter().exhausted() || !mode.spends_budget())
                 && (remaining.len() - pos) * queries_n >= MIN_PARALLEL_WORK
             {
-                // Kernel suffix: freeze and batch-price remaining[pos..].
-                mw.freeze_cache();
+                // Kernel suffix: batch-price remaining[pos..].
                 admissible.clear();
                 admissible.extend(
                     remaining
@@ -150,7 +145,6 @@ pub(crate) fn greedy_enumerate_metered(
                     state.config(),
                     &admissible,
                     mode,
-                    threads,
                 );
                 mw.note_parallel_scan(hits);
                 kernel_best = best;
@@ -248,7 +242,6 @@ impl Tuner for VanillaGreedy {
         req: &TuningRequest,
         stop: &StopSignal,
     ) -> TuningResult {
-        let threads = effective_threads(req.session_threads);
         let mut mw = MeteredWhatIf::new(ctx, req.budget);
         let universe = ctx.universe();
         let pool: Vec<IndexId> = (0..universe).map(IndexId::from).collect();
@@ -265,7 +258,6 @@ impl Tuner for VanillaGreedy {
             &mut state,
             &mut mw,
             FrozenEval::Fcfs,
-            threads,
             stop,
         );
         let used = mw.meter().used();
@@ -278,8 +270,7 @@ impl Tuner for VanillaGreedy {
             );
         }
         let reason = mw.stop_reason(interrupt);
-        let mut telemetry = mw.telemetry();
-        telemetry.session_threads = threads;
+        let telemetry = mw.telemetry();
         TuningResult::evaluate(self.name(), ctx, config, used, Layout::new(mw.into_trace()))
             .with_telemetry(telemetry)
             .with_stop_reason(reason)

@@ -14,8 +14,9 @@
 //!   variants of §4.2;
 //! * [`mcts`] — the MCTS tuner of §5–6 with its selection, rollout, and
 //!   extraction policies;
-//! * [`parallel`] — the frozen-cache parallel candidate-scan kernel
-//!   (deterministic to the bit; see DESIGN.md §5c);
+//! * [`parallel`] — the frozen-cache candidate-scan kernel, run inline
+//!   on the session's thread (bit-identical to the serial scan; see
+//!   DESIGN.md §5c);
 //! * [`stop`] — cooperative interruption: cancel flags, deadlines, and
 //!   suspend requests polled at enumeration-step / episode boundaries;
 //! * [`checkpoint`] — versioned snapshots of suspended MCTS sessions that

@@ -53,8 +53,7 @@ impl Extraction {
     /// tracked during the episodes; `mw` is the session's metered client,
     /// whose cache provides derived costs (extraction spends no budget);
     /// `tree` is the expanded search tree (used by the tree-walk
-    /// strategies). `threads` is the logical thread count for the
-    /// Best-Greedy scan — results are bit-identical for every value.
+    /// strategies).
     pub fn extract(
         &self,
         ctx: &TuningContext<'_>,
@@ -62,16 +61,15 @@ impl Extraction {
         mw: &mut MeteredWhatIf<'_>,
         tree: &crate::mcts::tree::Tree,
         best_explored: Option<&IndexSet>,
-        threads: usize,
     ) -> IndexSet {
         let empty = IndexSet::empty(ctx.universe());
         let bce = || best_explored.cloned().unwrap_or_else(|| empty.clone());
         match self {
             Extraction::Bce => bce(),
-            Extraction::BestGreedy => best_greedy(ctx, constraints, mw, threads),
+            Extraction::BestGreedy => best_greedy(ctx, constraints, mw),
             Extraction::Hybrid => {
                 let a = bce();
-                let b = best_greedy(ctx, constraints, mw, threads);
+                let b = best_greedy(ctx, constraints, mw);
                 if mw.derived_workload(&a) <= mw.derived_workload(&b) {
                     a
                 } else {
@@ -132,7 +130,6 @@ fn best_greedy(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
     mw: &mut MeteredWhatIf<'_>,
-    threads: usize,
 ) -> IndexSet {
     let pool: Vec<IndexId> = (0..ctx.universe()).map(IndexId::from).collect();
     let mut state = DerivationState::workload(mw.cache());
@@ -143,7 +140,6 @@ fn best_greedy(
         &mut state,
         mw,
         FrozenEval::Derive,
-        threads,
         &StopSignal::never(),
     );
     config
@@ -171,7 +167,7 @@ mod tests {
         let ctx = TuningContext::new(&opt, &cands);
         let mut mw = MeteredWhatIf::new(&ctx, 0);
         let c = Constraints::cardinality(3);
-        let none = Extraction::Bce.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
+        let none = Extraction::Bce.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None);
         assert!(none.is_empty());
         let tracked = IndexSet::singleton(ctx.universe(), IndexId::new(0));
         let got = Extraction::Bce.extract(
@@ -180,7 +176,6 @@ mod tests {
             &mut mw,
             &Tree::new(ctx.universe()),
             Some(&tracked),
-            1,
         );
         assert_eq!(got, tracked);
     }
@@ -201,7 +196,7 @@ mod tests {
         }
         let c = Constraints::cardinality(3);
         let bg =
-            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
+            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None);
         assert!(bg.len() <= 3);
         // With full singleton information, BG's derived cost is at most the
         // empty cost.
@@ -215,7 +210,7 @@ mod tests {
         let mut mw = MeteredWhatIf::new(&ctx, 0);
         let c = Constraints::cardinality(3);
         let bg =
-            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
+            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None);
         assert!(bg.is_empty(), "no cache entries → nothing beats ∅");
     }
 
@@ -240,11 +235,10 @@ mod tests {
             &mut mw,
             &Tree::new(ctx.universe()),
             Some(&tracked),
-            1,
         );
         let bce_cost = mw.derived_workload(&tracked);
         let bg =
-            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None, 1);
+            Extraction::BestGreedy.extract(&ctx, &c, &mut mw, &Tree::new(ctx.universe()), None);
         let bg_cost = mw.derived_workload(&bg);
         assert!(mw.derived_workload(&h) <= bce_cost.min(bg_cost) + 1e-9);
     }
@@ -272,44 +266,13 @@ mod tests {
                 mw.what_if(q, &cfg);
             }
             let c = Constraints::cardinality(4);
-            let fast = best_greedy(&ctx, &c, &mut mw, 1);
+            let fast = best_greedy(&ctx, &c, &mut mw);
             let pool: Vec<IndexId> = (0..n).map(IndexId::from).collect();
             let naive = greedy_enumerate(&ctx, &c, &pool, |cfg| mw.derived_workload(cfg));
             assert_eq!(
                 mw.derived_workload(&fast),
                 mw.derived_workload(&naive),
                 "seed {seed}: fast BG must match Algorithm 1 over derived costs"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_bg_matches_serial_bit_for_bit() {
-        for seed in 0..4u64 {
-            let (opt, cands) = setup(seed + 60);
-            let ctx = TuningContext::new(&opt, &cands);
-            let mut mw = MeteredWhatIf::new(&ctx, 80);
-            let n = ctx.universe();
-            let mut rng = ixtune_common::rng::seeded(seed ^ 0x517);
-            use rand::RngExt;
-            while !mw.meter().exhausted() {
-                let a = IndexId::from(rng.random_range(0..n));
-                let b = IndexId::from(rng.random_range(0..n));
-                let q = QueryId::from(rng.random_range(0..ctx.num_queries()));
-                let cfg = if rng.random::<bool>() {
-                    IndexSet::singleton(n, a)
-                } else {
-                    IndexSet::from_ids(n, [a, b])
-                };
-                mw.what_if(q, &cfg);
-            }
-            let c = Constraints::cardinality(4);
-            let serial = best_greedy(&ctx, &c, &mut mw, 1);
-            let par = best_greedy(&ctx, &c, &mut mw, 4);
-            assert_eq!(serial, par, "seed {seed}: BG must be thread-invariant");
-            assert_eq!(
-                mw.cache().derived_workload(&serial).to_bits(),
-                mw.cache().derived_workload(&par).to_bits()
             );
         }
     }

@@ -23,7 +23,6 @@ use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
 use extract::Extraction;
 use ixtune_common::rng::{derive, weighted_choice};
-use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use policy::{DrawLists, Priors, SelectBuffers, SelectionPolicy};
 use rand::rngs::StdRng;
@@ -434,7 +433,6 @@ impl MctsTuner {
         state: MctsState,
         interrupt: Option<Interrupt>,
     ) -> (TuningResult, Vec<f64>) {
-        let threads = effective_threads(req.session_threads);
         let obs = ctx.obs();
         let t0 = obs.span_start();
         let config = self.extraction.extract(
@@ -443,7 +441,6 @@ impl MctsTuner {
             &mut mw,
             &state.tree,
             state.best.as_ref().map(|(c, _)| c),
-            threads,
         );
         if let Some(t0) = t0 {
             obs.span_end(
@@ -455,8 +452,7 @@ impl MctsTuner {
         }
         let used = mw.meter().used();
         let reason = mw.stop_reason(interrupt);
-        let mut telemetry = mw.telemetry();
-        telemetry.session_threads = threads;
+        let telemetry = mw.telemetry();
         let result =
             TuningResult::evaluate(self.name(), ctx, config, used, Layout::new(mw.into_trace()))
                 .with_telemetry(telemetry)

@@ -1,41 +1,36 @@
-//! Frozen-cache parallel candidate scanning.
+//! Frozen-cache candidate scanning.
 //!
 //! Once the what-if budget is exhausted — or for an evaluator that spends
 //! none — a greedy step is a pure function of the (now read-only)
 //! [`WhatIfCache`]: score every admissible candidate `x` by
-//! `Σ_q d(q, C ∪ {x})` and take the argmin. That work is embarrassingly
-//! parallel — the budget bounds optimizer calls, not CPU — and this module
-//! fans it out across threads while staying **bit-identical** to the
-//! serial scan:
+//! `Σ_q d(q, C ∪ {x})` and take the argmin. This module prices that scan
+//! query-major, on the session's own thread, and stays **bit-identical**
+//! to the serial per-candidate scan:
 //!
 //! * **Batched query-major kernel.** Instead of one postings walk per
-//!   `(candidate, query)` pair, each worker makes a single ascending-cost
+//!   `(candidate, query)` pair, the kernel makes a single ascending-cost
 //!   pass over `multi_entries(q)` per query: an entry credits candidate
 //!   `x` iff its members outside `C` are *exactly* `{x}` — precisely the
 //!   entries the serial postings walk for `x` would accept — and because
-//!   entries are cost-sorted, the first credit is the min. This prices a
-//!   whole candidate chunk per entry pass, which is why the kernel beats
-//!   the serial scan per-thread before any parallelism.
-//! * **Deterministic reduction.** Candidates are split into contiguous
-//!   chunks in pool order; each chunk keeps its first strict min, and
-//!   chunks are reduced in ascending order with strict `<` — yielding the
-//!   same `(cost, position)` argmin as the serial first-strict-min loop,
-//!   regardless of thread interleaving.
+//!   entries are cost-sorted, the first credit is the min. One entry pass
+//!   prices every candidate of the scan, which is why the kernel beats
+//!   the serial postings walks.
+//! * **Serial tie-breaking.** Candidates are scanned in pool order and the
+//!   first strict min wins, so ties keep the earliest pool position: the
+//!   serial argmin.
 //! * **Exact telemetry.** Per query, the kernel accounts
-//!   `chunk_len − hits` derivations in one batched counter add and
+//!   `candidates − hits` derivations in one batched counter add and
 //!   reports hits to the caller — the same counts, call for call, as the
 //!   serial evaluators it replaces.
 //!
-//! Chunk totals are accumulated query-major (ascending `q`), the same
+//! Candidate totals are accumulated query-major (ascending `q`), the same
 //! `f64` summation order as the serial per-candidate loop, so sums match
 //! to the bit, not just to rounding.
 
 use crate::budget::MeteredWhatIf;
 use crate::derived::WhatIfCache;
-use ixtune_common::sync::available_parallelism;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Candidate scans hand off to the kernel only when they are at least
 /// this many `(candidate, query)` evaluations. Below it the kernel's fixed
@@ -93,29 +88,25 @@ impl FrozenEval<'_> {
     }
 }
 
-/// One chunk's scan outcome: the chunk-local `(cost, position, id)`
-/// first-strict-min (if any candidate was scanned) and the cache hits
-/// observed.
-type ChunkOutcome = (Option<(f64, usize, IndexId)>, usize);
-
-/// Scan `chunk` (pool positions + candidate ids, ascending) against every
-/// query, returning the chunk argmin and hit count. Derivation counts are
-/// batched straight into the cache's counter, once per query.
-fn scan_chunk(
+/// Scan `candidates` (pool positions + ids, ascending) against every
+/// query, returning their `(cost, position, id)` first-strict-min and the
+/// cache hits observed. Derivation counts are batched straight into the
+/// cache's counter, once per query.
+fn scan_informed(
     cache: &WhatIfCache,
     queries: &[QueryId],
     per_query: &[f64],
     config: &IndexSet,
-    chunk: &[(usize, IndexId)],
+    candidates: &[(usize, IndexId)],
     mode: FrozenEval<'_>,
-) -> ChunkOutcome {
+) -> (Option<(f64, usize, IndexId)>, usize) {
     let universe = cache.universe();
     // Epoch-stamped scratch: `entry_min[x]` is valid for the current query
     // iff `stamp[x] == epoch`, so per-query resets are O(1), not O(u).
     let mut entry_min = vec![0.0f64; universe];
     let mut stamp = vec![0u32; universe];
     let mut epoch = 0u32;
-    let mut totals = vec![0.0f64; chunk.len()];
+    let mut totals = vec![0.0f64; candidates.len()];
     // Scratch set for exact-hit probes: `C ∪ {x}` by insert/remove undo.
     let mut cfg = config.clone();
     let cfg_len = config.len() + 1;
@@ -126,7 +117,7 @@ fn scan_chunk(
     // cell; per-query probes are then integer lookups. `None` = no query
     // anywhere stored that configuration, so every probe would miss.
     let cand_key: Vec<Option<u32>> = if cfg_len >= 2 && !matches!(mode, FrozenEval::Derive) {
-        chunk
+        candidates
             .iter()
             .map(|&(_, id)| {
                 cfg.insert(id);
@@ -168,9 +159,9 @@ fn scan_chunk(
             }
         }
 
-        // Candidate pass: fold this query's value into each chunk total.
+        // Candidate pass: fold this query's value into each total.
         let mut row_hits = 0usize;
-        for (ci, &(_, id)) in chunk.iter().enumerate() {
+        for (ci, &(_, id)) in candidates.iter().enumerate() {
             let x = id.index();
             let derive = || -> f64 {
                 let mut best = cur;
@@ -225,12 +216,12 @@ fn scan_chunk(
             totals[ci] += v;
         }
         // Serial accounting: every non-hit evaluation was one derivation.
-        cache.add_derivations(chunk.len() - row_hits);
+        cache.add_derivations(candidates.len() - row_hits);
         hits += row_hits;
     }
 
     let mut best: Option<(f64, usize, IndexId)> = None;
-    for (ci, &(pos, id)) in chunk.iter().enumerate() {
+    for (ci, &(pos, id)) in candidates.iter().enumerate() {
         let t = totals[ci];
         if best.is_none_or(|(b, _, _)| t < b) {
             best = Some((t, pos, id));
@@ -239,15 +230,11 @@ fn scan_chunk(
     (best, hits)
 }
 
-/// Parallel argmin over `admissible` candidates (pool positions + ids in
-/// ascending pool order) against a frozen cache. Returns the winning
-/// `(position, id, cost)` — bit-identical to the serial first-strict-min
-/// scan — and the number of cache hits observed.
-///
-/// `threads` is the *logical* thread count; the number of OS threads
-/// actually spawned is additionally clamped to the hardware (and to the
-/// chunk count), which cannot change the result because chunk outcomes
-/// are reduced by chunk index, not completion order.
+/// Argmin over `admissible` candidates (pool positions + ids in ascending
+/// pool order) against a cache no budgeted call can still grow. Returns
+/// the winning `(position, id, cost)` — bit-identical to the serial
+/// first-strict-min scan — and the number of cache hits observed. The
+/// informed candidates are scanned inline, as one batch.
 pub fn frozen_argmin(
     cache: &WhatIfCache,
     queries: &[QueryId],
@@ -255,9 +242,7 @@ pub fn frozen_argmin(
     config: &IndexSet,
     admissible: &[(usize, IndexId)],
     mode: FrozenEval<'_>,
-    threads: usize,
 ) -> (Option<(usize, IndexId, f64)>, usize) {
-    debug_assert!(cache.is_frozen(), "parallel scan over an unfrozen cache");
     if admissible.is_empty() {
         return (None, 0);
     }
@@ -284,71 +269,11 @@ pub fn frozen_argmin(
         }
     }
     cache.add_derivations(uninformed * queries.len());
-    if informed.is_empty() {
-        // Every admissible candidate prices to the fold of `per_query`.
-        let total = fold_per_query(per_query);
-        return (uninformed_first.map(|(pos, id)| (pos, id, total)), 0);
-    }
-    // Chunk per OS worker actually available, not per logical thread: the
-    // entry pass is per-chunk overhead, and any contiguous ascending
-    // chunking reduces to the same argmin, so fewer chunks on a narrow
-    // host is free. (`workers <= 1` thus scans one chunk, serially.)
-    let worker_cap = threads.max(1).min(available_parallelism()).max(1);
-    let chunk_size = informed.len().div_ceil(worker_cap);
-    let chunks: Vec<&[(usize, IndexId)]> = informed.chunks(chunk_size).collect();
-    let workers = worker_cap.min(chunks.len());
-
-    let scan = |c: &[(usize, IndexId)]| scan_chunk(cache, queries, per_query, config, c, mode);
-
-    let outcomes: Vec<ChunkOutcome> = if workers <= 1 {
-        chunks.iter().map(|c| scan(c)).collect()
+    let (mut best, hits) = if informed.is_empty() {
+        (None, 0)
     } else {
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<ChunkOutcome>> = vec![None; chunks.len()];
-        let collected = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let chunks = &chunks;
-                    let scan = &scan;
-                    s.spawn(move || {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= chunks.len() {
-                                return mine;
-                            }
-                            mine.push((i, scan(chunks[i])));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scan worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (i, outcome) in collected {
-            slots[i] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every chunk scanned exactly once"))
-            .collect()
+        scan_informed(cache, queries, per_query, config, &informed, mode)
     };
-
-    // Reduce in chunk order with strict `<`: positions ascend across
-    // chunks, so ties keep the earliest position — the serial argmin.
-    let mut hits = 0usize;
-    let mut best: Option<(f64, usize, IndexId)> = None;
-    for (chunk_best, chunk_hits) in outcomes {
-        hits += chunk_hits;
-        if let Some((t, pos, id)) = chunk_best {
-            if best.is_none_or(|(b, _, _)| t < b) {
-                best = Some((t, pos, id));
-            }
-        }
-    }
     // Fold the uninformed block back in: its candidates all total the
     // per-query fold, so the serial argmin is "min value, earliest
     // position among equals" across the informed best and the first
@@ -511,7 +436,6 @@ mod tests {
                     )
                 })
                 .collect();
-            cache.freeze();
             for mode in [
                 FrozenEval::Fcfs,
                 FrozenEval::Atomic(&pairs),
@@ -519,33 +443,23 @@ mod tests {
             ] {
                 let expected =
                     serial_oracle(&cache, &queries, &per_query, &config, &admissible, mode);
-                for threads in [1, 2, 3, 8] {
-                    let (got, _) = frozen_argmin(
-                        &cache,
-                        &queries,
-                        &per_query,
-                        &config,
-                        &admissible,
-                        mode,
-                        threads,
-                    );
-                    match (expected, got) {
-                        (None, None) => {}
-                        (Some((ep, ei, ec)), Some((gp, gi, gc))) => {
-                            assert_eq!((ep, ei), (gp, gi), "seed={seed} threads={threads}");
-                            assert_eq!(ec.to_bits(), gc.to_bits(), "seed={seed}");
-                        }
-                        (e, g) => panic!("mismatch: expected {e:?}, got {g:?}"),
+                let (got, _) =
+                    frozen_argmin(&cache, &queries, &per_query, &config, &admissible, mode);
+                match (expected, got) {
+                    (None, None) => {}
+                    (Some((ep, ei, ec)), Some((gp, gi, gc))) => {
+                        assert_eq!((ep, ei), (gp, gi), "seed={seed}");
+                        assert_eq!(ec.to_bits(), gc.to_bits(), "seed={seed}");
                     }
-                    // Winner re-pricing reproduces the winning total bit-for-bit.
-                    if let Some((_, id, cost)) = got {
-                        let mut vals = Vec::new();
-                        let total = winner_values(
-                            &cache, &queries, &per_query, &config, id, mode, &mut vals,
-                        );
-                        assert_eq!(total.to_bits(), cost.to_bits());
-                        assert_eq!(vals.len(), queries.len());
-                    }
+                    (e, g) => panic!("mismatch: expected {e:?}, got {g:?}"),
+                }
+                // Winner re-pricing reproduces the winning total bit-for-bit.
+                if let Some((_, id, cost)) = got {
+                    let mut vals = Vec::new();
+                    let total =
+                        winner_values(&cache, &queries, &per_query, &config, id, mode, &mut vals);
+                    assert_eq!(total.to_bits(), cost.to_bits());
+                    assert_eq!(vals.len(), queries.len());
                 }
             }
         }
@@ -559,7 +473,6 @@ mod tests {
         let config = IndexSet::from_ids(universe, [IndexId::new(1), IndexId::new(5)]);
         let per_query: Vec<f64> = queries.iter().map(|&q| cache.derived(q, &config)).collect();
         let admissible: Vec<(usize, IndexId)> = config.complement_iter().enumerate().collect();
-        cache.freeze();
 
         // Serial FCFS evaluation: count hits and derivations by hand.
         let mut serial_hits = 0usize;
@@ -583,7 +496,6 @@ mod tests {
             &config,
             &admissible,
             FrozenEval::Fcfs,
-            4,
         );
         assert_eq!(hits, serial_hits);
         assert_eq!(cache.derivations() - before, serial_derivs);
@@ -592,7 +504,6 @@ mod tests {
     #[test]
     fn empty_admissible_set_is_a_no_scan() {
         let cache = primed(8, 2, 10, 1);
-        cache.freeze();
         let queries: Vec<QueryId> = (0..2usize).map(QueryId::from).collect();
         let config = IndexSet::empty(8);
         let per_query = vec![cache.empty_cost(queries[0]), cache.empty_cost(queries[1])];
@@ -603,7 +514,6 @@ mod tests {
             &config,
             &[],
             FrozenEval::Derive,
-            4,
         );
         assert!(best.is_none());
         assert_eq!(hits, 0);

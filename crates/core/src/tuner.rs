@@ -244,7 +244,6 @@ impl ExtensionFilter {
 ///     .with_storage(1 << 30);
 /// assert_eq!(sc.constraints.storage_bytes, Some(1 << 30));
 /// assert_eq!(sc.seed, 0);
-/// assert_eq!(sc.session_threads, 0); // 0 = auto-detect
 /// ```
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct TuningRequest {
@@ -254,10 +253,6 @@ pub struct TuningRequest {
     pub budget: usize,
     /// Seed for stochastic tuners; deterministic tuners ignore it.
     pub seed: u64,
-    /// Logical thread count for intra-session parallelism; `0` means
-    /// auto-detect from the host. Results are bit-identical for every
-    /// value (see DESIGN.md §5c), so this only affects wall-clock time.
-    pub session_threads: usize,
 }
 
 impl TuningRequest {
@@ -267,7 +262,6 @@ impl TuningRequest {
             constraints,
             budget,
             seed: 0,
-            session_threads: 0,
         }
     }
 
@@ -291,12 +285,6 @@ impl TuningRequest {
     /// Attach a storage constraint (max total index size in bytes).
     pub fn with_storage(mut self, bytes: u64) -> Self {
         self.constraints.storage_bytes = Some(bytes);
-        self
-    }
-
-    /// Set the logical session thread count (`0` = auto-detect).
-    pub fn with_session_threads(mut self, threads: usize) -> Self {
-        self.session_threads = threads;
         self
     }
 }

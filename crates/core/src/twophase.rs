@@ -12,7 +12,6 @@ use crate::matrix::Layout;
 use crate::parallel::FrozenEval;
 use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
-use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 
 /// Two-phase greedy with FCFS budget allocation.
@@ -31,13 +30,12 @@ pub(crate) fn two_phase(
     stop: &StopSignal,
 ) -> TuningResult {
     let constraints = &req.constraints;
-    let threads = effective_threads(req.session_threads);
     let mut mw = MeteredWhatIf::new(ctx, req.budget);
     let obs = ctx.obs();
 
     // Phase 1: each query as its own workload.
     let p1_t0 = obs.span_start();
-    let (union, mut interrupt) = phase1(ctx, constraints, &mut mw, mode, threads, stop);
+    let (union, mut interrupt) = phase1(ctx, constraints, &mut mw, mode, stop);
     if let Some(t0) = p1_t0 {
         obs.span_end(
             t0,
@@ -51,7 +49,7 @@ pub(crate) fn two_phase(
         // Interrupted mid-phase-1: salvage from the partial union
         // without spending more budget.
         let t0 = obs.span_start();
-        let config = salvage(ctx, constraints, &union, &mut mw, threads);
+        let config = salvage(ctx, constraints, &union, &mut mw);
         if let Some(t0) = t0 {
             obs.span_end(t0, "salvage", category, vec![]);
         }
@@ -64,16 +62,8 @@ pub(crate) fn two_phase(
         let queries: Vec<QueryId> = (0..ctx.num_queries()).map(QueryId::from).collect();
         let init: Vec<f64> = queries.iter().map(|&q| mw.cost_fcfs(q, &empty)).collect();
         let mut state = DerivationState::for_queries(universe, queries, init);
-        let (config, i2) = greedy_enumerate_metered(
-            ctx,
-            constraints,
-            &union,
-            &mut state,
-            &mut mw,
-            mode,
-            threads,
-            stop,
-        );
+        let (config, i2) =
+            greedy_enumerate_metered(ctx, constraints, &union, &mut state, &mut mw, mode, stop);
         if let Some(t0) = t0 {
             obs.span_end(t0, "phase2", category, vec![]);
         }
@@ -82,16 +72,13 @@ pub(crate) fn two_phase(
     };
     let used = mw.meter().used();
     let reason = mw.stop_reason(interrupt);
-    let mut telemetry = mw.telemetry();
-    telemetry.session_threads = threads;
+    let telemetry = mw.telemetry();
     TuningResult::evaluate(name, ctx, config, used, Layout::new(mw.into_trace()))
         .with_telemetry(telemetry)
         .with_stop_reason(reason)
 }
 
-/// Phase 1: per-query tuning; returns the union of per-query winners. The
-/// per-query scans are tiny, so they stay below the parallel-work
-/// threshold in practice; `threads` is passed through for uniformity. An
+/// Phase 1: per-query tuning; returns the union of per-query winners. An
 /// interrupt mid-phase-1 returns the partial union built so far — the
 /// caller salvages a configuration from it without further what-if calls.
 fn phase1(
@@ -99,7 +86,6 @@ fn phase1(
     constraints: &Constraints,
     mw: &mut MeteredWhatIf<'_>,
     mode: FrozenEval<'_>,
-    threads: usize,
     stop: &StopSignal,
 ) -> (Vec<IndexId>, Option<Interrupt>) {
     let universe = ctx.universe();
@@ -111,7 +97,7 @@ fn phase1(
         let init = vec![mw.cost_fcfs(q, &empty)];
         let mut state = DerivationState::for_queries(universe, vec![q], init);
         let (best, interrupt) =
-            greedy_enumerate_metered(ctx, constraints, pool, &mut state, mw, mode, threads, stop);
+            greedy_enumerate_metered(ctx, constraints, pool, &mut state, mw, mode, stop);
         for id in best.iter() {
             if !union.contains(&id) {
                 union.push(id);
@@ -133,7 +119,6 @@ fn salvage(
     constraints: &Constraints,
     union: &[IndexId],
     mw: &mut MeteredWhatIf<'_>,
-    threads: usize,
 ) -> IndexSet {
     let mut state = DerivationState::workload(mw.cache());
     let (config, _) = greedy_enumerate_metered(
@@ -143,7 +128,6 @@ fn salvage(
         &mut state,
         mw,
         FrozenEval::Derive,
-        threads,
         &StopSignal::never(),
     );
     config
@@ -216,28 +200,25 @@ mod tests {
             (&autoadmin, FrozenEval::Atomic(&pairs)),
         ];
         for (tuner, mode) in tuners {
-            for threads in [1, 4] {
-                let req = TuningRequest::cardinality(5, 300).with_session_threads(threads);
-                let stop = || StopSignal::never().cancel_after_calls(100);
-                // Replay phase 1 to recover the partial union and the
-                // cache the salvage prices against.
-                let mut mw = MeteredWhatIf::new(&ctx, req.budget);
-                let (union, interrupt) =
-                    phase1(&ctx, &req.constraints, &mut mw, mode, threads, &stop());
-                assert_eq!(interrupt, Some(Interrupt::Cancelled));
-                let oracle = greedy_enumerate(&ctx, &req.constraints, &union, |c| {
-                    mw.cache().derived_workload(c)
-                });
-                assert!(!oracle.is_empty(), "{}: nothing to salvage", tuner.name());
+            let req = TuningRequest::cardinality(5, 300);
+            let stop = || StopSignal::never().cancel_after_calls(100);
+            // Replay phase 1 to recover the partial union and the cache
+            // the salvage prices against.
+            let mut mw = MeteredWhatIf::new(&ctx, req.budget);
+            let (union, interrupt) = phase1(&ctx, &req.constraints, &mut mw, mode, &stop());
+            assert_eq!(interrupt, Some(Interrupt::Cancelled));
+            let oracle = greedy_enumerate(&ctx, &req.constraints, &union, |c| {
+                mw.cache().derived_workload(c)
+            });
+            assert!(!oracle.is_empty(), "{}: nothing to salvage", tuner.name());
 
-                let r = tuner.tune_with_stop(&ctx, &req, &stop());
-                assert_eq!(r.stop_reason, Some(StopReason::Cancelled));
-                assert_eq!(r.config, oracle, "{} at {threads} threads", tuner.name());
-                assert!(
-                    r.telemetry.parallel_scans > 0,
-                    "salvage scans run through the kernel"
-                );
-            }
+            let r = tuner.tune_with_stop(&ctx, &req, &stop());
+            assert_eq!(r.stop_reason, Some(StopReason::Cancelled));
+            assert_eq!(r.config, oracle, "{}", tuner.name());
+            assert!(
+                r.telemetry.parallel_scans > 0,
+                "salvage scans run through the kernel"
+            );
         }
     }
 

@@ -34,7 +34,6 @@ fn context(seed: u64) -> (SimulatedOptimizer, CandidateSet) {
 }
 
 fn strip_execution(mut t: SessionTelemetry) -> SessionTelemetry {
-    t.session_threads = 0;
     t.parallel_scans = 0;
     t.wall_clock_ms = 0.0;
     t
@@ -299,6 +298,10 @@ fn resume_v1(json: &str) -> Result<(), TestCaseError> {
 #[test]
 fn version_1_checkpoint_resumes_to_the_uninterrupted_result() {
     assert!(V1_SYNTH7.starts_with("{\"version\":1,"));
+    // Written when the request and the counters both carried a
+    // `session_threads` key: parsing skips it in each.
+    assert!(V1_SYNTH7.contains("\"seed\":9,\"session_threads\":1}"));
+    assert!(V1_SYNTH7.contains("\"other_calls\":0,\"session_threads\":0,"));
     resume_v1(V1_SYNTH7).unwrap();
 }
 

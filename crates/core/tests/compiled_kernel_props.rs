@@ -8,9 +8,8 @@
 //! up immediately). The kernel serves every call; the interpreted model
 //! survives as `interpreted_what_if_cost`, the oracle these tests check
 //! it against — on every cell real tuning sessions visit (synthetic
-//! instances, every enumerator, serial and parallel session threads)
-//! and on swept cells of all five paper benchmark instances, quirk on and
-//! off.
+//! instances, every enumerator) and on swept cells of all five paper
+//! benchmark instances, quirk on and off.
 
 use ixtune_candidates::{generate_default, CandidateSet};
 use ixtune_common::{IndexId, IndexSet, QueryId};
@@ -81,26 +80,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The kernel matches the interpreted oracle bit for bit on every
-    /// cell that whole tuning sessions visit, for every enumerator and
-    /// for serial and parallel session threads.
+    /// cell that whole tuning sessions visit, for every enumerator.
     #[test]
     fn compiled_kernel_matches_the_oracle_on_visited_cells(
         inst_seed in 0u64..200,
         seed in 0u64..16,
         k in 2usize..5,
         budget in 10usize..40,
-        thread_choice in 0usize..2,
         quirk in any::<bool>(),
     ) {
-        let threads = [1usize, 4][thread_choice];
         let (opt, cands) = context(inst_seed, quirk);
         prop_assert_eq!(
             opt.compiled_query_count(),
             WhatIfOptimizer::num_queries(&opt)
         );
-        let req = TuningRequest::cardinality(k, budget)
-            .with_seed(seed)
-            .with_session_threads(threads);
+        let req = TuningRequest::cardinality(k, budget).with_seed(seed);
         for (name, tuner) in &tuners() {
             let result = tuner.tune(&TuningContext::new(&opt, &cands), &req);
             prop_cells_match_oracle(name, &opt, &result)?;

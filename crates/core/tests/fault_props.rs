@@ -31,7 +31,6 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
 }
 
 fn strip_execution(mut t: SessionTelemetry) -> SessionTelemetry {
-    t.session_threads = 0;
     t.parallel_scans = 0;
     t.wall_clock_ms = 0.0;
     t.warm_hits = 0;

@@ -73,12 +73,9 @@ proptest! {
         seed in 0u64..16,
         k in 2usize..6,
         budget in 0usize..60,
-        threads in 1usize..4,
     ) {
         let (opt, cands) = context(inst_seed);
-        let request = TuningRequest::cardinality(k, budget)
-            .with_seed(seed)
-            .with_session_threads(threads);
+        let request = TuningRequest::cardinality(k, budget).with_seed(seed);
         for (name, tuner, phases) in tuners() {
             let plain_ctx = TuningContext::new(&opt, &cands);
             let plain = tuner.tune(&plain_ctx, &request);

@@ -4,10 +4,9 @@
 //! changes *which* costs are warm-served versus simulated — never the
 //! tuning outcome. These tests run every enumerator cold (no warm state),
 //! as a donor (empty warm state that records its ledger), and warm
-//! (seeded from the donor's absorbed snapshot), across serial and
-//! parallel session threads, and require bit-for-bit equality of the
-//! recommended configuration, call layout, improvement bits, and every
-//! execution-invariant telemetry counter. The warm run must additionally
+//! (seeded from the donor's absorbed snapshot), and require bit-for-bit
+//! equality of the recommended configuration, call layout, improvement
+//! bits, and every execution-invariant telemetry counter. The warm run must additionally
 //! collapse the simulated-optimizer invocation count.
 
 use ixtune_candidates::{generate_default, CandidateSet};
@@ -37,7 +36,6 @@ fn tuners() -> Vec<(&'static str, Box<dyn Tuner>)> {
 /// what it computed. Warm provenance counters are execution detail by
 /// definition: they say where answers came from, not what they were.
 fn strip_execution(mut t: SessionTelemetry) -> SessionTelemetry {
-    t.session_threads = 0;
     t.parallel_scans = 0;
     t.wall_clock_ms = 0.0;
     t.warm_hits = 0;
@@ -63,7 +61,7 @@ fn prop_identical(
 }
 
 proptest! {
-    // Each case runs 5 enumerators x 2 thread counts x 3 sessions.
+    // Each case runs 4 enumerators x 3 sessions.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Cold, donor (empty warm state), and seeded warm runs are
@@ -76,13 +74,9 @@ proptest! {
         seed in 0u64..16,
         k in 2usize..5,
         budget in 10usize..40,
-        thread_choice in 0usize..2,
     ) {
-        let threads = [1usize, 4][thread_choice];
         let (opt, cands) = context(inst_seed);
-        let req = TuningRequest::cardinality(k, budget)
-            .with_seed(seed)
-            .with_session_threads(threads);
+        let req = TuningRequest::cardinality(k, budget).with_seed(seed);
         for (name, tuner) in &tuners() {
             let fp = opt.content_fingerprint();
             let nq = WhatIfOptimizer::num_queries(&opt);

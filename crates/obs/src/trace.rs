@@ -8,8 +8,8 @@
 //! next to the phase it times. Timestamps are microseconds from a single
 //! monotonic origin captured at construction, so spans from different
 //! threads and sessions order consistently. When the ring is full the
-//! oldest records are dropped and counted — a long-lived daemon keeps the
-//! most recent window.
+//! oldest records are dropped — a long-lived daemon keeps the most
+//! recent window.
 //!
 //! [`chrome_trace`](TraceRecorder::chrome_trace) renders the JSON array
 //! format understood by `chrome://tracing` / Perfetto: complete events
@@ -56,7 +56,6 @@ pub struct TraceRecorder {
     origin: Instant,
     capacity: usize,
     ring: Mutex<VecDeque<SpanRecord>>,
-    dropped: AtomicU64,
 }
 
 impl TraceRecorder {
@@ -66,7 +65,6 @@ impl TraceRecorder {
             origin: Instant::now(),
             capacity: capacity.max(1),
             ring: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -102,7 +100,6 @@ impl TraceRecorder {
         let mut ring = self.ring.lock().unwrap();
         if ring.len() >= self.capacity {
             ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(rec);
     }
@@ -114,11 +111,6 @@ impl TraceRecorder {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Snapshot the records for `scope` (or all scopes when `None`).
@@ -208,7 +200,6 @@ mod tests {
             rec.complete(&format!("e{i}"), "t", 0, t0, vec![]);
         }
         assert_eq!(rec.len(), 3);
-        assert_eq!(rec.dropped(), 2);
         let names: Vec<String> = rec.records(None).into_iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["e2", "e3", "e4"]);
     }

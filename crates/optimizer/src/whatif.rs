@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// Reusable compiled-kernel evaluation buffers. Thread-local so
-    /// `what_if_cost` stays `&self` and race-free under intra-session
-    /// parallelism; sized once per thread and allocation-free after.
+    /// `what_if_cost` stays `&self` and race-free when concurrent sessions
+    /// share one optimizer; sized once per thread and allocation-free
+    /// after.
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 

@@ -42,6 +42,12 @@ impl Writer {
         Self::default()
     }
 
+    /// A writer whose buffer starts with `n` zero bytes: room for a
+    /// header the caller patches in once the rest is written.
+    pub fn with_header(n: usize) -> Self {
+        Self { buf: vec![0; n] }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }

@@ -34,6 +34,6 @@ pub use record::{
     WARM_CHUNK_BYTES,
 };
 pub use store::{
-    fault_site, CompactOutcome, Durability, FaultHook, Persist, PersistStats, RecoveryInfo,
-    BATCH_BYTES, BATCH_RECORDS,
+    fault_site, Durability, FaultHook, Persist, PersistStats, RecoveryInfo, BATCH_BYTES,
+    BATCH_RECORDS,
 };

@@ -17,7 +17,7 @@
 //! and snapshots and the WAL share one format and one replay loop.
 
 use crate::codec::{CodecError, Reader, Writer};
-use crate::wal::FRAME_HEADER;
+use crate::wal;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -143,12 +143,16 @@ const TAG_CANCELLED: u8 = 7;
 const TAG_FAILED: u8 = 8;
 
 impl Record {
-    /// Encode into the WAL payload form (framing and CRC are the WAL
-    /// layer's concern).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// This record as one WAL frame: the payload is encoded in place
+    /// behind the frame header (see [`wal::frame`]).
+    pub fn frame(&self) -> Vec<u8> {
+        wal::frame(|w| self.encode(w))
+    }
+
+    /// Append the WAL payload form of this record to `w`.
+    fn encode(&self, w: &mut Writer) {
         match self {
-            Record::WarmBatch(batch) => write_warm_batch(&mut w, batch, 0..batch.len()),
+            Record::WarmBatch(batch) => write_warm_batch(w, batch, 0..batch.len()),
             Record::WarmFlush => w.u8(TAG_WARM_FLUSH),
             Record::SessionSubmitted { id, spec_json } => {
                 w.u8(TAG_SUBMITTED);
@@ -195,7 +199,6 @@ impl Record {
                 w.str(error);
             }
         }
-        w.into_bytes()
     }
 
     /// Decode one record, consuming the payload exactly.
@@ -284,7 +287,7 @@ impl Record {
 const MIN_CELL_BYTES: usize = 10;
 
 /// Encode the `WarmBatch` payload of `batch`'s header and its `cells`.
-/// The one place its layout lives: [`Record::encode`] and [`warm_chunks`]
+/// The one place its layout lives: [`Record::frame`] and [`warm_chunks`]
 /// both go through it.
 fn write_warm_batch(w: &mut Writer, batch: &WarmBatch, cells: Range<usize>) {
     w.u8(TAG_WARM_BATCH);
@@ -411,17 +414,14 @@ pub const WARM_CHUNK_BYTES: usize = 256 << 10;
 /// and the daemon's `u64::MAX` trace scope never names a session.
 pub const MAX_SESSION_ID: u64 = 1 << 63;
 
-/// The encoded `WarmBatch` records that carry `batch`, each framed within
-/// [`WARM_CHUNK_BYTES`] (a lone cell larger than that gets a frame of its
-/// own). Encoded straight from the cells; an empty batch still yields
-/// one empty record so replay recreates its table.
+/// The WAL frames of the `WarmBatch` records that carry `batch`, each
+/// within [`WARM_CHUNK_BYTES`] (a lone cell larger than that gets a frame
+/// of its own). Encoded straight from the cells into each frame's buffer;
+/// an empty batch still yields one empty record so replay recreates its
+/// table.
 pub fn warm_chunks(batch: &WarmBatch) -> impl Iterator<Item = Vec<u8>> + '_ {
-    let encode = move |cells: Range<usize>| {
-        let mut w = Writer::new();
-        write_warm_batch(&mut w, batch, cells);
-        w.into_bytes()
-    };
-    let empty_frame = FRAME_HEADER + encode(0..0).len();
+    let frame = move |cells: Range<usize>| wal::frame(|w| write_warm_batch(w, batch, cells));
+    let empty_frame = frame(0..0).len();
     let mut cell = Writer::new();
     let mut next = 0;
     let mut first = true;
@@ -445,10 +445,10 @@ pub fn warm_chunks(batch: &WarmBatch) -> impl Iterator<Item = Vec<u8>> + '_ {
             n += 1;
         }
         loop {
-            let payload = encode(next..next + n);
-            if n <= 1 || FRAME_HEADER + payload.len() <= WARM_CHUNK_BYTES {
+            let frame = frame(next..next + n);
+            if n <= 1 || frame.len() <= WARM_CHUNK_BYTES {
                 next += n;
-                return Some(payload);
+                return Some(frame);
             }
             n -= 1;
         }
@@ -577,7 +577,7 @@ impl PersistState {
         }
     }
 
-    /// The encoded record stream that rebuilds this state: folding the
+    /// The framed record stream that rebuilds this state: folding the
     /// decoded payloads into an empty state yields one equal to `self`
     /// (up to how its warm batches are chunked). Per session, its
     /// `SessionSubmitted` plus the transitions that rebuild its row; per
@@ -587,7 +587,7 @@ impl PersistState {
             .sessions
             .iter()
             .flat_map(SessionRow::records)
-            .map(|rec| rec.encode());
+            .map(|rec| rec.frame());
         sessions.chain(self.warm.iter().flat_map(warm_chunks))
     }
 }
@@ -656,8 +656,9 @@ mod tests {
     #[test]
     fn record_codec_roundtrips() {
         for rec in sample_records() {
-            let bytes = rec.encode();
-            assert_eq!(Record::decode(&bytes).unwrap(), rec, "{rec:?}");
+            let frame = rec.frame();
+            let back = Record::decode(&frame[wal::FRAME_HEADER..]).unwrap();
+            assert_eq!(back, rec, "{rec:?}");
         }
     }
 
@@ -759,8 +760,8 @@ mod tests {
             &[(4, &[u64::MAX, 7], (-0.0f64).to_bits())],
         )));
         let mut back = PersistState::default();
-        for payload in st.records() {
-            back.apply(Record::decode(&payload).unwrap());
+        for frame in st.records() {
+            back.apply(Record::decode(&frame[wal::FRAME_HEADER..]).unwrap());
         }
         assert_eq!(back, st);
     }

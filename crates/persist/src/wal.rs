@@ -8,6 +8,7 @@
 //! away so the next append continues from a clean boundary. A torn tail
 //! is the expected signature of dying mid-write, not an error.
 
+use crate::codec::Writer;
 use crate::crc::crc32;
 use std::io::{self, Write};
 use std::ops::Range;
@@ -19,26 +20,34 @@ pub const FRAME_HEADER: usize = 8;
 /// must not drive a giant allocation; anything above this is torn.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Append one framed payload. Returns the bytes written (header + payload).
-/// A payload over [`MAX_PAYLOAD`] is refused with
+/// Build one frame in one buffer: `encode` writes the payload after
+/// [`FRAME_HEADER`] reserved bytes, then the payload's length and CRC are
+/// patched into them. The payload is never copied. A payload over
+/// [`MAX_PAYLOAD`] gets a frame too, which [`write_frame`] refuses.
+pub fn frame(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::with_header(FRAME_HEADER);
+    encode(&mut w);
+    let mut frame = w.into_bytes();
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    frame
+}
+
+/// Write one [`frame`]. Returns the bytes written (header + payload). A
+/// payload over [`MAX_PAYLOAD`] is refused with
 /// [`io::ErrorKind::InvalidInput`] before any byte is written: recovery
 /// would read such a frame as a torn tail and drop it with everything
 /// after it.
-pub fn append_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
-    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
+pub fn write_frame(out: &mut impl Write, frame: &[u8]) -> io::Result<u64> {
+    let payload = frame.len() - FRAME_HEADER;
+    if payload as u64 > u64::from(MAX_PAYLOAD) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "{}-byte record exceeds the {MAX_PAYLOAD}-byte frame limit",
-                payload.len()
-            ),
+            format!("{payload}-byte record exceeds the {MAX_PAYLOAD}-byte frame limit"),
         ));
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    out.write_all(&frame)?;
+    out.write_all(frame)?;
     Ok(frame.len() as u64)
 }
 
@@ -104,6 +113,16 @@ mod tests {
             .collect()
     }
 
+    /// `payload` as a frame.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        frame(|w| payload.iter().for_each(|&b| w.u8(b)))
+    }
+
+    /// Frame `payload` and write it to `buf`.
+    fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<u64> {
+        write_frame(buf, &framed(payload))
+    }
+
     #[test]
     fn frames_roundtrip_in_order() {
         let mut buf = Vec::new();
@@ -114,6 +133,15 @@ mod tests {
         let got = scan(&buf);
         assert!(!got.torn);
         assert_eq!(payloads(&buf, &got), written);
+    }
+
+    #[test]
+    fn frame_is_length_and_crc_then_the_payload() {
+        let payload = b"payload bytes";
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&crc32(payload).to_le_bytes());
+        expected.extend_from_slice(payload);
+        assert_eq!(framed(payload), expected);
     }
 
     #[test]

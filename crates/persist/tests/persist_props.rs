@@ -126,14 +126,14 @@ fn fold(records: &[Record], k: usize) -> PersistState {
 }
 
 proptest! {
-    /// Encoding is canonical: decode(encode(r)) re-encodes to the same
-    /// bytes. (Byte equality rather than `==` so NaN costs and wall
+    /// Encoding is canonical: a decoded frame's payload re-encodes to the
+    /// same frame. (Byte equality rather than `==` so NaN costs and wall
     /// clocks are compared as bit patterns.)
     #[test]
     fn record_codec_roundtrips_bit_identically(rec in arb_record()) {
-        let bytes = rec.encode();
-        let back = Record::decode(&bytes).expect("decode own encoding");
-        prop_assert_eq!(back.encode(), bytes);
+        let frame = rec.frame();
+        let back = Record::decode(&frame[FRAME_HEADER..]).expect("decode own encoding");
+        prop_assert_eq!(back.frame(), frame);
     }
 
     /// Any fold replays from its own record stream — the snapshot format
@@ -145,8 +145,8 @@ proptest! {
     ) {
         let st = fold(&records, records.len());
         let mut back = PersistState::default();
-        for payload in st.records() {
-            back.apply(Record::decode(&payload).expect("decode own record"));
+        for frame in st.records() {
+            back.apply(Record::decode(&frame[FRAME_HEADER..]).expect("decode own record"));
         }
         prop_assert_eq!(back, st);
     }
@@ -334,10 +334,11 @@ fn snapshot_with_an_undecodable_frame_is_skipped_whole() {
     let dir = scratch_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let mut f = std::fs::File::create(dir.join("snap-1.bin")).unwrap();
-    wal::append_frame(&mut f, &submit(0).encode()).unwrap();
+    wal::write_frame(&mut f, &submit(0).frame()).unwrap();
     // The earlier codec's empty state: version 1, next_id 0, no sessions,
     // no warm tables.
-    wal::append_frame(&mut f, &[1, 0, 0, 0]).unwrap();
+    let old_state = wal::frame(|w| [1, 0, 0, 0].into_iter().for_each(|b| w.u8(b)));
+    wal::write_frame(&mut f, &old_state).unwrap();
     drop(f);
 
     let (_p, recovered, info) = Persist::open(&dir, Durability::Batch).unwrap();
@@ -363,14 +364,15 @@ fn compaction_over_a_skipped_generation_starts_an_empty_wal() {
         id: 0,
         result_json: "{}".into(),
     };
-    wal::append_frame(&mut stale, &done.encode()).unwrap();
+    wal::write_frame(&mut stale, &done.frame()).unwrap();
     drop(stale);
 
     let (p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
     assert_eq!((info.generation, info.snapshots_skipped), (0, 1));
     assert_eq!(state.next_id, 0, "ids restart at 0");
     p.append(&submit(0)).unwrap();
-    assert_eq!(p.compact(Vec::new).unwrap().generation, 1);
+    p.compact(Vec::new).unwrap();
+    assert_eq!(p.stats().generation, 1);
     drop(p);
 
     let (_p, state, info) = Persist::open(&dir, Durability::Batch).unwrap();
@@ -439,13 +441,13 @@ fn warm_chunk_that_fills_the_bound_exactly_is_cut_one_entry_early() {
     let mut cells: Vec<Cell> = vec![(0, vec![u64::MAX; 4], 0)];
     cells.extend((0..14_560).map(|i| (0, vec![i], 1)));
     let batch = warm_batch("w", 9, 4, 64, &cells);
-    let payloads: Vec<Vec<u8>> = warm_chunks(&batch).collect();
-    let sizes: Vec<usize> = payloads.iter().map(|p| FRAME_HEADER + p.len()).collect();
+    let frames: Vec<Vec<u8>> = warm_chunks(&batch).collect();
+    let sizes: Vec<usize> = frames.iter().map(Vec::len).collect();
     assert_eq!(sizes.len(), 2, "{sizes:?}");
     assert!(sizes[0] <= WARM_CHUNK_BYTES, "{sizes:?}");
     let mut back = PersistState::default();
-    for payload in payloads {
-        back.apply(Record::decode(&payload).unwrap());
+    for frame in frames {
+        back.apply(Record::decode(&frame[FRAME_HEADER..]).unwrap());
     }
     assert_eq!(cells_of(back.warm()), cells);
 }

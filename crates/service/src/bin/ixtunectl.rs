@@ -6,7 +6,7 @@
 //! Commands:
 //!   ping
 //!   submit --workload W --algorithm A --k K --budget B
-//!          [--storage BYTES] [--seed S] [--threads T]
+//!          [--storage BYTES] [--seed S]
 //!          [--deadline-ms MS] [--pause-after N] [--cancel-after N]
 //!          [--wait]
 //!   status  <id>
@@ -17,7 +17,7 @@
 //!   list
 //!   top
 //!   metrics
-//!   trace   <id>
+//!   trace   <id>     (`[]`: no spans of the session in this daemon's ring)
 //!   store   stats|flush
 //!   persist
 //!   shutdown
@@ -99,7 +99,6 @@ fn submit(client: &Client, rest: &[String]) -> Result<(), String> {
     let mut budget: Option<usize> = None;
     let mut storage: Option<u64> = None;
     let mut seed: u64 = 0;
-    let mut threads: usize = 1;
     let mut deadline_ms: Option<u64> = None;
     let mut pause_after: Option<usize> = None;
     let mut cancel_after: Option<usize> = None;
@@ -121,7 +120,6 @@ fn submit(client: &Client, rest: &[String]) -> Result<(), String> {
             "--budget" => budget = Some(num(value)?),
             "--storage" => storage = Some(num(value)?),
             "--seed" => seed = num(value)?,
-            "--threads" => threads = num(value)?,
             "--deadline-ms" => deadline_ms = Some(num(value)?),
             "--pause-after" => pause_after = Some(num(value)?),
             "--cancel-after" => cancel_after = Some(num(value)?),
@@ -143,7 +141,6 @@ fn submit(client: &Client, rest: &[String]) -> Result<(), String> {
     );
     spec.storage_bytes = storage;
     spec.seed = seed;
-    spec.session_threads = threads;
     spec.deadline_ms = deadline_ms;
     spec.pause_after_calls = pause_after;
     spec.cancel_after_calls = cancel_after;
@@ -236,11 +233,14 @@ fn usage() {
     eprintln!(
         "ixtunectl [--addr ADDR] <ping|submit|status|result|cancel|suspend|resume|list|top|metrics|trace|store|persist|shutdown>\n\
          submit: --workload tpch|tpcds|job|reald|realm|synth:<seed> --algorithm mcts|greedy|twophase|autoadmin\n\
-         \x20       --k K --budget B [--storage BYTES] [--seed S] [--threads T]\n\
+         \x20       --k K --budget B [--storage BYTES] [--seed S]\n\
          \x20       [--deadline-ms MS] [--pause-after N] [--cancel-after N] [--wait]\n\
          top:     one-shot session table + daemon counters\n\
          metrics: Prometheus text exposition of the daemon registry\n\
-         trace:   <id> — Chrome-trace JSON for one session (load in a trace viewer)\n\
+         trace:   <id> — Chrome-trace JSON for one session (load in a trace viewer);\n\
+         \x20        `[]` means this daemon process holds none of its spans: its trace ring\n\
+         \x20        evicted them, the session was recovered from the WAL after a restart,\n\
+         \x20        or it has not run yet\n\
          store:   stats|flush — inspect or empty the warm cost store\n\
          persist: durable store statistics (WAL, generation, recovery)"
     );
@@ -261,7 +261,6 @@ mod tests {
         ServiceConfig {
             max_concurrent: 1,
             queue_capacity: 4,
-            max_session_threads: 1,
             data_dir,
             ..ServiceConfig::default()
         }

@@ -3,11 +3,16 @@
 //!
 //! ```text
 //! ixtuned [--bind 127.0.0.1:7311] [--max-concurrent N] \
-//!         [--queue-capacity N] [--max-session-threads N] \
-//!         [--data-dir DIR] [--durability always|batch|never] \
+//!         [--queue-capacity N] [--data-dir DIR] \
+//!         [--durability always|batch|never] \
 //!         [--wal-compact-bytes N] [--warm-store-bytes N] \
 //!         [--prepared-capacity N] [--fault-spec SPEC]
 //! ```
+//!
+//! Each session runs on one of `--max-concurrent` worker threads, start
+//! to finish. `--max-session-threads N` is still accepted and ignored (a
+//! value that is not a number still exits 2), so existing command lines
+//! keep working.
 //!
 //! `--fault-spec` arms the deterministic fault-injection plane, e.g.
 //! `seed=42;whatif.error=p0.05;wire.drop=every7` — see DESIGN.md §11.
@@ -36,8 +41,9 @@ fn main() {
             "--bind" => bind = value("--bind"),
             "--max-concurrent" => cfg.max_concurrent = parse(&value("--max-concurrent")),
             "--queue-capacity" => cfg.queue_capacity = parse(&value("--queue-capacity")),
+            // Accepted for older command lines; sessions are single-threaded.
             "--max-session-threads" => {
-                cfg.max_session_threads = parse(&value("--max-session-threads"))
+                parse(&value("--max-session-threads"));
             }
             "--data-dir" => cfg.data_dir = value("--data-dir").into(),
             "--durability" => {
@@ -65,10 +71,11 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "ixtuned [--bind ADDR] [--max-concurrent N] [--queue-capacity N] \
-                     [--max-session-threads N] [--data-dir DIR] \
-                     [--durability always|batch|never] [--wal-compact-bytes N] \
-                     [--warm-store-bytes N] [--prepared-capacity N] \
-                     [--fault-spec SPEC]"
+                     [--data-dir DIR] [--durability always|batch|never] \
+                     [--wal-compact-bytes N] [--warm-store-bytes N] \
+                     [--prepared-capacity N] [--fault-spec SPEC]\n\
+                     Each session runs on one worker thread; --max-session-threads N is \
+                     accepted and ignored."
                 );
                 return;
             }

@@ -24,9 +24,7 @@ use ixtune_common::fault::FaultPlan;
 use ixtune_common::{IndexSet, QueryId};
 use ixtune_core::warm::WarmStore;
 use ixtune_obs::{Counter, MetricsRegistry};
-use ixtune_persist::{
-    CompactOutcome, Durability, Persist, PersistState, PersistStats, Record, WarmBatch,
-};
+use ixtune_persist::{Durability, Persist, PersistState, PersistStats, Record, WarmBatch};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -160,9 +158,9 @@ impl DurableLog {
     ///
     /// `warm` holds every logged cell it has not evicted or flushed: a
     /// settle absorbs before it logs, a flush empties it before logging.
-    pub fn maybe_compact(&self, threshold: u64, warm: &WarmStore) -> Option<CompactOutcome> {
+    pub fn maybe_compact(&self, threshold: u64, warm: &WarmStore) {
         if self.persist.stats().wal_bytes <= threshold {
-            return None;
+            return;
         }
         let max = if self.degraded() { 1 } else { IO_ATTEMPTS };
         let mut attempt = 0u32;
@@ -174,14 +172,14 @@ impl DurableLog {
                 })
             };
             match self.persist.compact(tables) {
-                Ok(out) => return Some(out),
+                Ok(()) => return,
                 Err(e) => {
                     self.io_errors_total.inc();
                     attempt += 1;
                     if attempt >= max {
                         eprintln!("ixtuned: compaction failed after {attempt} attempt(s): {e}");
                         self.demote(&e);
-                        return None;
+                        return;
                     }
                     std::thread::sleep(backoff(self.backoff_seed, attempt));
                 }

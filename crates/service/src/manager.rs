@@ -490,7 +490,7 @@ impl SessionManager {
             ),
             (
                 "ixtune_parallel_scans_total",
-                "Frozen-cache parallel candidate scans",
+                "Frozen-cache kernel candidate scans",
                 t.parallel_scans as u64,
             ),
             (
@@ -581,8 +581,10 @@ impl SessionManager {
     }
 
     /// Chrome-trace-viewer JSON of the spans recorded for session `id`.
-    /// Valid (possibly empty) for any known session — a session that has
-    /// not run yet simply has no spans.
+    /// Valid for any known session. It is the empty array `[]` when this
+    /// process's ring holds none of the session's spans: the ring evicted
+    /// them, the session was recovered from the WAL after a restart (the
+    /// ring lives in memory only), or it has not run yet.
     pub fn trace_json(&self, id: u64) -> Result<String, ErrorPayload> {
         let known = self.state.with(|st| st.sessions.contains_key(&id));
         if !known {
@@ -865,7 +867,6 @@ fn worker_loop(
                         &spec,
                         checkpoint_json.as_deref(),
                         &stop,
-                        cfg,
                         obs,
                         warm_run,
                         faults,
@@ -979,14 +980,13 @@ enum Settled {
     Failed(String),
 }
 
-/// Run one session segment: fresh or resumed, any algorithm.
-#[allow(clippy::too_many_arguments)]
+/// Run one session segment, fresh or resumed, any algorithm, on the
+/// calling worker's thread.
 fn run_session(
     prepared: &Prepared,
     spec: &SubmitSpec,
     checkpoint_json: Option<&str>,
     stop: &StopSignal,
-    cfg: &ServiceConfig,
     obs: Obs,
     warm: Arc<WarmState>,
     faults: &FaultPlan,
@@ -997,7 +997,7 @@ fn run_session(
         .with_obs(obs)
         .with_warm(warm)
         .with_faults(SessionFaults::new(faults.clone()));
-    let req = spec.request(cfg.max_session_threads);
+    let req = spec.request(1);
     use crate::spec::AlgorithmSpec;
     match spec.algorithm {
         AlgorithmSpec::Mcts => {
@@ -1069,7 +1069,6 @@ mod tests {
         ServiceConfig {
             max_concurrent: 2,
             queue_capacity: 4,
-            max_session_threads: 2,
             data_dir,
             ..ServiceConfig::default()
         }
@@ -1407,6 +1406,36 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// A result logged by a build whose telemetry still counted
+    /// `session_threads` recovers intact, minus that key: the unknown key
+    /// is skipped, not the result (`import_sessions` would drop an
+    /// unreadable result without a word).
+    #[test]
+    fn recovered_result_with_a_session_threads_key_is_served() {
+        const LOGGED: &str = r#"{"algorithm":"Vanilla Greedy","config":[1,3,6],"calls_used":40,"improvement":0.005166931666840124,"stop_reason":"BudgetExhausted","layout_len":40,"layout_fingerprint":4106146684931804213,"telemetry":{"what_if_calls":40,"cache_hits":6,"derivations":626,"priors_calls":0,"selection_calls":0,"rollout_calls":0,"other_calls":40,"session_threads":1,"parallel_scans":3,"wall_clock_ms":0.206411,"warm_hits":0,"warm_seeded":0}}"#;
+        let cfg = config("ixtuned-test-threads-result");
+        {
+            let (p, _, _) = ixtune_persist::Persist::open(&cfg.data_dir, Durability::Always)
+                .expect("open the data dir");
+            let spec_json = serde_json::to_string(&spec(AlgorithmSpec::VanillaGreedy, 40)).unwrap();
+            p.append(&Record::SessionSubmitted { id: 0, spec_json })
+                .unwrap();
+            p.append(&Record::SessionDone {
+                id: 0,
+                result_json: LOGGED.into(),
+            })
+            .unwrap();
+        }
+        let mgr = SessionManager::start(cfg);
+        let r = mgr.result(0).expect("the logged result is served");
+        assert_eq!(
+            serde_json::to_string(&r).unwrap(),
+            LOGGED.replace(r#""session_threads":1,"#, "")
+        );
+        assert_eq!(mgr.status(0).unwrap().wall_clock_ms, 0.206411);
+        mgr.shutdown();
+    }
+
     /// A suspended session survives a restart, and its status (and so the
     /// scrape) reports the counters its checkpoint parked, not zero.
     #[test]
@@ -1706,8 +1735,7 @@ mod tests {
             let mut batch = ixtune_persist::WarmBatch::new("tpch", 42, num_queries, universe);
             batch.push(0, &[0b101], 1.5f64.to_bits());
             let mut wal = Vec::new();
-            ixtune_persist::wal::append_frame(&mut wal, &Record::WarmBatch(batch).encode())
-                .unwrap();
+            ixtune_persist::wal::write_frame(&mut wal, &Record::WarmBatch(batch).frame()).unwrap();
             if tag == "queries" {
                 assert_eq!(wal.len(), 47);
             }

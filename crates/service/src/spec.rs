@@ -114,8 +114,9 @@ pub struct SubmitSpec {
     pub budget: usize,
     /// Seed for stochastic tuners.
     pub seed: u64,
-    /// Logical intra-session thread count (`0` = auto); the daemon caps it
-    /// at its configured maximum. Results are invariant to it.
+    /// Ignored: every session runs on the daemon worker that claimed it.
+    /// Still parsed, and written back into the submit's WAL record, so
+    /// clients that set it keep working and a record keeps its bytes.
     pub session_threads: usize,
     /// Wall-clock deadline for the session, in milliseconds per run
     /// segment.
@@ -145,17 +146,11 @@ impl SubmitSpec {
         }
     }
 
-    /// The core-level request this spec denotes, with the thread count
-    /// already capped by the daemon.
-    pub fn request(&self, max_session_threads: usize) -> TuningRequest {
-        let threads = if self.session_threads == 0 {
-            max_session_threads
-        } else {
-            self.session_threads.min(max_session_threads)
-        };
-        let mut req = TuningRequest::cardinality(self.k, self.budget)
-            .with_seed(self.seed)
-            .with_session_threads(threads);
+    /// The core-level request this spec denotes. The argument is ignored,
+    /// like [`session_threads`](Self::session_threads); it stays so that
+    /// callers written against the thread cap still build.
+    pub fn request(&self, _max_session_threads: usize) -> TuningRequest {
+        let mut req = TuningRequest::cardinality(self.k, self.budget).with_seed(self.seed);
         if let Some(b) = self.storage_bytes {
             req = req.with_storage(b);
         }
@@ -186,8 +181,6 @@ pub struct ServiceConfig {
     /// Admission control: queued-but-not-terminal sessions beyond this are
     /// rejected at submit.
     pub queue_capacity: usize,
-    /// Cap composed with each spec's `session_threads`.
-    pub max_session_threads: usize,
     /// The daemon's durable root (`--data-dir`): the write-ahead log and
     /// generation snapshots live directly inside it, and suspended
     /// sessions' checkpoints ride in the log's records. Restarting on the
@@ -216,7 +209,6 @@ impl Default for ServiceConfig {
         Self {
             max_concurrent: 2,
             queue_capacity: 16,
-            max_session_threads: ixtune_common::sync::available_parallelism(),
             // Absolute by construction — the old CWD-relative "snapshots"
             // default scattered state wherever the daemon happened to
             // start. Production deployments pass an explicit --data-dir.
@@ -248,17 +240,6 @@ mod tests {
             Some(AlgorithmSpec::TwoPhase)
         );
         assert_eq!(AlgorithmSpec::parse("nope"), None);
-    }
-
-    #[test]
-    fn request_caps_threads() {
-        let mut spec = SubmitSpec::new(WorkloadSpec::Synth(1), AlgorithmSpec::Mcts, 3, 50);
-        spec.session_threads = 0;
-        assert_eq!(spec.request(4).session_threads, 4);
-        spec.session_threads = 16;
-        assert_eq!(spec.request(4).session_threads, 4);
-        spec.session_threads = 2;
-        assert_eq!(spec.request(4).session_threads, 2);
     }
 
     #[test]

@@ -55,8 +55,6 @@ impl DaemonProc {
             durability.to_string(),
             "--max-concurrent".to_string(),
             "1".to_string(),
-            "--max-session-threads".to_string(),
-            "1".to_string(),
         ];
         if !fault_spec.is_empty() {
             args.push("--fault-spec".to_string());

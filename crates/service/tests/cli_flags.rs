@@ -2,7 +2,8 @@
 //! its value, an unparsable number, durability policy or fault spec — by
 //! exiting 2 before it binds a port, without panicking. No environment
 //! variable arms anything: a daemon started beside a malformed
-//! `IXTUNE_FAULT_SPEC` serves as usual.
+//! `IXTUNE_FAULT_SPEC` serves as usual. `--max-session-threads N` is
+//! parsed and ignored: a number starts the daemon, anything else exits 2.
 
 use ixtune_service::Client;
 use std::io::{BufRead, BufReader};
@@ -20,6 +21,7 @@ fn ixtuned(args: &[&str]) -> Output {
 fn bad_flags_exit_2_without_panicking() {
     let cases: &[&[&str]] = &[
         &["--max-concurrent", "x"],
+        &["--max-session-threads", "abc"],
         &["--durability", "sometimes"],
         &["--fault-spec", "whatif.error=bogus"],
         &["--bind"],
@@ -44,15 +46,17 @@ impl Drop for Reap {
     }
 }
 
-#[test]
-fn a_malformed_fault_spec_variable_is_ignored() {
-    let dir = std::env::temp_dir().join(format!("ixtuned-cli-env-{}", std::process::id()));
+/// Boot `ixtuned` on a fresh data dir with `args` and the environment
+/// `env`, ping it and shut it down: it must serve and then exit 0.
+fn serves_then_exits_cleanly(tag: &str, args: &[&str], env: &[(&str, &str)]) {
+    let dir = std::env::temp_dir().join(format!("ixtuned-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut daemon = Reap(
         Command::new(env!("CARGO_BIN_EXE_ixtuned"))
             .args(["--bind", "127.0.0.1:0", "--data-dir"])
             .arg(&dir)
-            .env("IXTUNE_FAULT_SPEC", "whatif.error=bogus")
+            .args(args)
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -84,4 +88,16 @@ fn a_malformed_fault_spec_variable_is_ignored() {
     };
     assert!(status.success(), "{status}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_fault_spec_variable_is_ignored() {
+    serves_then_exits_cleanly("env", &[], &[("IXTUNE_FAULT_SPEC", "whatif.error=bogus")]);
+}
+
+/// Command lines written for the session-thread cap keep starting the
+/// daemon; every session still runs on one worker thread.
+#[test]
+fn max_session_threads_is_accepted_and_ignored() {
+    serves_then_exits_cleanly("threads", &["--max-session-threads", "4"], &[]);
 }

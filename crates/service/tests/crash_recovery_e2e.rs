@@ -55,8 +55,6 @@ impl DaemonProc {
                 durability,
                 "--max-concurrent",
                 "2",
-                "--max-session-threads",
-                "2",
             ])
             .args(extra)
             .stdout(Stdio::piped())

@@ -19,7 +19,6 @@ fn config(dir: &str) -> ServiceConfig {
     ServiceConfig {
         max_concurrent: 2,
         queue_capacity: 8,
-        max_session_threads: 2,
         data_dir,
         ..ServiceConfig::default()
     }

@@ -92,7 +92,6 @@ fn config(tag: u64) -> ServiceConfig {
     ServiceConfig {
         max_concurrent: 2,
         queue_capacity: 8,
-        max_session_threads: 2,
         data_dir,
         ..ServiceConfig::default()
     }

@@ -14,7 +14,6 @@ fn test_config(tag: &str) -> ServiceConfig {
     ServiceConfig {
         max_concurrent: 1,
         queue_capacity: 4,
-        max_session_threads: 1,
         data_dir,
         ..ServiceConfig::default()
     }

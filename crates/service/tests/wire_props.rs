@@ -142,7 +142,6 @@ fn every_frame_gets_typed_answers_and_the_daemon_keeps_serving() {
     let cfg = ServiceConfig {
         max_concurrent: 1,
         queue_capacity: 8,
-        max_session_threads: 1,
         data_dir: data_dir.clone(),
         ..ServiceConfig::default()
     };

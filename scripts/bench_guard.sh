@@ -54,7 +54,7 @@ baseline = json.load(open(sys.argv[2]))["median_ns_per_op"]
 tolerance = float(sys.argv[3])
 
 # The shipped hot paths: the incremental DerivationState probe, the
-# frozen-cache parallel kernel (the one that takes the Obs handle),
+# frozen-cache scan kernel (the `greedy-step/parallel-*` series),
 # whole cold-start and warm-seeded greedy sessions (now served by the
 # compiled kernel + sparse informed-candidate scan), and the raw
 # compiled what-if call.

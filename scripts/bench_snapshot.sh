@@ -4,7 +4,7 @@
 #
 # The vendored criterion stand-in appends one JSON line per benchmark to
 # $CRITERION_SNAPSHOT; this script collects the lines and adds the
-# headline ratios: the greedy-step speedup of the frozen-cache parallel
+# headline ratios: the greedy-step speedup of the frozen-cache scan
 # kernel over the serial incremental DerivationState probe, and the
 # warm-store ratios (cold-start greedy or MCTS session over the identical
 # session seeded from a warm snapshot).
